@@ -17,13 +17,13 @@ isomorphism criterion where one exists.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
 from typing import Dict, List
 
-from .curve import Char2Curve, CubicCurve, Point, point_to_json
-from .errors import FieldTooLarge, InvalidParams
+from .curve import Char2Curve, Point, _hasse_upper, point_to_json
+from .errors import FieldTooLarge, InvalidParams, VerificationError
 from .families import (
     FamilyInstance,
+    _e8_isomorphic,
     e4_new,
     e4char2_new,
     e6_new,
@@ -97,19 +97,9 @@ def sigma_char2(field: BinaryField, N: int) -> CensusReport:
         raise InvalidParams("the census covers torsion orders 4 and 8")
     if field.k > 6:
         raise FieldTooLarge("brute-force census sweeps all curves: k <= 6")
-    one = field.one
 
     # Family side: closed-form parametrization, deduplicated.
-    if N == 4:
-        a6_values = {e4char2_new(field, g, verify=False).curve.a6 for g in field.elements() if g}
-        family_count = len(a6_values)
-    else:
-        pairs = set()
-        for t in field.elements():
-            if not t or t == one:
-                continue
-            pairs.add(frozenset({t.value, (one / t).value}))
-        family_count = len(pairs)
+    family_count = len(family_sweep(field, N, verify=False))
 
     # Brute-force side: every curve, grouped into (a6, trace a2) classes.
     classes: Dict[tuple, List[bool]] = {}
@@ -120,19 +110,14 @@ def sigma_char2(field: BinaryField, N: int) -> CensusReport:
             curve = Char2Curve(field, a2, a6)
             found = _has_point_of_order(curve, curve.full_group(), N)
             classes.setdefault((a6.value, field.trace(a2)), []).append(found)
-    assert len(classes) == 2 * ((1 << field.k) - 1)
+    if len(classes) != 2 * ((1 << field.k) - 1):
+        raise VerificationError(f"expected 2(q - 1) isomorphism classes, found {len(classes)}")
     for key, flags in classes.items():
         # Isomorphic curves must agree on the presence of order-N points.
-        assert all(f == flags[0] for f in flags), key
+        if any(f != flags[0] for f in flags):
+            raise VerificationError(f"curves in class (a6, trace a2) = {key} disagree")
     brute = sum(1 for flags in classes.values() if flags[0])
     return CensusReport(field.descriptor, N, family_count, brute)
-
-
-def _hasse_upper(q: int) -> int:
-    r = isqrt(4 * q)
-    if r * r < 4 * q:
-        r += 1
-    return q + 1 + r
 
 
 def verify_f3_example() -> dict:
@@ -184,15 +169,6 @@ def verify_f4_example() -> dict:
             and curve == inst4.curve
         ),
     }
-
-
-def _e8_iso_params(field: Field, s: FieldElement, t: FieldElement) -> bool:
-    s2, t2 = s * s, t * t
-    if s == t or s == -t or s2 + t2 == 2 * s2 * t2:
-        return True
-    if field.element(-1).is_square():
-        return s2 * s2 * t2 * t2 + 2 * s2 + 2 * t2 == 4 * s2 * t2 + 1
-    return False
 
 
 def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstance]:
@@ -264,7 +240,7 @@ def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstan
                 inst = e8_new(field, t, verify=verify)
             except InvalidParams:
                 continue
-            if any(_e8_iso_params(field, r, t) for r in reps):
+            if any(_e8_isomorphic(r, t) for r in reps):
                 continue
             reps.append(t)
             out.append(inst)

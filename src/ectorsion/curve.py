@@ -118,17 +118,24 @@ def point_from_json(field: Field, obj) -> Point:
     return Point(element_from_json(field, obj["x"]), element_from_json(field, obj["y"]))
 
 
-def _ceil_sqrt(n: int) -> int:
-    r = isqrt(n)
-    return r if r * r == n else r + 1
+def _hasse_upper(q: int) -> int:
+    """q + 1 + ceil(2*sqrt(q)): no curve over F_q has more points (Hasse)."""
+    r = isqrt(4 * q)
+    if r * r < 4 * q:
+        r += 1
+    return q + 1 + r
 
 
-def _default_cap(field: Field) -> int:
+def _default_cap(field: Field, cap: Optional[int] = None) -> int:
+    """The order search's cap: ``cap`` itself once checked, else the default."""
+    if cap is not None:
+        if cap < 1:
+            raise InvalidParams(f"the order cap must be at least 1, got {cap}")
+        return cap
     q = field.order
     if q is None:
         return 24  # comfortably above any rational torsion order we build
-    # 2(q + 2*sqrt(q) + 1), rounded up: safely past the Hasse interval.
-    return 2 * q + 2 + _ceil_sqrt(16 * q)
+    return 2 * _hasse_upper(q)  # safely past the Hasse interval
 
 
 class _CurveBase:
@@ -150,6 +157,10 @@ class _CurveBase:
             raise OffCurve(f"{P!r} does not satisfy the curve equation")
         return P
 
+    def _add(self, P: Point, Q: Point) -> Point:
+        """The group law on points already known to be on this curve."""
+        raise NotImplementedError
+
     def add(self, P: Point, Q: Point) -> Point:
         raise NotImplementedError
 
@@ -157,32 +168,31 @@ class _CurveBase:
         raise NotImplementedError
 
     def double(self, P: Point) -> Point:
-        return self.add(P, P)
+        P = self._check(P)
+        return self._add(P, P)
 
     def scalar_mul(self, n: int, P: Point) -> Point:
-        self._check(P)
-        if n < 0:
-            n, P = -n, self.negate(P)
+        P = self.negate(P) if n < 0 else self._check(P)
+        n = abs(n)
         R = Point.infinity()
         while n:
             if n & 1:
-                R = self.add(R, P)
-            P = self.add(P, P)
+                R = self._add(R, P)
+            P = self._add(P, P)
             n >>= 1
         return R
 
     def order_of(self, P: Point, cap: Optional[int] = None) -> Optional[int]:
         """Exact order of P by iterated addition, or None once past the cap."""
+        cap = _default_cap(self.field, cap)
         self._check(P)
-        if cap is None:
-            cap = _default_cap(self.field)
         if P.is_infinity:
             return 1
         R = P
         for n in range(1, cap + 1):
             if R.is_infinity:
                 return n
-            R = self.add(R, P)
+            R = self._add(R, P)
         return None
 
     def full_group(self) -> List[Point]:
@@ -255,16 +265,13 @@ class CubicCurve(_CurveBase):
         return Point(P.x, -P.y)
 
     def add(self, P: Point, Q: Point) -> Point:
-        self._check(P)
-        self._check(Q)
+        return self._add(self._check(P), self._check(Q))
+
+    def _add(self, P: Point, Q: Point) -> Point:
         if self._ik is not None:
             p_, A, B, C = self._ik
             r = kernel.cubic_add(p_, A, B, C, _pt_ints(P), _pt_ints(Q))
             return _pt_from_ints(self.field, r)
-        return self._add_generic(P, Q)
-
-    def _add_generic(self, P: Point, Q: Point) -> Point:
-        """Chord-tangent addition written directly over field elements."""
         if P.is_infinity:
             return Q
         if Q.is_infinity:
@@ -282,22 +289,21 @@ class CubicCurve(_CurveBase):
         return Point(x3, y3)
 
     def scalar_mul(self, n: int, P: Point) -> Point:
+        if self._ik is None:
+            return super().scalar_mul(n, P)
         self._check(P)
-        if self._ik is not None:
-            p_, A, B, C = self._ik
-            r = kernel.cubic_smul(p_, A, B, C, n, _pt_ints(P))
-            return _pt_from_ints(self.field, r)
-        return super().scalar_mul(n, P)
+        p_, A, B, C = self._ik
+        r = kernel.cubic_smul(p_, A, B, C, n, _pt_ints(P))
+        return _pt_from_ints(self.field, r)
 
     def order_of(self, P: Point, cap: Optional[int] = None) -> Optional[int]:
+        if self._ik is None:
+            return super().order_of(P, cap)
+        cap = _default_cap(self.field, cap)
         self._check(P)
-        if cap is None:
-            cap = _default_cap(self.field)
-        if self._ik is not None:
-            p_, A, B, C = self._ik
-            n = kernel.cubic_order(p_, A, B, C, _pt_ints(P), cap)
-            return n if n else None
-        return super().order_of(P, cap)
+        p_, A, B, C = self._ik
+        n = kernel.cubic_order(p_, A, B, C, _pt_ints(P), cap)
+        return n if n else None
 
     def two_torsion(self) -> List[Point]:
         """All rational points of order 2: (alpha, 0) plus g's roots if any."""
@@ -311,22 +317,10 @@ class CubicCurve(_CurveBase):
         q = self.field.order
         if q is None or q > _ENUM_LIMIT:
             raise FieldTooLarge("full enumeration needs a finite field of at most 2^16 elements")
-        if self._ik is not None:
-            p_, A, B, C = self._ik
-            pts = [_pt_from_ints(self.field, t) for t in kernel.cubic_points(p_, A, B, C)]
-            return [Point.infinity()] + pts
-        out = [Point.infinity()]
-        for x in self.field.elements():
-            fx = self.rhs(x)
-            r = fx.sqrt()
-            if r is None:
-                continue
-            if not r:
-                out.append(Point(x, r))
-            else:
-                out.append(Point(x, r))
-                out.append(Point(x, -r))
-        return out
+        # Every finite field of characteristic != 2 here is a PrimeField.
+        p_, A, B, C = self._ik
+        pts = [_pt_from_ints(self.field, t) for t in kernel.cubic_points(p_, A, B, C)]
+        return [Point.infinity()] + pts
 
     def translate_x(self, x0) -> Tuple["CubicCurve", Callable[[Point], Point]]:
         """Shift coordinates by x -> x - x0; returns the new curve and point map."""
@@ -469,8 +463,9 @@ class Char2Curve(_CurveBase):
         return Point(P.x, P.y + P.x)
 
     def add(self, P: Point, Q: Point) -> Point:
-        self._check(P)
-        self._check(Q)
+        return self._add(self._check(P), self._check(Q))
+
+    def _add(self, P: Point, Q: Point) -> Point:
         if P.is_infinity:
             return Q
         if Q.is_infinity:

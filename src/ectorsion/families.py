@@ -98,6 +98,13 @@ def _witness(curve, point: Point, order: int, verify: bool, note: str = "") -> T
     return TorsionWitness(point, order, bool(verify), note)
 
 
+def _odd_characteristic(field: Field, family: str) -> None:
+    # Checked first: every GF(2^k) element is a square, so a square-class
+    # condition would otherwise take the blame.
+    if field.characteristic == 2:
+        raise InvalidParams(f"{family} needs characteristic != 2")
+
+
 def _nonzero(field: Field, value, name: str, family: str) -> FieldElement:
     v = field.element(value)
     if not v:
@@ -111,6 +118,7 @@ def e4_new(field: Field, a, b, verify: bool = True) -> FamilyInstance:
     Valid iff a != 0, b != 0 and a^2 + 4b is not a square (the latter makes
     (0,0) the only rational 2-torsion point and the curve nonsingular).
     """
+    _odd_characteristic(field, "e4")
     a = _nonzero(field, a, "a", "e4")
     b = _nonzero(field, b, "b", "e4")
     if (a * a + 4 * b).is_square():
@@ -147,6 +155,7 @@ def e6_new(field: Field, t, verify: bool = True) -> FamilyInstance:
     appears exactly at those values.  Three rational 2-torsion points are
     allowed here; see e6_exactly_one_2torsion for the stricter predicate.
     """
+    _odd_characteristic(field, "e6")
     t = _nonzero(field, t, "t", "e6")
     if t + 4 == 0:
         raise InvalidParams("e6 needs t != -4")
@@ -176,6 +185,7 @@ def e8_new(field: Field, t, verify: bool = True) -> FamilyInstance:
     Valid iff t is outside {0, 1, -1} and 2t^2 - 1 is not a square.  This is
     the e4 family at a = 2t^2/(1-t^2), b = -1.
     """
+    _odd_characteristic(field, "e8")
     t = _nonzero(field, t, "t", "e8")
     if t * t == 1:
         raise InvalidParams("e8 needs t != 1 and t != -1")
@@ -209,6 +219,7 @@ def e10_new(field: Field, u, verify: bool = True) -> FamilyInstance:
     Valid iff u is outside {0, 1, -1}, u^2+u-1 != 0, u^2-4u-1 != 0, and
     u(u^2+u-1) is not a square.
     """
+    _odd_characteristic(field, "e10")
     u = _nonzero(field, u, "u", "e10")
     if u * u == 1:
         raise InvalidParams("e10 needs u != 1 and u != -1")
@@ -240,6 +251,7 @@ def e12_new(field: Field, T, verify: bool = True) -> FamilyInstance:
     Valid iff T is outside {0, 1, -1}, T^2+1 != 0, 3T^2+1 != 0, 3T^2-1 != 0,
     and (T^2+1)(3T^2-1) is not a square.
     """
+    _odd_characteristic(field, "e12")
     T = _nonzero(field, T, "T", "e12")
     T2 = T * T
     if T2 == 1:
@@ -339,14 +351,17 @@ def iso_e8(field: Field, s, t) -> bool:
     Always true for s = +-t and for s^2 + t^2 = 2 s^2 t^2; when K contains a
     primitive 4th root of unity, also for s^4 t^4 + 2s^2 + 2t^2 = 4 s^2 t^2 + 1.
     """
-    e8_new(field, s, verify=False)
-    e8_new(field, t, verify=False)
-    s = field.element(s)
-    t = field.element(t)
+    s = e8_new(field, s, verify=False).params["t"]
+    t = e8_new(field, t, verify=False).params["t"]
+    return _e8_isomorphic(s, t)
+
+
+def _e8_isomorphic(s: FieldElement, t: FieldElement) -> bool:
+    """iso_e8's criterion on parameters already known to be valid."""
     s2, t2 = s * s, t * t
     if s == t or s == -t or s2 + t2 == 2 * s2 * t2:
         return True
-    if field.element(-1).is_square():
+    if s.field.element(-1).is_square():
         return s2 * s2 * t2 * t2 + 2 * s2 + 2 * t2 == 4 * s2 * t2 + 1
     return False
 

@@ -82,8 +82,13 @@ def _require_affine(P: Point) -> None:
 def _verify_half(curve, P: Point, Q: Point) -> None:
     if not curve.contains(Q):
         raise VerificationError(f"computed half {Q!r} is not on the curve")
-    if curve.double(Q) != P:
+    if curve._add(Q, Q) != P:
         raise VerificationError(f"computed half {Q!r} does not double to {P!r}")
+
+
+def _same_slope(Q: Point, seen: FieldElement, slope: FieldElement) -> None:
+    if seen != slope:
+        raise VerificationError(f"two sign choices give {Q!r} different tangent slopes")
 
 
 def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
@@ -118,7 +123,7 @@ def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
                 Q = Point(x0 + s2, -y0 - s1 * s2)
                 slope = -s1
                 if Q in seen:
-                    assert seen[Q] == slope
+                    _same_slope(Q, seen[Q], slope)
                     continue
                 seen[Q] = slope
                 _verify_half(curve, P, Q)
@@ -148,7 +153,8 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
         return HalvingResult("quadext", (), {})
     nrho = rho.norm()  # nonzero: z != 0 since its X-coefficient is -1
     r = -P.y / nrho
-    assert r * r == P.x - curve.alpha
+    if r * r != P.x - curve.alpha:
+        raise VerificationError("r^2 != x0 - alpha")
     tr = rho.trace()
     halves = []
     for sg in (1, -1):
@@ -157,7 +163,8 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
         slope = -(r + sg * tr)
         _verify_half(curve, P, Q)
         halves.append((Q, slope))
-    assert halves[0][0] != halves[1][0]
+    if halves[0][0] == halves[1][0]:
+        raise VerificationError("the two halves coincide")
     witness = {
         "rho": {"c0": element_to_json(rho.c0), "c1": element_to_json(rho.c1)},
         "r": element_to_json(r),
@@ -189,7 +196,8 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
         D = (2 * x0 + p) * t - 2 * y0 * r
         if not D.is_square():
             continue
-        assert D, "discriminant cannot vanish on a nonsingular curve"
+        if not D:
+            raise VerificationError("discriminant cannot vanish on a nonsingular curve")
         T = D.sqrt() / r
         branches.append((r, T))
         for sg in (1, -1):
@@ -197,7 +205,7 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
             slope = -(r + sg * T)
             Q = Point(xq, slope * (xq - x0) - y0)
             if Q in seen:
-                assert seen[Q] == slope
+                _same_slope(Q, seen[Q], slope)
                 continue
             seen[Q] = slope
             _verify_half(curve, P, Q)
@@ -228,7 +236,8 @@ def halvability_criterion_origin(
     w = y0 / r
     curve = CubicCurve(field, -(r * r), T * T + 2 * w, w * w)  # may raise SingularCurve
     P = Point(field.zero, y0)
-    assert curve.contains(P)
+    if not curve.contains(P):
+        raise VerificationError(f"{P!r} is not on the curve built for it")
     halves = []
     for sg in (1, -1):
         xq = sg * r * T - w
@@ -334,10 +343,10 @@ def half_to_roots(curve: CubicCurve, Q: Point, P: Optional[Point] = None) -> Roo
     if not Q.y:
         raise TwoTorsionHalf("y(Q) = 0: Q is 2-torsion and 2Q is infinity")
     if P is None:
-        P = curve.double(Q)
+        P = curve._add(Q, Q)
     else:
         curve._check(P)
-        if curve.double(Q) != P:
+        if curve._add(Q, Q) != P:
             raise InvalidParams("P is not 2Q")
     groots = curve.g.roots()
     if groots is not None:

@@ -8,6 +8,8 @@ from ectorsion import (
     InvalidParams,
     PrimeField,
     Rationals,
+    VerificationError,
+    cli,
     family_sweep,
     iso_e4,
     sigma_char2,
@@ -15,6 +17,7 @@ from ectorsion import (
     verify_f4_example,
 )
 
+import ectorsion.census as census
 import oracles
 
 
@@ -45,6 +48,14 @@ def test_sigma_char2_guards():
         sigma_char2(BinaryField(3), 6)
     with pytest.raises(InvalidParams):
         sigma_char2(PrimeField(7), 4)
+
+
+def test_sigma_char2_class_disagreement_is_a_verification_error(monkeypatch):
+    # y^2 + xy = x^3 + a6 and y^2 + xy = x^3 + x^2 + a6 share a class over GF(4).
+    monkeypatch.setattr(census, "_has_point_of_order", lambda curve, points, n: not curve.a2)
+    with pytest.raises(VerificationError):
+        sigma_char2(BinaryField(2), 4)
+    assert cli.main(["census", "--field", "F2k:2:7", "--order", "4"]) == 3
 
 
 def test_sigma_char2_brute_side_independently():

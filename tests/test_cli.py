@@ -57,6 +57,11 @@ def test_family_parameter_mistakes(capsys):
     assert code == 2  # composite modulus
     code, _ = run(capsys, "family", "--field", "Fp:7", "--family", "nope", "--t", "3")
     assert code == 1  # not in the subcommand's choices: usage error
+    for family, params in (("e4", ("--a", "1", "--b", "1")), ("e8", ("--t", "2")),
+                           ("e10", ("--u", "2")), ("e12", ("--T", "2"))):
+        code = cli.main(["family", "--field", "F2k:3:b", "--family", family, *params])
+        assert code == 2  # every GF(2^k) element is a square: blame the field
+        assert "characteristic != 2" in capsys.readouterr().err
 
 
 def test_family_no_verify_flag(capsys):
@@ -147,6 +152,11 @@ def test_order_with_cap(capsys):
                   "--point", '{"x": 5, "y": 2}', "--cap", "3")
     assert js["order"] is None
     assert js["cap"] == 3
+    for cap in ("0", "-1"):
+        code, _ = run(capsys, "order", "--field", "Fp:7",
+                      "--curve", '{"alpha": 0, "p": 0, "q": 1}',
+                      "--point", '{"x": 5, "y": 2}', "--cap", cap)
+        assert code == 2
 
 
 def test_order_over_q(capsys):

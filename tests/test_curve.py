@@ -19,6 +19,7 @@ from ectorsion import (
     Rationals,
     SingularCurve,
     curve_from_json,
+    halve,
     point_from_json,
     point_to_json,
 )
@@ -174,17 +175,60 @@ def test_order_of_infinity_and_cap():
     assert n is not None and n > 1 and E.scalar_mul(n, P).is_infinity
     assert E.order_of(P, cap=n) == n
     assert E.order_of(P, cap=n - 1) is None
+    for cap in (0, -1):
+        for Q in (P, Point.infinity()):
+            with pytest.raises(InvalidParams):
+                E.order_of(Q, cap=cap)
 
 
 def test_off_curve_is_rejected():
     F = PrimeField(11)
     E = CubicCurve.from_weierstrass(F, 0, 1, 0)
-    with pytest.raises(OffCurve):
-        E.add(pt(E, 1, 1), Point.infinity())
-    with pytest.raises(OffCurve):
-        E.order_of(Point(PrimeField(7)(1), PrimeField(7)(1)))
-    with pytest.raises(OffCurve):
-        E.add((1, 2), (1, 2))  # not Point objects at all
+    E2 = Char2Curve(BinaryField(4), 1, 3)
+    foreign = Point(PrimeField(7)(1), PrimeField(7)(1))
+    for curve in (E, E2):
+        O = Point.infinity()
+        for bad in (pt(curve, 1, 1), foreign, (1, 2)):  # (1, 2) is not a Point at all
+            for call in (
+                lambda: curve.add(bad, O),
+                lambda: curve.add(O, bad),
+                lambda: curve.double(bad),
+                lambda: curve.negate(bad),
+                lambda: curve.scalar_mul(3, bad),
+                lambda: curve.scalar_mul(-3, bad),
+                lambda: curve.order_of(bad),
+                lambda: halve(curve, bad),
+            ):
+                with pytest.raises(OffCurve):
+                    call()
+
+
+def test_public_methods_check_each_point_once(monkeypatch):
+    """The boundary checks its arguments; the loops behind it never re-check."""
+    checked = []
+    for cls in (CubicCurve, Char2Curve):
+        def counting(self, P, contains=cls.contains):
+            checked.append(P)
+            return contains(self, P)
+
+        monkeypatch.setattr(cls, "contains", counting)
+
+    def checks(call):
+        checked.clear()
+        call()
+        return len(checked)
+
+    Fp = CubicCurve.from_weierstrass(PrimeField(11), 0, 1, 0)
+    EQ = CubicCurve(Rationals(), 0, 3, 1)  # (-1, 1) has order 4
+    E2 = Char2Curve(BinaryField(4), 1, 3)
+    for E, P in ((Fp, Fp.full_group()[1]), (EQ, pt(EQ, -1, 1)), (E2, E2.full_group()[2])):
+        for n in range(-3, 2**10 + 1):
+            assert checks(lambda: E.scalar_mul(n, P)) == 1
+        assert checks(lambda: E.order_of(P)) == 1
+        assert checks(lambda: E.order_of(P, cap=2)) == 1
+        assert checks(lambda: E.negate(P)) == 1
+        assert checks(lambda: E.double(P)) == 1
+        assert checks(lambda: E.add(P, P)) == 2
 
 
 # ---------------------------------------------------------------------------
