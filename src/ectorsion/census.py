@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .curve import Char2Curve, Point, _hasse_upper, point_to_json
+from .curve import Char2Curve, Point, _hasse_interval, point_to_json
 from .errors import FieldTooLarge, InvalidParams, VerificationError
 from .families import (
     FamilyInstance,
@@ -128,7 +128,7 @@ def verify_f3_example() -> dict:
     points = curve.full_group()
     gen = Point(F(1), F(2))
     gen_order = curve.order_of(gen)
-    upper = _hasse_upper(3)
+    upper = _hasse_interval(3)[1]
     return {
         "field": F.descriptor,
         "curve": curve.to_json_dict(),

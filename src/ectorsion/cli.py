@@ -90,7 +90,13 @@ def _build_parser() -> _Parser:
     order.add_argument("--field")
     order.add_argument("--curve", required=True)
     order.add_argument("--point", required=True)
-    order.add_argument("--cap", type=int)
+    order.add_argument(
+        "--cap",
+        type=int,
+        help="report null when the order exceeds CAP; over a finite field this "
+        "filters the answer and does not bound the work, over Q it stops "
+        "iterated addition at CAP (default 24)",
+    )
     common(order)
 
     iso = sub.add_parser("iso", help="test family parameters for isomorphism")

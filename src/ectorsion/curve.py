@@ -21,7 +21,7 @@ from math import isqrt
 from typing import Callable, List, Optional, Tuple
 
 from . import kernel
-from .errors import FieldTooLarge, InvalidParams, OffCurve, SingularCurve
+from .errors import FieldTooLarge, InvalidParams, OffCurve, SingularCurve, VerificationError
 from .field import (
     BinaryField,
     Field,
@@ -118,12 +118,25 @@ def point_from_json(field: Field, obj) -> Point:
     return Point(element_from_json(field, obj["x"]), element_from_json(field, obj["y"]))
 
 
-def _hasse_upper(q: int) -> int:
-    """q + 1 + ceil(2*sqrt(q)): no curve over F_q has more points (Hasse)."""
+def _hasse_interval(q: int) -> Tuple[int, int]:
+    """[q + 1 - floor(2*sqrt(q)), q + 1 + ceil(2*sqrt(q))]: #E(F_q) lies here (Hasse)."""
     r = isqrt(4 * q)
-    if r * r < 4 * q:
-        r += 1
-    return q + 1 + r
+    return q + 1 - r, q + 1 + r + (r * r < 4 * q)
+
+
+def _prime_factors(n: int) -> List[int]:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
 
 
 def _default_cap(field: Field, cap: Optional[int] = None) -> int:
@@ -135,7 +148,7 @@ def _default_cap(field: Field, cap: Optional[int] = None) -> int:
     q = field.order
     if q is None:
         return 24  # comfortably above any rational torsion order we build
-    return 2 * _hasse_upper(q)  # safely past the Hasse interval
+    return 2 * _hasse_interval(q)[1]  # safely past the Hasse interval
 
 
 class _CurveBase:
@@ -171,9 +184,8 @@ class _CurveBase:
         P = self._check(P)
         return self._add(P, P)
 
-    def scalar_mul(self, n: int, P: Point) -> Point:
-        P = self.negate(P) if n < 0 else self._check(P)
-        n = abs(n)
+    def _smul(self, n: int, P: Point) -> Point:
+        """n*P for n >= 0 by double-and-add, P already known to be on this curve."""
         R = Point.infinity()
         while n:
             if n & 1:
@@ -182,18 +194,76 @@ class _CurveBase:
             n >>= 1
         return R
 
-    def order_of(self, P: Point, cap: Optional[int] = None) -> Optional[int]:
-        """Exact order of P by iterated addition, or None once past the cap."""
-        cap = _default_cap(self.field, cap)
-        self._check(P)
-        if P.is_infinity:
-            return 1
+    def scalar_mul(self, n: int, P: Point) -> Point:
+        P = self.negate(P) if n < 0 else self._check(P)
+        return self._smul(abs(n), P)
+
+    def _order_upto(self, P: Point, cap: int) -> Optional[int]:
+        """Order of P by iterated addition if it is at most cap, else None."""
         R = P
         for n in range(1, cap + 1):
             if R.is_infinity:
                 return n
             R = self._add(R, P)
         return None
+
+    def order_of(self, P: Point, cap: Optional[int] = None) -> Optional[int]:
+        """Exact order of P, or None when it exceeds the cap.
+
+        Over a finite field, orders up to m = max(isqrt(hi - lo) + 1, 12)
+        come from iterated addition; a larger order costs O(q^(1/4)) group
+        operations (see ``_order_bsgs``), whatever the cap.  Over Q, iterated
+        addition runs up to the cap.
+        """
+        cap = _default_cap(self.field, cap)
+        self._check(P)
+        q = self.field.order
+        if q is None:
+            return self._order_upto(P, cap)
+        lo, hi = _hasse_interval(q)
+        m = max(isqrt(hi - lo) + 1, 12)
+        n = self._order_upto(P, min(cap, m))
+        if n is not None or cap <= m:
+            return n
+        n = self._order_bsgs(P, lo, hi, m)
+        return n if n <= cap else None
+
+    def _order_bsgs(self, P: Point, lo: int, hi: int, m: int) -> int:
+        """Order of P, known to exceed m, on a curve with #E in [lo, hi].
+
+        Shanks-Mestre baby-step giant-step: #E kills P, so some giant step
+        c*P, c = lo + m + i(2m + 1), equals +-j*P with 0 <= j <= m, and
+        M = c -+ j is a multiple of the order.  The baby steps are keyed by
+        x, which P and -P share.  Each prime l is then stripped from M while
+        (M/l)*P = O.
+        """
+        baby = {}
+        R = P
+        for j in range(1, m + 1):
+            baby.setdefault(R.x.value, (j, R.y.value))
+            R = self._add(R, P)
+        step = self._smul(2 * m + 1, P)
+        c = lo + m
+        G = self._smul(c, P)
+        while c - m <= hi:
+            if G.is_infinity:
+                M = c
+                break
+            hit = baby.get(G.x.value)
+            if hit is not None:
+                j, y = hit
+                M = c - j if G.y.value == y else c + j
+                break
+            G = self._add(G, step)
+            c += 2 * m + 1
+        else:
+            raise VerificationError(f"no multiple of the order of {P!r} in [{lo}, {hi}]")
+        for ell in _prime_factors(M):
+            while M % ell == 0 and self._smul(M // ell, P).is_infinity:
+                M //= ell
+        if not self._smul(M, P).is_infinity:
+            raise VerificationError(f"{M} * {P!r} is not the point at infinity")
+        return M
 
     def full_group(self) -> List[Point]:
         raise NotImplementedError
@@ -288,22 +358,22 @@ class CubicCurve(_CurveBase):
         y3 = lam * (x1 - x3) - y1
         return Point(x3, y3)
 
-    def scalar_mul(self, n: int, P: Point) -> Point:
+    def _smul(self, n: int, P: Point) -> Point:
         if self._ik is None:
-            return super().scalar_mul(n, P)
-        self._check(P)
+            return super()._smul(n, P)
         p_, A, B, C = self._ik
-        r = kernel.cubic_smul(p_, A, B, C, n, _pt_ints(P))
-        return _pt_from_ints(self.field, r)
+        return _pt_from_ints(self.field, kernel.cubic_smul(p_, A, B, C, n, _pt_ints(P)))
 
-    def order_of(self, P: Point, cap: Optional[int] = None) -> Optional[int]:
+    def _order_upto(self, P: Point, cap: int) -> Optional[int]:
         if self._ik is None:
-            return super().order_of(P, cap)
-        cap = _default_cap(self.field, cap)
-        self._check(P)
+            return super()._order_upto(P, cap)
         p_, A, B, C = self._ik
-        n = kernel.cubic_order(p_, A, B, C, _pt_ints(P), cap)
-        return n if n else None
+        return kernel.cubic_order(p_, A, B, C, _pt_ints(P), cap) or None
+
+    # The shared methods under this class's own names, which
+    # perfbench/spans.py instruments per class.
+    scalar_mul = _CurveBase.scalar_mul
+    order_of = _CurveBase.order_of
 
     def two_torsion(self) -> List[Point]:
         """All rational points of order 2: (alpha, 0) plus g's roots if any."""

@@ -340,8 +340,8 @@ def iso_e4(field: Field, a, b, c, d) -> Optional[FieldElement]:
     if b * c * c != d * a * a:
         return None
     u = c / a
-    assert u * u * (a * a + 2 * b) == c * c + 2 * d
-    assert u ** 4 * b * b == d * d
+    if u * u * (a * a + 2 * b) != c * c + 2 * d or u ** 4 * b * b != d * d:
+        raise VerificationError(f"iso_e4: u = {u!r} fails the displayed conditions")
     return u
 
 
@@ -386,7 +386,8 @@ def j_fourth_power_criterion(field: Field, c) -> Optional[FieldElement]:
         raise InvalidParams("the fourth-power criterion applies over GF(2^k)")
     c = _nonzero(field, c, "c", "j_fourth_power_criterion")
     gamma = c.inverse().sqrt().sqrt()
-    assert gamma ** 4 * c == field.one
+    if gamma ** 4 * c != field.one:
+        raise VerificationError(f"gamma = {gamma!r} does not satisfy gamma^4 = 1/c")
     return gamma
 
 

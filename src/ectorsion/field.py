@@ -19,12 +19,13 @@ A field instance doubles as an element factory: ``F = PrimeField(7); F(3)``.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Optional, Union
 
 from . import kernel
-from .errors import FieldTooLarge, InvalidParams
+from .errors import FieldTooLarge, InvalidParams, VerificationError
 
 __all__ = [
     "Field",
@@ -82,7 +83,7 @@ class FieldElement:
 
     def _rhs(self, other):
         if isinstance(other, FieldElement):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise InvalidParams(
                     f"mixed fields: {self.field.descriptor} vs {other.field.descriptor}"
                 )
@@ -143,7 +144,9 @@ class FieldElement:
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.value == other.value
+            return (
+                other.field is self.field or other.field == self.field
+            ) and self.value == other.value
         if isinstance(other, int):
             return self.value == self.field._from_int(other)
         return NotImplemented
@@ -486,7 +489,8 @@ class BinaryField(Field):
         for _ in range(self.k - 1):
             v = self._mul(v, v)
             acc ^= v
-        assert acc in (0, 1)
+        if acc not in (0, 1):
+            raise VerificationError(f"trace of {self.format_element(a)} is {acc:#x}, not 0 or 1")
         return acc
 
     def _artin_schreier_pivots(self):
@@ -525,7 +529,8 @@ class BinaryField(Field):
             mask ^= pm
         if mask & 1:
             mask ^= 1
-        assert self._mul(mask, mask) ^ mask == c.value
+        if self._mul(mask, mask) ^ mask != c.value:
+            raise VerificationError(f"{mask:#x} does not solve l^2 + l = {c.value:#x}")
         return FieldElement(self, mask)
 
     @property
@@ -540,6 +545,12 @@ class BinaryField(Field):
 
     def format_element(self, a):
         return format(a.value, "x")
+
+
+# Q literals: [+-]n or [+-]n/d in ASCII digits, each part at most 4300 digits
+# long (Python's own default limit on int() of a string).
+_Q_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_Q_MAX_DIGITS = 4300
 
 
 class Rationals(Field):
@@ -614,7 +625,15 @@ class Rationals(Field):
         return "Q"
 
     def parse_element(self, text):
-        return FieldElement(self, Fraction(text.strip()))
+        m = _Q_LITERAL.fullmatch(text.strip())
+        if m is None:
+            raise InvalidParams(f"a rational is written n or n/d, got {text!r}")
+        num, den = m.group(1), m.group(2) or "1"
+        if max(len(num.lstrip("+-")), len(den)) > _Q_MAX_DIGITS:
+            raise InvalidParams(f"a rational has at most {_Q_MAX_DIGITS} digits a part")
+        if not int(den):
+            raise InvalidParams(f"zero denominator in {text!r}")
+        return FieldElement(self, Fraction(int(num), int(den)))
 
     def format_element(self, a):
         return str(a.value)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .errors import InvalidParams
+from .errors import InvalidParams, VerificationError
 from .field import Field, FieldElement
 
 __all__ = [
@@ -253,6 +253,11 @@ def ext_norm(z: QuadExtElement) -> FieldElement:
     return z.norm()
 
 
+def _check_root(rho: QuadExtElement, z: QuadExtElement) -> None:
+    if rho * rho != z:
+        raise VerificationError(f"ext_sqrt: {rho!r} does not square to {z!r}")
+
+
 def ext_sqrt(z: QuadExtElement) -> Optional[QuadExtElement]:
     """A root of w^2 = z in K_g, or None when z is not a square there.
 
@@ -272,7 +277,7 @@ def ext_sqrt(z: QuadExtElement) -> Optional[QuadExtElement]:
         s = (tr + 2 * n).sqrt()
         if s is not None and s:
             rho = (z + n) / s
-            assert rho * rho == z
+            _check_root(rho, z)
             return rho
     # Trace-zero roots rho = b*(X + p/2) square to base-field values
     # b^2*(p^2-4q)/4; recover b/2 as gamma below.  Only z in K qualifies.
@@ -280,6 +285,6 @@ def ext_sqrt(z: QuadExtElement) -> Optional[QuadExtElement]:
         gamma = (z.c0 / z.g.disc()).sqrt()
         if gamma is not None:
             rho = QuadExtElement(z.g, gamma * z.g.p, 2 * gamma)
-            assert rho * rho == z
+            _check_root(rho, z)
             return rho
     return None

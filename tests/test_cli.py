@@ -1,14 +1,21 @@
 """Command-line interface: grammar, JSON output, exit codes."""
 
+import ast
+import glob
 import json
 import os
 import subprocess
 import sys
+import time
+from math import isqrt
 
 import pytest
 
 import ectorsion
 from ectorsion import cli
+from ectorsion.field import BinaryField
+
+import oracles
 
 PYPROJECT = os.path.join(os.path.dirname(__file__), os.pardir, "pyproject.toml")
 
@@ -170,6 +177,78 @@ def test_order_over_q(capsys):
     assert js["order"] == 4
 
 
+def _oracle_mul(add, n, P):
+    R = oracles.INF
+    while n:
+        if n & 1:
+            R = add(R, P)
+        P = add(P, P)
+        n >>= 1
+    return R
+
+
+def _assert_is_order(add, P, n, q):
+    """nP = O, (n/l)P != O for every prime l | n, and a multiple of n is in the Hasse interval."""
+    assert _oracle_mul(add, n, P) is oracles.INF
+    rest, primes, d = n, set(), 2
+    while d * d <= rest:
+        while rest % d == 0:
+            primes.add(d)
+            rest //= d
+        d += 1
+    primes |= {rest} - {1}
+    for ell in primes:
+        assert _oracle_mul(add, n // ell, P) is not oracles.INF
+    r = isqrt(4 * q)
+    assert (q + 1 + r + 1) // n * n >= q + 1 - r
+
+
+def _timed_orders(capsys, field, curve, point, caps=(None,)):
+    """The order answer under each cap; every call finishes in under a second."""
+    answers = []
+    for cap in caps:
+        argv = ["order", "--field", field, "--curve", json.dumps(curve), "--point", json.dumps(point)]
+        if cap is not None:
+            argv += ["--cap", str(cap)]
+        t = time.perf_counter()
+        js = run_json(capsys, *argv)
+        assert time.perf_counter() - t < 1.0
+        answers.append(js["order"])
+    return answers
+
+
+def test_order_over_a_31_bit_prime_field_is_fast(capsys):
+    p = 2**31 - 1  # p = 3 mod 4, so y = rhs^((p+1)/4) when rhs is a square
+    A, B, C = 1, 3, 0  # y^2 = x (x^2 + x + 3): alpha = 0, g = x^2 + x + 3
+    x = next(x for x in range(2, p)
+             if pow(oracles.fp_cubic_rhs(p, A, B, C, x), (p - 1) // 2, p) == 1)
+    P = (x, pow(oracles.fp_cubic_rhs(p, A, B, C, x), (p + 1) // 4, p))
+    assert oracles.fp_cubic_on(p, A, B, C, P)
+    curve, point = {"alpha": "0", "p": "1", "q": "3"}, {"x": str(P[0]), "y": str(P[1])}
+    [n] = _timed_orders(capsys, f"Fp:{p}", curve, point)
+    assert n > 12
+    _assert_is_order(lambda U, V: oracles.fp_cubic_add(p, A, B, C, U, V), P, n, p)
+    assert _timed_orders(capsys, f"Fp:{p}", curve, point, (n - 1, n)) == [None, n]
+
+
+def test_order_over_gf2_20_is_fast(capsys):
+    F = BinaryField(20)
+    k, mod, a2, a6 = 20, F.modulus, 1, 7
+    for x in range(3, 1 << k):
+        # y = x z turns the curve into z^2 + z = x + a2 + a6 / x^2.
+        z = F.solve_artin_schreier(F(x) + F(a2) + F(a6) / (F(x) * F(x)))
+        if z is not None:
+            P = (x, oracles.gf2_mul(x, z.value, mod, k))
+            break
+    assert oracles.char2_on(k, mod, a2, a6, P)
+    curve = {"a2": format(a2, "x"), "a6": format(a6, "x")}
+    point = {"x": format(P[0], "x"), "y": format(P[1], "x")}
+    [n] = _timed_orders(capsys, F.descriptor, curve, point)
+    assert n > 12
+    _assert_is_order(lambda U, V: oracles.char2_add(k, mod, a2, a6, U, V), P, n, 1 << k)
+    assert _timed_orders(capsys, F.descriptor, curve, point, (n - 1, n)) == [None, n]
+
+
 # ---------------------------------------------------------------------------
 # iso
 # ---------------------------------------------------------------------------
@@ -263,6 +342,26 @@ def test_text_output_carries_the_same_content(capsys):
     assert js["kind"] == "e4"
 
 
+def test_malformed_rational_literals_exit_2(capsys):
+    for lit in ("0.5", "1e400", "1e1000000000", "1/0", "1" * 4301):
+        code, _ = run(capsys, "family", "--field", "Q", "--family", "e12", "--T", lit)
+        assert code == 2
+    js = run_json(capsys, "family", "--field", "Q", "--family", "e12", "--T=-3/4")
+    assert js["params"] == {"T": "-3/4"}
+
+
+def test_no_assert_statements_in_the_package():
+    """Checks that guard results raise VerificationError; `python -O` strips asserts."""
+    package = os.path.dirname(os.path.abspath(ectorsion.__file__))
+    found = []
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        found += [f"{os.path.basename(path)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
+
+
 def test_usage_errors(capsys):
     assert cli.main([]) == 1
     assert cli.main(["bogus-command"]) == 1
@@ -292,7 +391,9 @@ def console_script(name):
     wrapper does: rewrite sys.argv[0], then sys.exit(target()) on sys.argv."""
     tomllib = pytest.importorskip("tomllib")
     with open(PYPROJECT, "rb") as fh:
-        module, attr = tomllib.load(fh)["project"]["scripts"][name].split(":")
+        project = tomllib.load(fh)["project"]
+    assert project["name"] == "ectorsion"
+    module, attr = project["scripts"][name].split(":")
     wrapper = (f"import sys\nfrom {module} import {attr}\n"
                f"sys.argv[0] = {name!r}\nsys.exit({attr}())\n")
     return [sys.executable, "-c", wrapper]

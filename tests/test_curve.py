@@ -1,7 +1,9 @@
 """Curve models: construction, the group law, enumeration, serialization."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,11 +20,14 @@ from ectorsion import (
     QuadraticPoly,
     Rationals,
     SingularCurve,
+    VerificationError,
     curve_from_json,
+    e12_new,
     halve,
     point_from_json,
     point_to_json,
 )
+from ectorsion import curve as curve_module, kernel
 
 import oracles
 
@@ -179,6 +184,109 @@ def test_order_of_infinity_and_cap():
         for Q in (P, Point.infinity()):
             with pytest.raises(InvalidParams):
                 E.order_of(Q, cap=cap)
+
+
+def _iteration_bound(q):
+    """m of the order search: orders up to m come from iterated addition."""
+    r = isqrt(4 * q)
+    return max(isqrt(2 * r + (r * r < 4 * q)) + 1, 12)
+
+
+def _random_curves(F, rng, n):
+    p = F.order
+    while n:
+        try:
+            yield CubicCurve(F, rng.randrange(p), rng.randrange(p), rng.randrange(p))
+        except SingularCurve:
+            continue
+        n -= 1
+
+
+def _assert_order_and_caps(E, P, want):
+    assert E.order_of(P) == want
+    assert E.order_of(P, cap=want) == want
+    if want > 1:
+        assert E.order_of(P, cap=want - 1) is None
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 97, 1009, 4099])
+def test_order_of_matches_oracle_over_fp(p):
+    F = PrimeField(p)
+    rng = random.Random(p)
+    m = _iteration_bound(p)
+    seen = set()
+    for E in _random_curves(F, rng, 3):
+        A, B, C = (c.value for c in E.coefficients())
+        pts = E.full_group()
+        for P in [E.w3] + (pts if p <= 97 else rng.sample(pts, 12)):
+            want = oracles.fp_cubic_order(p, A, B, C, as_tuple(P))
+            _assert_order_and_caps(E, P, want)
+            seen.add(want)
+    if p >= 97:  # both the iteration and the giant-step phase ran
+        assert min(seen) <= m < max(seen)
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_order_of_matches_oracle_over_gf2k(k):
+    F = BinaryField(k)
+    rng = random.Random(k)
+    seen = set()
+    for _ in range(3):
+        a2, a6 = rng.randrange(1 << k), rng.randrange(1, 1 << k)
+        E = Char2Curve(F, a2, a6)
+        pts = E.full_group()
+        for P in rng.sample(pts, min(12, len(pts))):
+            want = oracles.char2_order(k, F.modulus, a2, a6, as_tuple(P))
+            _assert_order_and_caps(E, P, want)
+            seen.add(want)
+    if k >= 7:
+        assert max(seen) > _iteration_bound(1 << k)
+
+
+def test_small_orders_over_fp_take_one_kernel_call(monkeypatch):
+    """Every order <= 12 (all family witnesses) comes from one kernel.cubic_order call."""
+    calls = Counter()
+    for name in ("cubic_order", "cubic_smul"):
+        def counting(*args, name=name, fn=getattr(kernel, name)):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(kernel, name, counting)
+    for p in (13, 1009, 4099, 2**31 - 1):
+        F = PrimeField(p)
+        for T in range(2, p):
+            try:
+                inst = e12_new(F, T, verify=False)
+                break
+            except InvalidParams:
+                continue
+        for w in inst.witnesses:
+            calls.clear()
+            assert inst.curve.order_of(w.point) == w.claimed_order
+            assert calls == {"cubic_order": 1}
+
+
+def _large_order_point(p):
+    F = PrimeField(p)
+    for E in _random_curves(F, random.Random(p), 5):
+        for P in E.full_group()[1:]:
+            if E.order_of(P) > 40:
+                return E, P
+    raise AssertionError("no point of order > 40")
+
+
+def test_order_search_raises_when_its_answer_fails_the_recheck(monkeypatch):
+    E, P = _large_order_point(4099)
+    monkeypatch.setattr(CubicCurve, "_smul", lambda self, n, P: P)  # a broken group law
+    with pytest.raises(VerificationError):
+        E.order_of(P)
+
+
+def test_order_search_raises_when_no_multiple_is_found(monkeypatch):
+    E, P = _large_order_point(4099)
+    monkeypatch.setattr(curve_module, "_hasse_interval", lambda q: (1, 1))  # a wrong bound
+    with pytest.raises(VerificationError):
+        E.order_of(P, cap=10**6)
 
 
 def test_off_curve_is_rejected():

@@ -107,11 +107,33 @@ def test_rationals_reject_floats_and_bools():
     assert Q(Fraction(-3, 6)).value == Fraction(-1, 2)
 
 
+def test_rational_literals_are_n_or_n_over_d():
+    Q = Rationals()
+    assert Q.parse_element("-3/4") == Q(Fraction(-3, 4))
+    assert Q.parse_element(" 7 ") == Q(7)
+    assert Q.parse_element("+6/4").value == Fraction(3, 2)
+    assert Q.parse_element("9" * 4300).value == int("9" * 4300)
+    for text in ("0.5", "1e400", "1e1000000000", "1/0", "-0/0", "1" * 4301,
+                 "1/" + "1" * 4301, "3/-4", "1/2/3", "", "nan", "inf", "1_000", "\u0663"):
+        with pytest.raises(InvalidParams):
+            Q.parse_element(text)
+
+
 def test_cross_field_arithmetic_is_rejected():
     a = PrimeField(7)(3)
     b = PrimeField(11)(3)
     with pytest.raises(InvalidParams):
         a + b
+    with pytest.raises(InvalidParams):
+        a * BinaryField(3)(3)
+    assert a != b
+
+
+def test_elements_of_equal_field_instances_mix():
+    a, b = PrimeField(7)(3), PrimeField(7)(3)
+    assert a.field is not b.field
+    assert a == b and a + b == PrimeField(7)(6)
+    assert BinaryField(3)(5) * BinaryField(3)(1) == BinaryField(3)(5)
 
 
 # ---------------------------------------------------------------------------
