@@ -3,13 +3,19 @@
 Exit codes: 0 success (including "not halvable", which is an answer, not an
 error) — 1 usage — 2 invalid input (bad parameters, literals, off-curve
 points, wrong-case requests) — 3 internal verification failure (a produced
-witness or half failed its group-law replay; should be unreachable).
+witness or half failed its group-law replay; should be unreachable) — 141
+the reader closed standard output early (as after ``| head``), the code a
+shell reports for a writer stopped by SIGPIPE.
+
+An option value may be a negative literal: ``--T -3/4`` reads as ``--T=-3/4``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import re
 import sys
 from typing import List, Optional, Sequence, Tuple
 
@@ -53,6 +59,23 @@ _FAMILY_CTORS = {
 }
 
 
+EXIT_BROKEN_PIPE = 141
+
+_NEGATIVE_LITERAL = re.compile(r"-\d")
+
+
+def _join_negative_values(argv: Sequence[str]) -> List[str]:
+    """``--opt -3/4`` as ``--opt=-3/4``: argparse reads only ``-3`` and ``-0.5``
+    style tokens as negative numbers and would take ``-3/4`` for an option."""
+    out: List[str] = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and _NEGATIVE_LITERAL.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse with usage failures mapped to exit code 1."""
 
@@ -94,8 +117,8 @@ def _build_parser() -> _Parser:
         "--cap",
         type=int,
         help="report null when the order exceeds CAP; over a finite field this "
-        "filters the answer and does not bound the work, over Q it stops "
-        "iterated addition at CAP (default 24)",
+        "filters the answer and does not bound the work, over Q at most "
+        "min(CAP, 12) additions run (no rational torsion order exceeds 12)",
     )
     common(order)
 
@@ -236,9 +259,23 @@ def _render_text(obj, prefix: str = "") -> List[str]:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    try:
+        code = _main(sys.argv[1:] if argv is None else argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Send the rest of the output nowhere so the interpreter's final
+        # flush of stdout does not fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
+    return code
+
+
+def _main(argv: Sequence[str]) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_negative_values(argv))
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -257,7 +294,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except VerificationError as e:
         sys.stderr.write(f"verification failure: {e}\n")
         return 3
-    except (Error, ValueError, ZeroDivisionError, KeyError) as e:
+    except (Error, ValueError, ZeroDivisionError, KeyError, RecursionError) as e:
+        # RecursionError: json.loads on an argument nested too deeply.
         sys.stderr.write(f"error: {e}\n")
         return 2
     if args.command == "census" and args.table:

@@ -10,14 +10,15 @@ Two models cover every characteristic:
 
 Points are immutable; the curve is always an explicit argument, so using a
 point with the wrong curve is a loud ``OffCurve`` instead of silent garbage.
-Prime-field cubic curves route bulk work (scalar multiples, point orders,
-full enumerations) through the compiled kernel when it is available.
+Prime-field cubic curves run the group law, scalar multiples, short order
+searches and full enumerations on plain ints through ``kernel``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isqrt
+from fractions import Fraction
+from math import isqrt, lcm
 from typing import Callable, List, Optional, Tuple
 
 from . import kernel
@@ -139,16 +140,21 @@ def _prime_factors(n: int) -> List[int]:
     return out
 
 
+_MAZUR_BOUND = 12  # no point of finite order over Q has order above 12 (Mazur)
+
+
 def _default_cap(field: Field, cap: Optional[int] = None) -> int:
-    """The order search's cap: ``cap`` itself once checked, else the default."""
-    if cap is not None:
-        if cap < 1:
-            raise InvalidParams(f"the order cap must be at least 1, got {cap}")
-        return cap
+    """The order search's cap: ``cap`` once checked, else past every possible order.
+
+    Over Q the cap never exceeds Mazur's bound: a point not killed by then
+    has infinite order, and further additions only grow the heights.
+    """
+    if cap is not None and cap < 1:
+        raise InvalidParams(f"the order cap must be at least 1, got {cap}")
     q = field.order
-    if q is None:
-        return 24  # comfortably above any rational torsion order we build
-    return 2 * _hasse_interval(q)[1]  # safely past the Hasse interval
+    if cap is None:  # over a finite field, safely past the Hasse interval
+        return _MAZUR_BOUND if q is None else 2 * _hasse_interval(q)[1]
+    return min(cap, _MAZUR_BOUND) if q is None else cap
 
 
 class _CurveBase:
@@ -213,7 +219,7 @@ class _CurveBase:
         Over a finite field, orders up to m = max(isqrt(hi - lo) + 1, 12)
         come from iterated addition; a larger order costs O(q^(1/4)) group
         operations (see ``_order_bsgs``), whatever the cap.  Over Q, iterated
-        addition runs up to the cap.
+        addition runs up to the cap or 12, whichever is smaller.
         """
         cap = _default_cap(self.field, cap)
         self._check(P)
@@ -452,56 +458,55 @@ def _pt_from_ints(field: Field, t) -> Point:
 
 def _cubic_rational_root(field: Field, A, B, C) -> Optional[FieldElement]:
     """Smallest root of x^3 + A x^2 + B x + C in K, or None."""
-
-    def f(x):
-        return ((x + A) * x + B) * x + C
-
     if isinstance(field, Rationals):
-        # Rational root theorem on the cleared-denominator integer cubic.
-        from fractions import Fraction
-        from math import gcd
-
-        den = 1
-        for e in (A, B, C):
-            den = den * e.value.denominator // gcd(den, e.value.denominator)
-        c3 = den
-        c2 = int(A.value * den)
-        c1 = int(B.value * den)
-        c0 = int(C.value * den)
-        if c0 == 0:
-            # x divides the cubic; 0 is a root and the rest is a quadratic.
-            candidates = {Fraction(0)}
-            d = c2 * c2 - 4 * c3 * c1
-            if d >= 0 and isqrt(d) ** 2 == d:
-                s = isqrt(d)
-                candidates |= {Fraction(-c2 + s, 2 * c3), Fraction(-c2 - s, 2 * c3)}
-        else:
-            candidates = set()
-            for pn in _divisors(abs(c0)):
-                for qd in _divisors(abs(c3)):
-                    candidates.add(Fraction(pn, qd))
-                    candidates.add(Fraction(-pn, qd))
-        roots = sorted(c for c in candidates if not f(field.element(c)))
-        return field.element(roots[0]) if roots else None
+        # x = X/d with d the common denominator turns the cubic into the monic
+        # integer X^3 + a X^2 + b X + c, whose rational roots are integers.
+        d = lcm(A.value.denominator, B.value.denominator, C.value.denominator)
+        a, b, c = int(A.value * d), int(B.value * d**2), int(C.value * d**3)
+        roots = _integer_roots(a, b, c)
+        return field.element(Fraction(roots[0], d)) if roots else None
     q = field.order
     if q is None or q > _ENUM_LIMIT:
         raise FieldTooLarge("root search sweeps the field; needs at most 2^16 elements")
-    roots = [x for x in field.elements() if not f(x)]
+    roots = [x for x in field.elements() if not ((x + A) * x + B) * x + C]
     return min(roots, key=lambda e: e.value) if roots else None
 
 
-def _divisors(n: int) -> List[int]:
-    if n == 0:
-        return []
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return out
+def _integer_roots(a: int, b: int, c: int) -> List[int]:
+    """The integer roots of F = X^3 + a X^2 + b X + c, ascending.
+
+    Exact bisection on the pieces where F is monotone: F' = 3X^2 + 2aX + b
+    vanishes at (-a -+ sqrt(D)) / 3, D = a^2 - 3b, and with s = isqrt(D) the
+    integers around those two points are bracketed to within a few, which
+    are tried one by one.  Every real root has |X| < R (Cauchy's bound), so
+    the work is polynomial in the bit size of the coefficients.
+    """
+
+    def F(X):
+        return ((X + a) * X + b) * X + c
+
+    def bisect(lo, hi, sign):
+        """The root of sign*F, increasing on [lo, hi], if there is one."""
+        if lo > hi or sign * F(lo) > 0 or sign * F(hi) < 0:
+            return []
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * F(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        return [lo] if not F(lo) else []
+
+    R = 1 + max(abs(a), abs(b), abs(c))
+    D = a * a - 3 * b
+    if D <= 0:  # F' >= 0 everywhere
+        return bisect(-R, R, 1)
+    s = isqrt(D)
+    lo1, hi1 = (-a - s - 1) // 3, -((a + s) // 3)  # lo1 < first critical point <= hi1
+    lo2, hi2 = (-a + s) // 3, -((a - s - 1) // 3)  # lo2 <= second critical point < hi2
+    stray = [X for X in (*range(lo1 + 1, hi1), *range(lo2 + 1, hi2)) if not F(X)]
+    found = bisect(-R, lo1, 1) + bisect(hi1, lo2, -1) + bisect(hi2, R, 1) + stray
+    return sorted(set(found))
 
 
 class Char2Curve(_CurveBase):

@@ -3,8 +3,7 @@
 Everything is integer-exact; no floating point appears anywhere in the
 package.  The supported fields are
 
-* ``PrimeField(p)``   — residues mod a prime p < 2**31 (so that C-kernel
-  products fit in 64 bits),
+* ``PrimeField(p)``   — residues mod a prime p < 2**31,
 * ``BinaryField(k)``  — GF(2^k) for k <= 20, elements stored as polynomial
   bit-vectors reduced by an irreducible modulus,
 * ``Rationals()``     — arbitrary-precision reduced fractions.
@@ -641,6 +640,8 @@ class Rationals(Field):
 
 def field_from_descriptor(text: str) -> Field:
     """Parse ``Q``, ``Fp:<p>`` or ``F2k:<k>:<modulus-bits-hex>``."""
+    if not isinstance(text, str):
+        raise InvalidParams(f"a field descriptor is a string, got {text!r}")
     parts = text.strip().split(":")
     if parts == ["Q"]:
         return Rationals()

@@ -74,6 +74,11 @@ class HalvingResult:
         }
 
 
+def _require_model(curve, model: type) -> None:
+    if not isinstance(curve, model):
+        raise WrongCase(f"this halving criterion needs a {model.__name__}, got {curve!r}")
+
+
 def _require_affine(P: Point) -> None:
     if P.is_infinity:
         raise InvalidParams("halving is defined here for affine points only")
@@ -97,6 +102,7 @@ def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
     P is halvable iff all three x0 - alpha_i are squares; the four halves
     come from the sign triples whose product matches -y0.
     """
+    _require_model(curve, CubicCurve)
     curve._check(P)
     _require_affine(P)
     roots = curve.g.roots()
@@ -143,6 +149,7 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
     r^2 = x0 - alpha, r*norm(rho) = -y0, the halves are
     (alpha + norm(r +- rho), -+ trace(rho) * norm(r +- rho)).
     """
+    _require_model(curve, CubicCurve)
     curve._check(P)
     _require_affine(P)
     if curve.g.roots() is not None:
@@ -179,6 +186,7 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
     halve_quadext) and NotHalvable when neither sign of r admits a square
     discriminant D = (2*x0 + p)*(x0 - alpha) - 2*y0*r.
     """
+    _require_model(curve, CubicCurve)
     curve._check(P)
     _require_affine(P)
     x0, y0 = P.x, P.y
@@ -255,6 +263,7 @@ def halve_char2(curve: Char2Curve, P: Point) -> HalvingResult:
     and fourth roots always exist in a finite binary field); l and l + 1
     yield the two halves, which differ by W3 = (0, sqrt(a6)).
     """
+    _require_model(curve, Char2Curve)
     curve._check(P)
     _require_affine(P)
     x0, y0 = P.x, P.y
@@ -338,6 +347,7 @@ def half_to_roots(curve: CubicCurve, Q: Point, P: Optional[Point] = None) -> Roo
     computed in K when g splits, in K_g otherwise.  Raises TwoTorsionHalf for
     y(Q) = 0 (then 2Q is the point at infinity and no triple exists).
     """
+    _require_model(curve, CubicCurve)
     curve._check(Q)
     _require_affine(Q)
     if not Q.y:

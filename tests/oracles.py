@@ -107,6 +107,29 @@ def qq_cubic_order(A, B, C, P, cap=24):
     return 0  # no order within the cap
 
 
+def qq_cubic_roots(A, B, C):
+    """Rational roots of x^3 + A x^2 + B x + C, ascending, by the rational
+    root theorem: clear denominators, then try +-(divisor of the constant
+    term) / (divisor of the leading one)."""
+    A, B, C = Fraction(A), Fraction(B), Fraction(C)
+    den = A.denominator * B.denominator * C.denominator
+    coeffs = [int(c * den) for c in (C, B, A)] + [den]  # constant term first
+    roots = set()
+    while coeffs[0] == 0:  # x divides the cubic
+        roots.add(Fraction(0))
+        coeffs = coeffs[1:]
+
+    def divisors(n):
+        return [d for d in range(1, abs(n) + 1) if n % d == 0]
+
+    for num in divisors(coeffs[0]):
+        for d in divisors(coeffs[-1]):
+            for x in (Fraction(num, d), Fraction(-num, d)):
+                if x ** 3 + A * x * x + B * x + C == 0:
+                    roots.add(x)
+    return sorted(roots)
+
+
 # ---------------------------------------------------------------------------
 # GF(2^k) bit-vector arithmetic, written from scratch
 # ---------------------------------------------------------------------------

@@ -138,6 +138,19 @@ def test_halve_error_paths(capsys):
     assert code == 1  # usage error
 
 
+def test_halve_method_for_the_other_curve_model_exits_2(capsys):
+    cubic = ["--curve", '{"field": "Q", "alpha": "0", "p": "1", "q": "1"}',
+             "--point", '{"x": "0", "y": "0"}']
+    char2 = ["--curve", '{"field": "F2k:2:7", "a2": "1", "a6": "1"}',
+             "--point", '{"x": "0", "y": "1"}']
+    for args, method in [(cubic, "char2"), (char2, "split"), (char2, "quadext"), (char2, "rT")]:
+        code, _ = run(capsys, "halve", *args, "--method", method)
+        assert code == 2, method
+    code, _ = run(capsys, "halve", "--curve", '{"field": 0, "alpha": "0", "p": "1", "q": "1"}',
+                  "--point", '"infinity"')
+    assert code == 2  # a field descriptor that is not a string
+
+
 def test_halve_infers_field_from_curve_json(capsys):
     curve = '{"field": "Fp:5", "alpha": 0, "p": 4, "q": 1}'
     js = run_json(capsys, "halve", "--curve", curve, "--point", '{"x": 0, "y": 0}')
@@ -175,6 +188,15 @@ def test_order_over_q(capsys):
                   "--curve", '{"alpha": 0, "p": 3, "q": 1}',
                   "--point", '{"x": "-1", "y": "1"}')
     assert js["order"] == 4
+
+
+def test_order_over_q_stops_at_mazur_bound(capsys):
+    """No rational torsion order exceeds 12, so a large cap costs no more additions."""
+    curve, point = {"alpha": "0", "p": "0", "q": "-2"}, {"x": "2", "y": "2"}  # infinite order
+    assert oracles.qq_cubic_order(0, -2, 0, (2, 2), cap=12) == 0
+    assert _timed_orders(capsys, "Q", curve, point, (None, 12, 480)) == [None, None, None]
+    curve4, point4 = {"alpha": "0", "p": "3", "q": "1"}, {"x": "-1", "y": "1"}  # order 4
+    assert _timed_orders(capsys, "Q", curve4, point4, (3, 4, 480)) == [None, 4, 4]
 
 
 def _oracle_mul(add, n, P):
@@ -350,6 +372,21 @@ def test_malformed_rational_literals_exit_2(capsys):
     assert js["params"] == {"T": "-3/4"}
 
 
+def test_negative_fractions_as_option_values(capsys):
+    for argv in (["family", "--field", "Q", "--family", "e12", "--T"],
+                 ["family", "--field", "Fp:101", "--family", "e8", "--t"]):
+        joined = run_json(capsys, *argv[:-1], argv[-1] + "=-3/4")
+        assert run_json(capsys, *argv, "-3/4") == joined
+    js = run_json(capsys, "family", "--field", "Q", "--family", "e12", "--T", "-3/4")
+    assert js["params"] == {"T": "-3/4"}
+    iso = ["iso", "--field", "Q", "--kind", "e4", "--b", "1", "--d", "16"]
+    js = run_json(capsys, *iso, "--a", "-1/2", "--c", "-2")
+    assert js == run_json(capsys, *iso, "--a=-1/2", "--c=-2")
+    assert js == {"kind": "e4", "isomorphic": True, "u": "4"}
+    js = run_json(capsys, "iso", "--field", "Q", "--kind", "e8", "--s", "-1/3", "--t", "-1/3")
+    assert js == {"kind": "e8", "isomorphic": True}
+
+
 def test_no_assert_statements_in_the_package():
     """Checks that guard results raise VerificationError; `python -O` strips asserts."""
     package = os.path.dirname(os.path.abspath(ectorsion.__file__))
@@ -419,3 +456,19 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    """A reader that closes the pipe before the answer is written (as `| head` can)."""
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "ectorsion", "family", "--field", "Q", "--family", "e12",
+             "--T=-3/4"],
+            stdout=w, stderr=subprocess.PIPE, text=True, env=tree_env(),
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr == ""

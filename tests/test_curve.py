@@ -1,6 +1,7 @@
 """Curve models: construction, the group law, enumeration, serialization."""
 
 import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import isqrt
@@ -92,6 +93,39 @@ def test_from_weierstrass():
     F = PrimeField(7)
     E2 = CubicCurve.from_weierstrass(F, 1, 3, 2)
     assert E2.coefficients() == (F(1), F(3), F(2))
+
+
+def test_from_weierstrass_over_q_matches_the_divisor_oracle():
+    Q = Rationals()
+    grid = range(-6, 7)
+    F = Fraction
+    extra = [(F(1, 2), F(-5, 2), 1), (F(-7, 6), F(1, 3), F(1, 6)), (F(3, 4), 0, F(-27, 64)),
+             (0, F(-1, 9), 0)]
+    for A, B, C in [(A, B, C) for A in grid for B in grid for C in grid] + extra:
+        roots = oracles.qq_cubic_roots(A, B, C)
+        try:
+            got = CubicCurve.from_weierstrass(Q, A, B, C).alpha
+        except SingularCurve:
+            disc = A * A * B * B - 4 * B**3 - 4 * A**3 * C - 27 * C * C + 18 * A * B * C
+            assert roots and disc == 0, (A, B, C)
+            continue
+        except InvalidParams:
+            assert roots == [], (A, B, C)
+            continue
+        assert got == Q(roots[0]), (A, B, C)
+
+
+def test_from_weierstrass_over_q_with_a_25_digit_constant_is_fast():
+    Q = Rationals()
+    r = 10**24 + 7
+    t = time.perf_counter()
+    with pytest.raises(InvalidParams):
+        CubicCurve.from_weierstrass(Q, 0, 0, r)  # x^3 + r has no rational root
+    E = CubicCurve.from_weierstrass(Q, -r, 1, -r)  # (x - r)(x^2 + 1)
+    assert E.alpha == Q(r)
+    E2 = CubicCurve.from_weierstrass(Q, Fraction(-r, 3), 1, Fraction(-r, 3))  # (x - r/3)(x^2 + 1)
+    assert E2.alpha == Q(Fraction(r, 3))
+    assert time.perf_counter() - t < 1.0
 
 
 # ---------------------------------------------------------------------------

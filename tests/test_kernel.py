@@ -1,20 +1,12 @@
-"""The compiled kernel and its pure-Python twin must agree exactly."""
+"""The prime-field kernel against the oracle's from-scratch group law."""
 
 import random
 
 import pytest
 
 from ectorsion import kernel
-from ectorsion import _purekernel
 
 import oracles
-
-try:
-    from ectorsion import _speedups
-except ImportError:
-    _speedups = None
-
-BACKENDS = [_purekernel] + ([_speedups] if _speedups is not None else [])
 
 CURVES = [
     # (p, A, B, C) for y^2 = x^3 + A x^2 + B x + C
@@ -27,22 +19,12 @@ CURVES = [
 ]
 
 
-def test_backend_flag_is_consistent():
-    assert kernel.BACKEND in ("c", "python")
-    if kernel.BACKEND == "c":
-        assert _speedups is not None
-        assert kernel.cubic_add is _speedups.cubic_add
-    else:
-        assert kernel.cubic_add is _purekernel.cubic_add
-
-
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_fp_sqrt_against_exhaustion(impl):
+def test_fp_sqrt_against_exhaustion():
     for p in (3, 5, 7, 13, 17, 29, 97, 101):
         squares = oracles.fp_squares(p)
         for a in range(p):
-            assert impl.fp_is_square(a, p) == (a in squares)
-            r = impl.fp_sqrt(a, p)
+            assert kernel.fp_is_square(a, p) == (a in squares)
+            r = kernel.fp_sqrt(a, p)
             if a in squares:
                 assert (r * r) % p == a
                 assert 0 <= r <= p - r or r == 0
@@ -50,21 +32,24 @@ def test_fp_sqrt_against_exhaustion(impl):
                 assert r < 0
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
 @pytest.mark.parametrize("p,A,B,C", CURVES)
-def test_kernel_group_law_matches_oracle(impl, p, A, B, C):
-    pts = impl.cubic_points(p, A, B, C)
+def test_kernel_group_law_matches_oracle(p, A, B, C):
+    pts = kernel.cubic_points(p, A, B, C)
     assert sorted(pts) == sorted(oracles.fp_cubic_points(p, A, B, C))
     everything = [None] + list(pts)
     rng = random.Random(p * 1000 + A)
     for _ in range(60):
         P = rng.choice(everything)
         Q = rng.choice(everything)
-        got = impl.cubic_add(p, A, B, C, P, Q)
+        got = kernel.cubic_add(p, A, B, C, P, Q)
         want = oracles.fp_cubic_add(p, A, B, C, P, Q)
         assert got == want
+    assert kernel.cubic_all_orders(p, A, B, C, 4 * p) == [
+        oracles.fp_cubic_order(p, A, B, C, P) for P in pts]
+    assert kernel.cubic_double_all(p, A, B, C, pts) == [
+        oracles.fp_cubic_add(p, A, B, C, P, P) for P in pts]
     for P in pts[:12]:
-        assert impl.cubic_order(p, A, B, C, P, 4 * p) == oracles.fp_cubic_order(p, A, B, C, P)
+        assert kernel.cubic_order(p, A, B, C, P, 4 * p) == oracles.fp_cubic_order(p, A, B, C, P)
         n = rng.randrange(-5, 40)
         want = None
         if n:
@@ -72,33 +57,17 @@ def test_kernel_group_law_matches_oracle(impl, p, A, B, C):
             want = base
             for _ in range(abs(n) - 1):
                 want = oracles.fp_cubic_add(p, A, B, C, want, base)
-        assert impl.cubic_smul(p, A, B, C, n, P) == want
+        assert kernel.cubic_smul(p, A, B, C, n, P) == want
 
 
-@pytest.mark.skipif(_speedups is None, reason="compiled extension not built")
-@pytest.mark.parametrize("p,A,B,C", CURVES)
-def test_backends_agree_everywhere(p, A, B, C):
-    pts_c = _speedups.cubic_points(p, A, B, C)
-    pts_py = _purekernel.cubic_points(p, A, B, C)
-    assert pts_c == pts_py
-    cap = 2 * p + 12
-    assert _speedups.cubic_all_orders(p, A, B, C, cap) == _purekernel.cubic_all_orders(p, A, B, C, cap)
-    assert _speedups.cubic_double_all(p, A, B, C, pts_c) == _purekernel.cubic_double_all(p, A, B, C, pts_py)
-    everything = [None] + list(pts_c)
-    for P in everything:
-        for Q in everything:
-            assert _speedups.cubic_add(p, A, B, C, P, Q) == _purekernel.cubic_add(p, A, B, C, P, Q)
-
-
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.__name__.rsplit(".", 1)[-1])
-def test_kernel_edge_cases(impl):
+def test_kernel_edge_cases():
     p, A, B, C = 5, 4, 1, 0  # y^2 = x(x^2+4x+1), has (0,0) of order 2
-    assert impl.cubic_add(p, A, B, C, None, None) is None
-    assert impl.cubic_add(p, A, B, C, (0, 0), (0, 0)) is None
-    assert impl.cubic_neg(p, None) is None
-    assert impl.cubic_neg(p, (1, 4)) == (1, 1)
-    assert impl.cubic_order(p, A, B, C, None, 10) == 1
-    assert impl.cubic_smul(p, A, B, C, 0, (0, 0)) is None
-    assert impl.cubic_order(p, A, B, C, (1, 4), 2) == 0  # cap exceeded
-    assert impl.cubic_is_on(p, A, B, C, 1, 4)
-    assert not impl.cubic_is_on(p, A, B, C, 1, 2)
+    assert kernel.cubic_add(p, A, B, C, None, None) is None
+    assert kernel.cubic_add(p, A, B, C, (0, 0), (0, 0)) is None
+    assert kernel.cubic_neg(p, None) is None
+    assert kernel.cubic_neg(p, (1, 4)) == (1, 1)
+    assert kernel.cubic_order(p, A, B, C, None, 10) == 1
+    assert kernel.cubic_smul(p, A, B, C, 0, (0, 0)) is None
+    assert kernel.cubic_order(p, A, B, C, (1, 4), 2) == 0  # cap exceeded
+    pts = kernel.cubic_points(p, A, B, C)
+    assert (1, 4) in pts and (1, 2) not in pts
