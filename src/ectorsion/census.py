@@ -6,8 +6,8 @@ unordered {t, 1/t} pairs for order 8), while the brute-force side enumerates
 every (a2, a6) with a6 != 0, groups by K-isomorphism class — same a6, a2
 differing by l^2 + l, i.e. equal absolute trace — and counts the classes
 whose rational group contains a point of the requested order using nothing
-but the group law.  The two counts must agree (q - 1 for order 4, q/2 - 1
-for order 8).
+but the group law, run on ints through ``kernel``.  The two counts must
+agree (q - 1 for order 4, q/2 - 1 for order 8).
 
 ``family_sweep`` enumerates all valid parameters of one family over a small
 finite field, verifying every witness, deduplicated by the family's
@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List
 
+from . import kernel
 from .curve import Char2Curve, Point, _hasse_interval, point_to_json
 from .errors import FieldTooLarge, InvalidParams, VerificationError
 from .families import (
@@ -64,29 +65,20 @@ class CensusReport:
         }
 
 
-def _maximal_proper_divisors(n: int) -> List[int]:
-    out = []
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            out.append(n // p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        out.append(n // m)
-    return out
+def _has_point_of_order(curve: Char2Curve, points: List[tuple], n: int) -> bool:
+    """Whether one of ``points`` (kernel ints on ``curve``) has order exactly n = 2^j.
 
-
-def _has_point_of_order(curve, points: List[Point], n: int) -> bool:
-    subs = _maximal_proper_divisors(n)
-    for P in points:
-        if not curve.scalar_mul(n, P).is_infinity:
-            continue
-        if all(not curve.scalar_mul(d, P).is_infinity for d in subs):
-            return True
-    return False
+    x(2P) depends on x(P) alone, and x(P) = 0 only at the 2-torsion point,
+    whose double is O.  So P has order 2^j iff j - 1 doublings take x(P)
+    to 0 without passing through 0 on the way: the x-coordinates are
+    doubled j - 1 times as a set, and ``c2_double_x`` drops the zeros.
+    """
+    if n < 2 or n & (n - 1):
+        raise InvalidParams(f"order {n} is not a power of two")
+    xs = {P[0] for P in points}
+    for _ in range(n.bit_length() - 2):
+        xs = set(kernel.c2_double_x(*curve._kp, xs))
+    return 0 in xs
 
 
 def sigma_char2(field: BinaryField, N: int) -> CensusReport:
@@ -103,13 +95,14 @@ def sigma_char2(field: BinaryField, N: int) -> CensusReport:
 
     # Brute-force side: every curve, grouped into (a6, trace a2) classes.
     classes: Dict[tuple, List[bool]] = {}
+    a2s = [(a2, field.trace(a2)) for a2 in field.elements()]
     for a6 in field.elements():
         if not a6:
             continue
-        for a2 in field.elements():
+        for a2, trace in a2s:
             curve = Char2Curve(field, a2, a6)
-            found = _has_point_of_order(curve, curve.full_group(), N)
-            classes.setdefault((a6.value, field.trace(a2)), []).append(found)
+            found = _has_point_of_order(curve, kernel.c2_points(*curve._kp), N)
+            classes.setdefault((a6.value, trace), []).append(found)
     if len(classes) != 2 * ((1 << field.k) - 1):
         raise VerificationError(f"expected 2(q - 1) isomorphism classes, found {len(classes)}")
     for key, flags in classes.items():

@@ -7,6 +7,9 @@ witness or half failed its group-law replay; should be unreachable) — 141
 the reader closed standard output early (as after ``| head``), the code a
 shell reports for a writer stopped by SIGPIPE.
 
+Time budget: the slowest accepted input, ``census`` at k = 6 (``--field
+F2k:6:43``), answers within 5 s per order (``tests/test_budgets.py``).
+
 An option value may be a negative literal: ``--T -3/4`` reads as ``--T=-3/4``.
 """
 

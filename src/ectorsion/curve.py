@@ -10,8 +10,9 @@ Two models cover every characteristic:
 
 Points are immutable; the curve is always an explicit argument, so using a
 point with the wrong curve is a loud ``OffCurve`` instead of silent garbage.
-Prime-field cubic curves run the group law, scalar multiples, short order
-searches and full enumerations on plain ints through ``kernel``.
+Over F_p and GF(2^k) the group law, scalar multiples, short order searches
+and full enumerations run on plain ints through ``kernel``; only a cubic
+curve over Q works on field elements.
 """
 
 from __future__ import annotations
@@ -158,9 +159,25 @@ def _default_cap(field: Field, cap: Optional[int] = None) -> int:
 
 
 class _CurveBase:
-    """Shared plumbing: boundary checks, scalar multiples, order search."""
+    """Shared plumbing: boundary checks, the kernel hook, order search.
+
+    A curve over a finite field holds the four curve parameters its kernel
+    functions take in ``_kp``, and its class names those functions in
+    ``_K_ADD`` .. ``_K_POINTS`` (``cubic_*`` or ``c2_*``), looked up on each
+    call so that a wrapped or patched kernel function is the one that runs.
+    The methods below convert points to ints, call the kernel and convert
+    back.  They pass the parameters unpacked: a starred call costs about
+    0.3 us more, and a family sweep makes one such call per witness.
+    ``_kp`` is None only over Q, where ``CubicCurve._add`` works on field
+    elements and the loops below run on top of it.
+    """
 
     field: Field
+    _kp: Optional[tuple]
+    _K_ADD: str
+    _K_SMUL: str
+    _K_ORDER: str
+    _K_POINTS: str
 
     def contains(self, P: Point) -> bool:
         raise NotImplementedError
@@ -178,7 +195,9 @@ class _CurveBase:
 
     def _add(self, P: Point, Q: Point) -> Point:
         """The group law on points already known to be on this curve."""
-        raise NotImplementedError
+        c0, c1, c2, c3 = self._kp
+        r = getattr(kernel, self._K_ADD)(c0, c1, c2, c3, _pt_ints(P), _pt_ints(Q))
+        return _pt_from_ints(self.field, r)
 
     def add(self, P: Point, Q: Point) -> Point:
         raise NotImplementedError
@@ -192,6 +211,10 @@ class _CurveBase:
 
     def _smul(self, n: int, P: Point) -> Point:
         """n*P for n >= 0 by double-and-add, P already known to be on this curve."""
+        if self._kp is not None:
+            c0, c1, c2, c3 = self._kp
+            r = getattr(kernel, self._K_SMUL)(c0, c1, c2, c3, n, _pt_ints(P))
+            return _pt_from_ints(self.field, r)
         R = Point.infinity()
         while n:
             if n & 1:
@@ -206,6 +229,9 @@ class _CurveBase:
 
     def _order_upto(self, P: Point, cap: int) -> Optional[int]:
         """Order of P by iterated addition if it is at most cap, else None."""
+        if self._kp is not None:
+            c0, c1, c2, c3 = self._kp
+            return getattr(kernel, self._K_ORDER)(c0, c1, c2, c3, _pt_ints(P), cap) or None
         R = P
         for n in range(1, cap + 1):
             if R.is_infinity:
@@ -272,13 +298,19 @@ class _CurveBase:
         return M
 
     def full_group(self) -> List[Point]:
-        raise NotImplementedError
+        """The point at infinity, then every affine point in the kernel's order."""
+        q = self.field.order
+        if q is None or q > _ENUM_LIMIT:
+            raise FieldTooLarge("full enumeration needs a finite field of at most 2^16 elements")
+        pts = getattr(kernel, self._K_POINTS)(*self._kp)
+        return [Point.infinity()] + [_pt_from_ints(self.field, t) for t in pts]
 
 
 class CubicCurve(_CurveBase):
     """y^2 = (x - alpha) * g(x) with g = x^2 + p*x + q square-free, g(alpha) != 0."""
 
-    __slots__ = ("field", "alpha", "g", "_ik")
+    __slots__ = ("field", "alpha", "g", "_kp")
+    _K_ADD, _K_SMUL, _K_ORDER, _K_POINTS = "cubic_add", "cubic_smul", "cubic_order", "cubic_points"
 
     def __init__(self, field: Field, alpha, p, q):
         if field.characteristic == 2:
@@ -295,9 +327,9 @@ class CubicCurve(_CurveBase):
         # Integer coefficients of the expanded cubic for the prime-field kernel.
         if isinstance(field, PrimeField):
             A, B, C = self.coefficients()
-            self._ik = (field.p, A.value, B.value, C.value)
+            self._kp = (field.p, A.value, B.value, C.value)
         else:
-            self._ik = None
+            self._kp = None
 
     @classmethod
     def from_g(cls, field: Field, alpha, g: QuadraticPoly) -> "CubicCurve":
@@ -344,10 +376,8 @@ class CubicCurve(_CurveBase):
         return self._add(self._check(P), self._check(Q))
 
     def _add(self, P: Point, Q: Point) -> Point:
-        if self._ik is not None:
-            p_, A, B, C = self._ik
-            r = kernel.cubic_add(p_, A, B, C, _pt_ints(P), _pt_ints(Q))
-            return _pt_from_ints(self.field, r)
+        if self._kp is not None:
+            return super()._add(P, Q)
         if P.is_infinity:
             return Q
         if Q.is_infinity:
@@ -364,22 +394,11 @@ class CubicCurve(_CurveBase):
         y3 = lam * (x1 - x3) - y1
         return Point(x3, y3)
 
-    def _smul(self, n: int, P: Point) -> Point:
-        if self._ik is None:
-            return super()._smul(n, P)
-        p_, A, B, C = self._ik
-        return _pt_from_ints(self.field, kernel.cubic_smul(p_, A, B, C, n, _pt_ints(P)))
-
-    def _order_upto(self, P: Point, cap: int) -> Optional[int]:
-        if self._ik is None:
-            return super()._order_upto(P, cap)
-        p_, A, B, C = self._ik
-        return kernel.cubic_order(p_, A, B, C, _pt_ints(P), cap) or None
-
     # The shared methods under this class's own names, which
     # perfbench/spans.py instruments per class.
     scalar_mul = _CurveBase.scalar_mul
     order_of = _CurveBase.order_of
+    full_group = _CurveBase.full_group
 
     def two_torsion(self) -> List[Point]:
         """All rational points of order 2: (alpha, 0) plus g's roots if any."""
@@ -388,15 +407,6 @@ class CubicCurve(_CurveBase):
         if roots is not None:
             pts += [Point(r, self.field.zero) for r in roots]
         return pts
-
-    def full_group(self) -> List[Point]:
-        q = self.field.order
-        if q is None or q > _ENUM_LIMIT:
-            raise FieldTooLarge("full enumeration needs a finite field of at most 2^16 elements")
-        # Every finite field of characteristic != 2 here is a PrimeField.
-        p_, A, B, C = self._ik
-        pts = [_pt_from_ints(self.field, t) for t in kernel.cubic_points(p_, A, B, C)]
-        return [Point.infinity()] + pts
 
     def translate_x(self, x0) -> Tuple["CubicCurve", Callable[[Point], Point]]:
         """Shift coordinates by x -> x - x0; returns the new curve and point map."""
@@ -512,7 +522,8 @@ def _integer_roots(a: int, b: int, c: int) -> List[int]:
 class Char2Curve(_CurveBase):
     """y^2 + x*y = x^3 + a2*x^2 + a6 over GF(2^k), a6 != 0 (so j = 1/a6 != 0)."""
 
-    __slots__ = ("field", "a2", "a6")
+    __slots__ = ("field", "a2", "a6", "_kp")
+    _K_ADD, _K_SMUL, _K_ORDER, _K_POINTS = "c2_add", "c2_smul", "c2_order", "c2_points"
 
     def __init__(self, field: Field, a2, a6):
         if not isinstance(field, BinaryField):
@@ -522,14 +533,15 @@ class Char2Curve(_CurveBase):
         self.a6 = field.element(a6)
         if not self.a6:
             raise SingularCurve("a6 = 0 is not an ordinary curve (j would be 0)")
-
-    def rhs(self, x: FieldElement) -> FieldElement:
-        return x * x * x + self.a2 * x * x + self.a6
+        self._kp = (field.k, field.modulus, self.a2.value, self.a6.value)
 
     def contains(self, P: Point) -> bool:
         if P.is_infinity:
             return True
-        return P.y * P.y + P.x * P.y == self.rhs(P.x)
+        for c in (P.x, P.y):
+            if c.field is not self.field and c.field != self.field:
+                raise InvalidParams(f"mixed fields: {c.field.descriptor} vs {self.field}")
+        return kernel.c2_contains(*self._kp, _pt_ints(P))
 
     def negate(self, P: Point) -> Point:
         self._check(P)
@@ -539,26 +551,6 @@ class Char2Curve(_CurveBase):
 
     def add(self, P: Point, Q: Point) -> Point:
         return self._add(self._check(P), self._check(Q))
-
-    def _add(self, P: Point, Q: Point) -> Point:
-        if P.is_infinity:
-            return Q
-        if Q.is_infinity:
-            return P
-        x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-        if x1 == x2:
-            if y2 == y1 + x1:  # Q = -P (covers the 2-torsion point x = 0)
-                return Point.infinity()
-            if not x1:
-                return Point.infinity()
-            lam = x1 + y1 / x1
-            x3 = lam * lam + lam + self.a2
-            y3 = x1 * x1 + (lam + 1) * x3
-            return Point(x3, y3)
-        lam = (y1 + y2) / (x1 + x2)
-        x3 = lam * lam + lam + x1 + x2 + self.a2
-        y3 = lam * (x1 + x3) + x3 + y1
-        return Point(x3, y3)
 
     @property
     def w3(self) -> Point:
@@ -573,22 +565,9 @@ class Char2Curve(_CurveBase):
         j = self.j_invariant()
         return bool(j) and j.is_square()
 
-    def full_group(self) -> List[Point]:
-        q = self.field.order
-        if q > _ENUM_LIMIT:
-            raise FieldTooLarge("full enumeration needs at most 2^16 elements")
-        out = [Point.infinity(), self.w3]
-        for x in self.field.elements():
-            if not x:
-                continue
-            # y = x*z turns the equation into z^2 + z = x + a2 + a6/x^2.
-            z = self.field.solve_artin_schreier(x + self.a2 + self.a6 / (x * x))
-            if z is None:
-                continue
-            y = x * z
-            out.append(Point(x, y))
-            out.append(Point(x, y + x))
-        return out
+    # The shared method under this class's own name, which
+    # perfbench/spans.py instruments per class.
+    full_group = _CurveBase.full_group
 
     def to_json_dict(self) -> dict:
         return {

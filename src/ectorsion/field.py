@@ -345,19 +345,6 @@ class PrimeField(Field):
         return str(a.value)
 
 
-def _gf2_mulmod(a: int, b: int, modulus: int, k: int) -> int:
-    """Carry-less multiply of two bit-vectors, reduced mod ``modulus``."""
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a <<= 1
-        if a >> k & 1:
-            a ^= modulus
-    return r
-
-
 def _gf2_polymod(a: int, m: int) -> int:
     dm = m.bit_length() - 1
     while a.bit_length() - 1 >= dm and a:
@@ -424,22 +411,12 @@ class BinaryField(Field):
     _sub = _add
 
     def _mul(self, a, b):
-        return _gf2_mulmod(a, b, self.modulus, self.k)
+        return kernel.gf2_mul(a, b, self.modulus, self.k)
 
     def _inv(self, a):
         if a == 0:
             raise ZeroDivisionError(f"division by zero in {self.descriptor}")
-        # Extended Euclid in GF(2)[x].
-        r0, r1 = self.modulus, a
-        t0, t1 = 0, 1
-        while r1:
-            d = r0.bit_length() - r1.bit_length()
-            if d < 0:
-                r0, r1, t0, t1 = r1, r0, t1, t0
-                continue
-            r0 ^= r1 << d
-            t0 ^= t1 << d
-        return _gf2_polymod(t0, self.modulus)
+        return kernel.gf2_inv(a, self.modulus)
 
     def _div(self, a, b):
         return self._mul(a, self._inv(b))

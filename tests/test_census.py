@@ -4,6 +4,7 @@ import pytest
 
 from ectorsion import (
     BinaryField,
+    Char2Curve,
     FieldTooLarge,
     InvalidParams,
     PrimeField,
@@ -18,6 +19,7 @@ from ectorsion import (
 )
 
 import ectorsion.census as census
+from ectorsion import kernel
 import oracles
 
 
@@ -48,6 +50,27 @@ def test_sigma_char2_guards():
         sigma_char2(BinaryField(3), 6)
     with pytest.raises(InvalidParams):
         sigma_char2(PrimeField(7), 4)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_has_point_of_order_matches_oracle_orders(k):
+    """The brute side's x-doubling test against the oracle's orders, on every curve."""
+    F = BinaryField(k)
+    mod, q = F.modulus, 1 << k
+    for a6 in range(1, q):
+        for a2 in range(q):
+            curve = Char2Curve(F, a2, a6)
+            pts = kernel.c2_points(k, mod, a2, a6)
+            orders = {oracles.char2_order(k, mod, a2, a6, P) for P in pts}
+            for n in (2, 4, 8, 16):
+                assert census._has_point_of_order(curve, pts, n) == (n in orders), (a2, a6, n)
+
+
+@pytest.mark.parametrize("n", [0, 1, 3, 6, 12])
+def test_has_point_of_order_takes_powers_of_two(n):
+    curve = Char2Curve(BinaryField(2), 0, 1)
+    with pytest.raises(InvalidParams):
+        census._has_point_of_order(curve, kernel.c2_points(*curve._kp), n)
 
 
 def test_sigma_char2_class_disagreement_is_a_verification_error(monkeypatch):

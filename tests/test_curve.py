@@ -23,6 +23,7 @@ from ectorsion import (
     SingularCurve,
     VerificationError,
     curve_from_json,
+    e8char2_new,
     e12_new,
     halve,
     point_from_json,
@@ -298,6 +299,42 @@ def test_small_orders_over_fp_take_one_kernel_call(monkeypatch):
             calls.clear()
             assert inst.curve.order_of(w.point) == w.claimed_order
             assert calls == {"cubic_order": 1}
+
+
+def test_char2_witness_orders_take_one_kernel_call(monkeypatch):
+    """An e8char2 witness check is one kernel.c2_order call and no field multiply."""
+    calls = Counter()
+
+    def counting(*args, fn=kernel.c2_order):
+        calls["c2_order"] += 1
+        return fn(*args)
+
+    def counting_mul(self, a, b, mul=BinaryField._mul):
+        calls["mul"] += 1
+        return mul(self, a, b)
+
+    monkeypatch.setattr(kernel, "c2_order", counting)
+    monkeypatch.setattr(BinaryField, "_mul", counting_mul)
+    for k in (3, 8, 20):
+        inst = e8char2_new(BinaryField(k), 3, verify=False)
+        for w in inst.witnesses:
+            calls.clear()
+            assert inst.curve.order_of(w.point) == w.claimed_order
+            assert calls == {"c2_order": 1}
+
+
+def test_binary_field_arithmetic_builds_no_kernel_tables(monkeypatch):
+    monkeypatch.setattr(kernel, "_GF2K_CONTEXTS", {})
+    F = BinaryField(20)
+    x = F(2)
+    x * x / x
+    x.sqrt()
+    F.solve_artin_schreier(x * x + x)
+    assert kernel._GF2K_CONTEXTS == {}
+    E = Char2Curve(F, 0, 1)
+    assert kernel._GF2K_CONTEXTS == {}
+    E.contains(E.w3)  # a curve's first kernel call builds its field's context
+    assert list(kernel._GF2K_CONTEXTS) == [(20, F.modulus)]
 
 
 def _large_order_point(p):

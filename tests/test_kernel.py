@@ -1,4 +1,4 @@
-"""The prime-field kernel against the oracle's from-scratch group law."""
+"""The int kernel against the oracle's from-scratch arithmetic and group laws."""
 
 import random
 
@@ -71,3 +71,114 @@ def test_kernel_edge_cases():
     assert kernel.cubic_order(p, A, B, C, (1, 4), 2) == 0  # cap exceeded
     pts = kernel.cubic_points(p, A, B, C)
     assert (1, 4) in pts and (1, 2) not in pts
+
+
+# ---------------------------------------------------------------------------
+# GF(2^k)
+# ---------------------------------------------------------------------------
+
+MODULI = [(k, m) for k in range(1, 9) for m in range(1 << k, 1 << (k + 1))
+          if oracles.gf2_poly_irreducible(m, k)]
+
+
+def test_every_small_binary_field_is_covered():
+    assert [sum(1 for k, _ in MODULI if k == d) for d in range(1, 9)] == [2, 1, 2, 3, 6, 9, 18, 30]
+    assert (4, 0x1f) in MODULI  # x has order 5 there, so the tables need another base
+    assert oracles.gf2_pow(2, 5, 0x1f, 4) == 1
+    assert kernel._gf2k(4, 0x1f).exp[1] != 2
+
+
+def test_gf2_bit_vector_arithmetic_matches_oracle():
+    for k, m in MODULI:
+        if k > 6:
+            continue
+        for a in range(1 << k):
+            for b in range(1 << k):
+                assert kernel.gf2_mul(a, b, m, k) == oracles.gf2_mul(a, b, m, k)
+            if a:
+                # already reduced, with no final polynomial remainder
+                assert kernel.gf2_inv(a, m) == oracles.gf2_inv(a, m, k)
+
+
+@pytest.mark.parametrize("k,m", MODULI)
+def test_log_tables_are_permutations(k, m):
+    F = kernel._gf2k(k, m)
+    n = (1 << k) - 1
+    assert sorted(F.exp[:n]) == list(range(1, n + 1))
+    assert F.exp[n:] == F.exp[:n]
+    assert sorted(F.log[1:]) == list(range(n))
+    for i, v in enumerate(F.exp[:n]):
+        assert F.log[v] == i
+
+
+def _check_c2_group_law(k, m, a2, a6, pts, rng, samples, per_point):
+    """c2_add on ``samples`` random pairs, c2_double_x on every point with
+    x != 0, and c2_smul, c2_order and c2_contains on ``per_point`` random
+    points, against the oracle."""
+    everything = [None] + pts
+    assert kernel.c2_double_x(k, m, a2, a6, [P[0] for P in pts]) == [
+        oracles.char2_add(k, m, a2, a6, P, P)[0] for P in pts if P[0]  # 2(0, y) = O
+    ]
+    for _ in range(samples):
+        P, Q = rng.choice(everything), rng.choice(everything)
+        assert kernel.c2_add(k, m, a2, a6, P, Q) == oracles.char2_add(k, m, a2, a6, P, Q)
+    for P in rng.sample(pts, min(len(pts), per_point)):
+        assert kernel.c2_contains(k, m, a2, a6, P)
+        bad = (P[0], P[1] ^ 1)
+        assert kernel.c2_contains(k, m, a2, a6, bad) == oracles.char2_on(k, m, a2, a6, bad)
+        order = oracles.char2_order(k, m, a2, a6, P)
+        assert kernel.c2_order(k, m, a2, a6, P, 4 << k) == order
+        assert kernel.c2_order(k, m, a2, a6, P, order - 1) == 0  # past the cap
+        n = rng.randrange(-5, 40)
+        want = None
+        if n:
+            base = P if n > 0 else oracles.char2_neg(k, m, P)
+            want = base
+            for _ in range(abs(n) - 1):
+                want = oracles.char2_add(k, m, a2, a6, want, base)
+        assert kernel.c2_smul(k, m, a2, a6, n, P) == want
+
+
+@pytest.mark.parametrize("k,m", MODULI)
+def test_c2_kernel_matches_oracle(k, m):
+    q = 1 << k
+    rng = random.Random(q + m)
+    curves = [(0, 1), (1, q - 1), (rng.randrange(q), rng.randrange(1, q))]
+    if k > 5:  # one curve for each larger modulus keeps the test quick
+        curves = [curves[m % 3]]
+    for a2, a6 in curves:
+        pts = kernel.c2_points(k, m, a2, a6)
+        assert pts[0] == (0, oracles.gf2_pow(a6, q // 2, m, k))  # the 2-torsion point
+        assert pts[1:] == sorted(pts[1:], key=lambda P: P[0])
+        if k <= 5:
+            assert sorted(pts) == oracles.char2_points(k, m, a2, a6)
+        else:  # the full O(4^k) scan is slow: scan every y over a sample of x
+            assert all(oracles.char2_on(k, m, a2, a6, P) for P in pts)
+            for x in rng.sample(range(q), 4):
+                scan = [(x, y) for y in range(q) if oracles.char2_on(k, m, a2, a6, (x, y))]
+                assert sorted(P for P in pts if P[0] == x) == scan
+        _check_c2_group_law(k, m, a2, a6, pts, rng, 40, 3)
+
+
+@pytest.mark.parametrize("k", [11, 12])
+def test_c2_kernel_without_tables(k):
+    m = next(m for m in range(1 << k, 1 << (k + 1)) if oracles.gf2_poly_irreducible(m, k))
+    rng = random.Random(k)
+    a2, a6 = rng.randrange(1 << k), rng.randrange(1, 1 << k)
+    pts = kernel.c2_points(k, m, a2, a6)
+    assert kernel._gf2k(k, m).log is None
+    sample = rng.sample(pts, 40)
+    assert all(oracles.char2_on(k, m, a2, a6, P) for P in sample)
+    _check_c2_group_law(k, m, a2, a6, sample, rng, 20, 1)
+
+
+def test_c2_kernel_edge_cases():
+    k, m, a2, a6 = 2, 0b111, 0, 1  # y^2 + xy = x^3 + 1 over GF(4): (0, 1) has order 2
+    assert kernel.c2_add(k, m, a2, a6, None, None) is None
+    assert kernel.c2_add(k, m, a2, a6, (0, 1), (0, 1)) is None
+    assert kernel.c2_add(k, m, a2, a6, (2, 2), (2, 0)) is None  # P + (-P)
+    assert kernel.c2_smul(k, m, a2, a6, 0, (2, 2)) is None
+    assert kernel.c2_smul(k, m, a2, a6, -1, (2, 2)) == (2, 0)
+    assert kernel.c2_order(k, m, a2, a6, None, 10) == 1
+    assert kernel.c2_order(k, m, a2, a6, (2, 2), 8) == 8
+    assert kernel.c2_contains(k, m, a2, a6, None)
