@@ -7,8 +7,11 @@ witness or half failed its group-law replay; should be unreachable) — 141
 the reader closed standard output early (as after ``| head``), the code a
 shell reports for a writer stopped by SIGPIPE.
 
-Time budget: the slowest accepted input, ``census`` at k = 6 (``--field
-F2k:6:43``), answers within 5 s per order (``tests/test_budgets.py``).
+Time budgets, for the slowest accepted input of each kind, in-process: ``census``
+at k = 6 (``--field F2k:6:43``) answers within 5 s per order; ``family``
+(e10, e12, e8char2), ``halve`` (auto, rT) and ``iso`` (e4, e8, e8char2) at
+p = 2^31 - 1 and over GF(2^20) within 1 s a call (``tests/test_budgets.py``);
+``order`` there within 1 s a call (``tests/test_cli.py``).
 
 An option value may be a negative literal: ``--T -3/4`` reads as ``--T=-3/4``.
 """
@@ -16,6 +19,7 @@ An option value may be a negative literal: ``--T -3/4`` reads as ``--T=-3/4``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -23,7 +27,7 @@ import sys
 from typing import List, Optional, Sequence, Tuple
 
 from .census import family_sweep, sigma_char2, verify_f3_example, verify_f4_example
-from .curve import Char2Curve, CubicCurve, curve_from_json, point_from_json
+from .curve import curve_from_json, point_from_json, point_to_json
 from .errors import Error, InvalidParams, NotHalvable, VerificationError
 from .families import (
     FAMILY_NAMES,
@@ -88,8 +92,15 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
-    p = _Parser(prog="ectorsion", description=__doc__.splitlines()[0])
+    """The one parser of the process, built on first use and shared by every
+    ``main`` call: parsing leaves it unchanged, ``prog`` is fixed, every default
+    is immutable and each help formatter reads the terminal width anew."""
+    p = _Parser(
+        prog="ectorsion",
+        description="Command-line front-end: construction, halving, orders, isomorphism, census.",
+    )
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp):
@@ -190,7 +201,7 @@ def _cmd_order(args) -> dict:
     curve, field = _load_curve_and_field(args)
     P = point_from_json(field, json.loads(args.point))
     n = curve.order_of(P, cap=args.cap)
-    out = {"point": json.loads(args.point), "order": n}
+    out = {"point": point_to_json(P), "order": n}
     if args.cap is not None:
         out["cap"] = args.cap
     return out

@@ -168,6 +168,9 @@ def test_order_basic(capsys):
     js2 = run_json(capsys, "order", "--field", "Fp:7",
                    "--curve", '{"alpha": 0, "p": 0, "q": 1}', "--point", '"infinity"')
     assert js2["order"] == 1
+    js3 = run_json(capsys, "order", "--field", "Fp:7",
+                   "--curve", '{"alpha": 0, "p": 0, "q": 1}', "--point", '{"x": "-2", "y": "9"}')
+    assert js3 == {"point": {"x": "5", "y": "2"}, "order": 8}  # echoed in canonical form
 
 
 def test_order_with_cap(capsys):
@@ -406,6 +409,76 @@ def test_usage_errors(capsys):
     assert cli.main(["halve", "--curve", "{}", "--point", "{}", "--what"]) == 1
 
 
+def test_parser_is_built_once_per_process(capsys, monkeypatch):
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    cli._build_parser.cache_clear()
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    try:
+        run_json(capsys, "iso", "--field", "Q", "--kind", "e8", "--s", "2", "--t", "2")
+        run_json(capsys, "census", "--field", "F2k:2:7", "--order", "4")
+        assert cli.main(["family", "--field", "Fp:7"]) == 1
+        run_json(capsys, "order", "--field", "Fp:7", "--curve", '{"alpha": 0, "p": 0, "q": 1}',
+                 "--point", '"infinity"')
+    finally:
+        cli._build_parser.cache_clear()
+    # The top-level parser and its six subparsers, once each.
+    assert built == ["ectorsion"] + [f"ectorsion {c}" for c in
+                                     ("family", "halve", "order", "iso", "census", "verify-examples")]
+
+
+def test_shared_parser_answers_as_a_fresh_one(capsys):
+    """No call leaves state in the shared parser that changes a later answer."""
+    point8 = ["--curve", '{"alpha": 0, "p": 0, "q": 1}', "--point", '{"x": 5, "y": 2}']
+    sequence = [
+        ["family", "--field", "Fp:7", "--family", "nope"],
+        ["family", "--help"],
+        ["family", "--field", "Fp:7", "--family", "e8", "--t", "3", "--no-verify"],
+        ["family", "--field", "Fp:7", "--family", "e8", "--t", "3"],
+        ["order", "--field", "Fp:7", *point8, "--cap", "5"],
+        ["order", "--field", "Fp:7", *point8],
+        ["iso", "--field", "Q", "--kind", "e4", "--a", "1", "--b", "1", "--c", "2", "--d", "4",
+         "--output", "text"],
+        ["iso", "--field", "Q", "--kind", "e4", "--a", "1", "--b", "1", "--c", "2", "--d", "4"],
+    ]
+
+    def answers(fresh):
+        out = []
+        for argv in sequence:
+            if fresh:
+                cli._build_parser.cache_clear()
+            out.append(run(capsys, *argv))
+        return out
+
+    try:
+        expected = answers(fresh=True)
+        cli._build_parser.cache_clear()
+        shared = answers(fresh=False)
+    finally:
+        cli._build_parser.cache_clear()
+    assert [code for code, _ in expected] == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert shared == expected
+    assert "--no-verify" in expected[1][1]
+    assert all(w["verified"] for w in json.loads(expected[3][1])["witnesses"])
+    assert json.loads(expected[4][1]) == {"point": {"x": "5", "y": "2"}, "order": None, "cap": 5}
+    assert json.loads(expected[5][1]) == {"point": {"x": "5", "y": "2"}, "order": 8}
+
+
+def test_help_width_follows_the_terminal(capsys, monkeypatch):
+    widths = []
+    for columns in ("200", "50", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        code, out = run(capsys, "order", "--help")
+        assert code == 0
+        widths.append(max(map(len, out.splitlines())))
+    assert widths[1] <= 48 < widths[0] == widths[2]
+
+
 def test_bad_field_descriptors(capsys):
     code, _ = run(capsys, "family", "--field", "Zp:7", "--family", "e8", "--t", "3")
     assert code == 2
@@ -456,6 +529,17 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+def test_optimized_interpreter_runs_the_cli():
+    """Under -OO docstrings are None; the parser must not read one."""
+    proc = subprocess.run(
+        [sys.executable, "-OO", "-m", "ectorsion", "census", "--field", "F2k:2:7", "--order", "4"],
+        capture_output=True, text=True, env=tree_env(),
+    )
+    assert proc.returncode == 0
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stdout)["agree"] is True
 
 
 def test_closed_stdout_exits_141_without_a_traceback():
