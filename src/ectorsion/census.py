@@ -9,9 +9,9 @@ whose rational group contains a point of the requested order using nothing
 but the group law, run on ints through ``kernel``.  The two counts must
 agree (q - 1 for order 4, q/2 - 1 for order 8).
 
-``family_sweep`` enumerates all valid parameters of one family over a small
-finite field, verifying every witness, deduplicated by the family's
-isomorphism criterion where one exists.
+``family_sweep`` enumerates the valid parameters of one family over a small
+finite field, one representative per isomorphism class where the family has
+an isomorphism criterion, verifying every witness it returns.
 """
 
 from __future__ import annotations
@@ -167,9 +167,15 @@ def verify_f4_example() -> dict:
 def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstance]:
     """Every valid parameter of the order-N family over a small finite field.
 
-    Deduplicates by the family's isomorphism test where one exists (e4 via
-    the b/a^2 normal form, e8 via the explicit criterion, char-2 families by
-    coinciding curves); the other families return one instance per parameter.
+    Returns one representative per isomorphism class where the family has an
+    isomorphism test (e4 via the b/a^2 normal form, e8 via the explicit
+    criterion, char-2 families by coinciding curves) and one instance per
+    parameter otherwise (e6, e10, e12).  Every instance returned has its
+    witnesses checked when ``verify`` is set.  e4 and e8char2 key a parameter
+    before building its curve, so only representatives are built and
+    checked, and e4 stops after the first row of a that has met all q - 1
+    classes b/a^2; e8 and e4char2 build each valid parameter, then keep the
+    first of its class.
     """
     if isinstance(field, BinaryField):
         if N == 4:
@@ -208,15 +214,18 @@ def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstan
             for b in field.elements():
                 if not b:
                     continue
-                try:
-                    inst = e4_new(field, a, b, verify=verify)
-                except InvalidParams:
-                    continue
-                key = b / (a * a)  # iso_e4: (a,b) ~ (c,d) iff b/a^2 = d/c^2
+                # iso_e4: (a,b) ~ (c,d) iff b/a^2 = d/c^2, and a^2 + 4b =
+                # a^2 (1 + 4 b/a^2), so validity is a property of the class.
+                key = b / (a * a)
                 if key in seen:
                     continue
                 seen.add(key)
-                out.append(inst)
+                try:
+                    out.append(e4_new(field, a, b, verify=verify))
+                except InvalidParams:
+                    continue
+            if len(seen) == q - 1:  # every nonzero class met
+                break
         return out
     if N in (6, 10, 12):
         ctor = {6: e6_new, 10: e10_new, 12: e12_new}[N]

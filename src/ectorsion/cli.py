@@ -26,7 +26,7 @@ import re
 import sys
 from typing import List, Optional, Sequence, Tuple
 
-from .census import family_sweep, sigma_char2, verify_f3_example, verify_f4_example
+from .census import sigma_char2, verify_f3_example, verify_f4_example
 from .curve import curve_from_json, point_from_json, point_to_json
 from .errors import Error, InvalidParams, NotHalvable, VerificationError
 from .families import (

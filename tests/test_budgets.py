@@ -1,8 +1,11 @@
-"""Wall-clock budgets for the slowest input the CLI accepts, one kind at a time.
+"""Wall-clock budgets for the slowest accepted input, one kind at a time.
 
-Each budget is listed in the README and in ``cli.py``'s docstring.  The
-calls run in-process through ``cli.main``, so a budget covers the work, not
-interpreter start-up.  Every answer is checked against ``oracles``.
+The CLI's budgets are listed in the README and in ``cli.py``'s docstring;
+those calls run in-process through ``cli.main``, so a budget covers the
+work, not interpreter start-up.  ``family_sweep`` at F_97, the largest
+field it accepts, is called directly, one order at a time; its budget is
+listed in the README beside the CLI's.  Every answer is checked against
+``oracles``.
 """
 
 import json
@@ -10,13 +13,14 @@ import time
 
 import pytest
 
-from ectorsion import cli
+from ectorsion import PrimeField, cli, family_sweep
 from ectorsion.field import BinaryField
 
 import oracles
 
 CENSUS_BUDGET_S = 5.0
 CALL_BUDGET_S = 1.0  # family, halve and iso over the largest fields accepted
+SWEEP_BUDGET_S = 1.0  # family_sweep over F_97, per order
 
 P31 = 2**31 - 1  # the largest prime modulus accepted; p = 3 mod 4
 F20 = BinaryField(20)
@@ -195,3 +199,65 @@ def test_largest_binary_field_iso_e8char2_fits_its_budget(capsys, s, t, isomorph
     js = _within_budget(capsys, "iso", "--field", F20.descriptor, "--kind", "e8char2",
                         "--s", format(s, "x"), "--t", format(t, "x"))
     assert js["isomorphic"] is (_e8char2_a6(s) == _e8char2_a6(t)) is isomorphic
+
+
+# ---------------------------------------------------------------------------
+# family_sweep
+# ---------------------------------------------------------------------------
+
+P97 = 97  # the largest field family_sweep accepts
+SQ97 = oracles.fp_squares(P97)
+
+
+def _nonsquare(w):
+    return w % P97 not in SQ97
+
+
+def _valid_e10(u):
+    return (u not in (0, 1, P97 - 1) and (u * u + u - 1) % P97 and (u * u - 4 * u - 1) % P97
+            and _nonsquare(u * (u * u + u - 1)))
+
+
+def _valid_e12(T):
+    T2 = T * T
+    return (T not in (0, 1, P97 - 1) and (T2 + 1) % P97 and (3 * T2 + 1) % P97
+            and (3 * T2 - 1) % P97 and _nonsquare((T2 + 1) * (3 * T2 - 1)))
+
+
+def _valid_e8(t):
+    return t not in (0, 1, P97 - 1) and _nonsquare(2 * t * t - 1)
+
+
+@pytest.mark.parametrize("order", [4, 6, 8, 10, 12])
+def test_largest_family_sweep_fits_its_budget(order):
+    t0 = time.perf_counter()
+    insts = family_sweep(PrimeField(P97), order)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < SWEEP_BUDGET_S, f"family_sweep at F_97, order {order}: {elapsed:.3f} s"
+    curves = [_cubic(P97, *(c.value for c in (inst.curve.alpha, inst.curve.g.p, inst.curve.g.q)))
+              for inst in insts]
+    for inst, (A, B, C) in zip(insts, curves):
+        top = inst.witness_of_order(order)
+        assert top.verified
+        P = (top.point.x.value, top.point.y.value)
+        assert oracles.fp_cubic_order(P97, A, B, C, P, cap=order) == order
+    params = [next(iter(inst.params.values())).value for inst in insts]
+    if order == 4:
+        assert len(insts) == (P97 - 1) // 2
+    elif order == 6:
+        assert params == [t for t in range(1, P97) if t not in (P97 - 4, (P97 + 1) // 2)]
+        assert len(insts) == P97 - 3  # t outside {0, -4, 1/2}
+    elif order in (10, 12):
+        valid = _valid_e10 if order == 10 else _valid_e12
+        assert params == [v for v in range(P97) if valid(v)]
+    else:
+        assert all(_valid_e8(t) for t in params)
+        # y^2 = x(x^2 + A x + B) = x(x^2 + A x + 1): representatives pairwise
+        # non-isomorphic, and every valid t isomorphic to one of them.
+        for i, (Ai, Bi, _) in enumerate(curves):
+            for j, (Aj, Bj, _) in enumerate(curves):
+                assert bool(oracles.iso_scan_alpha0(P97, Ai, Bi, Aj, Bj)) is (i == j)
+        for t in filter(_valid_e8, range(P97)):
+            t2 = t * t
+            A = 2 * (t2 * t2 + 2 * t2 - 1) * pow((t2 - 1) ** 2, -1, P97) % P97
+            assert any(oracles.iso_scan_alpha0(P97, A, 1, Aj, Bj) for Aj, Bj, _ in curves), t

@@ -11,6 +11,7 @@ from ectorsion import (
     Rationals,
     VerificationError,
     cli,
+    e4_new,
     family_sweep,
     iso_e4,
     sigma_char2,
@@ -174,6 +175,55 @@ def test_family_sweep_f5_order4():
                 other.params["a"].value, other.params["b"].value,
             )
             assert scan == []
+
+
+def _e4_sweep_reference(F):
+    """Every (a, b) through e4_new, deduplicated by b/a^2 after construction."""
+    out, seen = [], set()
+    for a in F.elements():
+        for b in F.elements():
+            if not a or not b:
+                continue
+            try:
+                inst = e4_new(F, a, b, verify=False)
+            except InvalidParams:
+                continue
+            key = b / (a * a)
+            if key not in seen:
+                seen.add(key)
+                out.append(inst)
+    return out
+
+
+@pytest.mark.parametrize("p", oracles.small_primes(3, 31))
+def test_family_sweep_e4_matches_the_full_scan(p):
+    F = PrimeField(p)
+    assert [inst.params for inst in family_sweep(F, 4)] == \
+        [inst.params for inst in _e4_sweep_reference(F)]
+
+
+@pytest.mark.parametrize("p", [3, 5, 13, 31, 97])
+@pytest.mark.parametrize("verify", [True, False])
+def test_family_sweep_e4_builds_one_curve_per_class(monkeypatch, p, verify):
+    """At most one e4_new call per nonzero class b/a^2, not one per (a, b)."""
+    calls = []
+
+    def counting_e4_new(*args, **kwargs):
+        calls.append(args)
+        return e4_new(*args, **kwargs)
+
+    monkeypatch.setattr(census, "e4_new", counting_e4_new)
+    family_sweep(PrimeField(p), 4, verify=verify)
+    assert len(calls) <= p - 1
+
+
+@pytest.mark.parametrize("p", oracles.small_primes(3, 31))
+def test_family_sweep_e4_counts_and_verifies_every_class(p):
+    # k = b/a^2 is valid iff 1 + 4k is a non-square: (p - 1)/2 of the p - 1
+    # nonzero k, since k -> 1 + 4k maps them onto F_p minus the square 1.
+    insts = family_sweep(PrimeField(p), 4)
+    assert len(insts) == (p - 1) // 2
+    assert all(w.verified for inst in insts for w in inst.witnesses)
 
 
 @pytest.mark.parametrize("p,N", [(7, 8), (11, 10), (13, 12), (11, 6)])
