@@ -174,37 +174,24 @@ def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstan
     witnesses checked when ``verify`` is set.  e4 and e8char2 key a parameter
     before building its curve, so only representatives are built and
     checked, and e4 stops after the first row of a that has met all q - 1
-    classes b/a^2; e8 and e4char2 build each valid parameter, then keep the
-    first of its class.
+    classes b/a^2; e8 builds each valid parameter, then keeps the first of
+    its class; e4char2 has one class per parameter.  The largest fields
+    swept are F_97 and GF(2^6).
     """
-    if isinstance(field, BinaryField):
-        if N == 4:
-            out, seen = [], set()
-            for g in field.elements():
-                if not g:
-                    continue
-                inst = e4char2_new(field, g, verify=verify)
-                if inst.curve.a6 not in seen:
-                    seen.add(inst.curve.a6)
-                    out.append(inst)
-            return out
-        if N == 8:
-            out, seen = [], set()
-            for t in field.elements():
-                if not t or t == field.one:
-                    continue
-                key = frozenset({t.value, (field.one / t).value})
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(e8char2_new(field, t, verify=verify))
-            return out
-        raise InvalidParams("binary-field sweeps cover N in {4, 8}")
     q = field.order
     if q is None:
         raise FieldTooLarge("parameter sweeps need a finite field")
     if q > 97:
-        raise FieldTooLarge("parameter sweeps are desk-scale: at most F_97")
+        raise FieldTooLarge("parameter sweeps are desk-scale: at most F_97 or GF(2^6)")
+    if isinstance(field, BinaryField):
+        if N == 4:
+            # a6 = gamma^4 and gamma -> gamma^4 permutes GF(2^k)^*: every
+            # gamma gives a class of its own.
+            return [e4char2_new(field, g, verify=verify) for g in field.elements() if g]
+        if N == 8:  # the smaller t of each pair {t, 1/t}, t != 0, 1 (t = 1/t only at 1)
+            return [e8char2_new(field, t, verify=verify) for t in field.elements()
+                    if 1 < t.value < t.inverse().value]
+        raise InvalidParams("binary-field sweeps cover N in {4, 8}")
     out: List[FamilyInstance] = []
     if N == 4:
         seen = set()

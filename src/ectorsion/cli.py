@@ -65,6 +65,14 @@ _FAMILY_CTORS = {
     "e8char2": e8char2_new,
 }
 
+_HALVERS = {
+    "auto": halve,
+    "split": halve_split,
+    "quadext": halve_quadext,
+    "rT": halve_rT,
+    "char2": halve_char2,
+}
+
 
 EXIT_BROKEN_PIPE = 141
 
@@ -118,9 +126,7 @@ def _build_parser() -> _Parser:
     hal.add_argument("--field")
     hal.add_argument("--curve", required=True, help="curve JSON")
     hal.add_argument("--point", required=True, help="point JSON")
-    hal.add_argument(
-        "--method", choices=("auto", "split", "quadext", "rT", "char2"), default="auto"
-    )
+    hal.add_argument("--method", choices=tuple(_HALVERS), default="auto")
     common(hal)
 
     order = sub.add_parser("order", help="exact order of a point")
@@ -180,18 +186,8 @@ def _cmd_family(args) -> dict:
 def _cmd_halve(args) -> dict:
     curve, field = _load_curve_and_field(args)
     P = point_from_json(field, json.loads(args.point))
-    method = args.method
     try:
-        if method == "auto":
-            result = halve(curve, P)
-        elif method == "split":
-            result = halve_split(curve, P)
-        elif method == "quadext":
-            result = halve_quadext(curve, P)
-        elif method == "rT":
-            result = halve_rT(curve, P)
-        else:
-            result = halve_char2(curve, P)
+        result = _HALVERS[args.method](curve, P)
     except NotHalvable:
         return {"halvable": False, "criterion": "rT", "halves": [], "witness": {}}
     return result.to_json_dict()

@@ -5,7 +5,8 @@ package.  The supported fields are
 
 * ``PrimeField(p)``   — residues mod a prime p < 2**31,
 * ``BinaryField(k)``  — GF(2^k) for k <= 20, elements stored as polynomial
-  bit-vectors reduced by an irreducible modulus,
+  bit-vectors reduced by an irreducible modulus; its arithmetic is the
+  kernel's context for (k, modulus), built on the first arithmetic call,
 * ``Rationals()``     — arbitrary-precision reduced fractions.
 
 Square roots are canonicalised so that every algorithm downstream is
@@ -377,7 +378,7 @@ class BinaryField(Field):
     """GF(2^k), k <= 20, as bit-vectors mod an irreducible polynomial."""
 
     kind = "binary"
-    __slots__ = ("k", "modulus", "_as_pivots")
+    __slots__ = ("k", "modulus", "_gf")
 
     def __init__(self, k: int, modulus: Optional[int] = None):
         if not isinstance(k, int) or not 1 <= k <= 20:
@@ -390,7 +391,13 @@ class BinaryField(Field):
             raise InvalidParams(f"modulus {modulus:#x} is reducible over GF(2)")
         self.k = k
         self.modulus = modulus
-        self._as_pivots = None  # lazy Artin-Schreier elimination table
+        self._gf = None
+
+    def _kernel(self) -> kernel._GF2k:
+        """The kernel's context for (k, modulus), fetched on first use; equal fields share it."""
+        if self._gf is None:
+            self._gf = kernel._gf2k(self.k, self.modulus)
+        return self._gf
 
     def __eq__(self, other):
         return (
@@ -411,15 +418,12 @@ class BinaryField(Field):
     _sub = _add
 
     def _mul(self, a, b):
-        return kernel.gf2_mul(a, b, self.modulus, self.k)
-
-    def _inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError(f"division by zero in {self.descriptor}")
-        return kernel.gf2_inv(a, self.modulus)
+        return self._kernel().mul(a, b)
 
     def _div(self, a, b):
-        return self._mul(a, self._inv(b))
+        if b == 0:
+            raise ZeroDivisionError(f"division by zero in {self.descriptor}")
+        return self._kernel().div(a, b)
 
     def _neg(self, a):
         return a
@@ -453,40 +457,11 @@ class BinaryField(Field):
         return True  # Frobenius is a bijection on a finite field of char 2
 
     def sqrt(self, a):
-        # x -> x^2 is bijective, so the root is x**(2**(k-1)): square k-1 times.
-        v = a.value
-        for _ in range(self.k - 1):
-            v = self._mul(v, v)
-        return FieldElement(self, v)
+        return FieldElement(self, self._kernel().sqrt(a.value))
 
     def trace(self, a: FieldElement) -> int:
         """Absolute trace to GF(2): a + a^2 + a^4 + ... (returns 0 or 1)."""
-        v, acc = a.value, a.value
-        for _ in range(self.k - 1):
-            v = self._mul(v, v)
-            acc ^= v
-        if acc not in (0, 1):
-            raise VerificationError(f"trace of {self.format_element(a)} is {acc:#x}, not 0 or 1")
-        return acc
-
-    def _artin_schreier_pivots(self):
-        if self._as_pivots is None:
-            pivots = {}
-            for j in range(self.k):
-                e = 1 << j
-                cur = self._mul(e, e) ^ e  # phi(e) = e^2 + e, an F_2-linear map
-                mask = e
-                while cur:
-                    b = cur.bit_length() - 1
-                    if b in pivots:
-                        pc, pm = pivots[b]
-                        cur ^= pc
-                        mask ^= pm
-                    else:
-                        pivots[b] = (cur, mask)
-                        break
-            self._as_pivots = pivots
-        return self._as_pivots
+        return self._kernel().trace(a.value)
 
     def solve_artin_schreier(self, c: FieldElement) -> Optional[FieldElement]:
         """A root of l^2 + l = c, or None (solvable iff trace(c) = 0).
@@ -494,20 +469,13 @@ class BinaryField(Field):
         The two roots differ by 1, i.e. in bit 0; the one with bit 0 clear is
         returned so the choice is deterministic.
         """
-        pivots = self._artin_schreier_pivots()
-        cur, mask = c.value, 0
-        while cur:
-            b = cur.bit_length() - 1
-            if b not in pivots:
-                return None
-            pc, pm = pivots[b]
-            cur ^= pc
-            mask ^= pm
-        if mask & 1:
-            mask ^= 1
-        if self._mul(mask, mask) ^ mask != c.value:
-            raise VerificationError(f"{mask:#x} does not solve l^2 + l = {c.value:#x}")
-        return FieldElement(self, mask)
+        gf = self._kernel()
+        l = gf.solve(c.value)
+        if l < 0:
+            return None
+        if gf.mul(l, l) ^ l != c.value:
+            raise VerificationError(f"{l:#x} does not solve l^2 + l = {c.value:#x}")
+        return FieldElement(self, l)
 
     @property
     def descriptor(self):

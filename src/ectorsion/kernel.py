@@ -7,13 +7,19 @@ tuple and the point at infinity is ``None``.
   y^2 = x^3 + A*x^2 + B*x + C, with coordinates in [0, p).
 * Over GF(2^k) a curve is ``(k, modulus, a2, a6)`` for
   y^2 + x*y = x^3 + a2*x^2 + a6, with coordinates the bit-vectors below
-  2^k of polynomials reduced by the irreducible ``modulus`` of degree k.
+  2^k of polynomials reduced by the irreducible ``modulus`` of degree k,
+  with the arithmetic of one ``_GF2k`` context per ``(k, modulus)``, which
+  ``field.BinaryField`` runs on too.
 
 Callers check their inputs; nothing here re-checks that a point is on its
 curve.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+
+from .errors import VerificationError
 
 BACKEND = "python"  # recorded with each benchmark run
 
@@ -196,53 +202,98 @@ def gf2_inv(a: int, modulus: int) -> int:
 _TABLE_MAX_K = 10
 
 
-class _GF2k:
-    """Int arithmetic of one GF(2^k): ``mul(a, b)`` and ``div(a, b)`` for b != 0.
+def _span(images) -> tuple:
+    """(lo, hi): the map taking bit j to ``images[j]`` sends c to lo[c & 2047] ^ hi[c >> 11]."""
+    lo, hi = [0], [0]
+    for j, v in enumerate(images):
+        t = lo if j < 11 else hi
+        t += [u ^ v for u in t]
+    return lo, hi
 
-    Up to k = _TABLE_MAX_K both go through log/antilog tables to the base
+
+class _GF2k:
+    """Int arithmetic of one GF(2^k): ``mul(a, b)``, ``div(a, b)`` for b != 0,
+    ``sqrt(c)``, ``trace(c)`` and ``solve(c)``, the root of z^2 + z = c with
+    bit 0 clear or -1.  The package has no other.
+
+    Up to k = _TABLE_MAX_K mul and div go through log/antilog tables to the base
     of a primitive element g: ``log[g^i] = i`` and ``exp[i] = g^i``, with
     ``exp`` stored twice over so that neither needs a modulo (Lidl and
     Niederreiter, Finite Fields, ch. 9).  Above that, the bit-vector
-    multiply and the Euclid inverse.
+    multiply and the Euclid inverse.  sqrt and c -> solve(c) + Tr(c)*2^k are
+    F_2-linear, so each is read from ``_span`` tables (at most 2048 + 512
+    entries), which the constructor checks on a basis.
     """
 
-    __slots__ = ("k", "log", "exp", "mul", "div", "_as_roots")
+    __slots__ = ("k", "log", "exp", "mul", "div", "sqrt", "trace", "solve", "as_lo", "as_hi")
 
     def __init__(self, k: int, modulus: int):
         self.k = k
-        self.log = self.exp = self._as_roots = None
+        self.log = self.exp = None
         if k > _TABLE_MAX_K:
             self.mul = lambda a, b: gf2_mul(a, b, modulus, k)
             self.div = lambda a, b: gf2_mul(a, gf2_inv(b, modulus), modulus, k)
-            return
-        n = (1 << k) - 1
-        for g in range(1, n + 1):  # x itself is not always primitive
-            powers = [1]
-            v = g
-            while v != 1:
-                powers.append(v)
-                v = gf2_mul(v, g, modulus, k)
-            if len(powers) == n:
-                break
-        exp = self.exp = powers + powers
-        log = self.log = [0] * (n + 1)
-        for i, v in enumerate(powers):
-            log[v] = i
-        self.mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
-        self.div = lambda a, b: exp[log[a] - log[b] + n] if a else 0
+        else:
+            n = (1 << k) - 1
+            for g in range(1, n + 1):  # x itself is not always primitive
+                powers = [1]
+                v = g
+                while v != 1:
+                    powers.append(v)
+                    v = gf2_mul(v, g, modulus, k)
+                if len(powers) == n:
+                    break
+            exp = self.exp = powers + powers
+            log = self.log = [0] * (n + 1)
+            for i, v in enumerate(powers):
+                log[v] = i
+            self.mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
+            self.div = lambda a, b: exp[log[a] - log[b] + n] if a else 0
+        mul = self.mul
+        s = 2  # sqrt(x) = x^(2^(k-1)), and sqrt(x^j) = s^j
+        for _ in range(k - 1):
+            s = mul(s, s)
+        sl, sh = _span(list(accumulate([s] * (k - 1), mul, initial=1)))
+        self.sqrt = lambda c: sl[c & 2047] ^ sh[c >> 11]
 
-    def as_roots(self) -> list:
-        """``roots[c]``: the root of z^2 + z = c with bit 0 clear, or -1 if none."""
-        if self._as_roots is None:
-            mul = self.mul
-            roots = [-1] * (1 << self.k)
-            for z in range(0, 1 << self.k, 2):
-                roots[mul(z, z) ^ z] = z
-            self._as_roots = roots
-        return self._as_roots
+        # The image of z -> z^2 + z (kernel {0, 1}) is the trace-0 elements.
+        # Reduced by an echelon basis of it (leading bit -> (vector,
+        # preimage)) and by 2^b, for the one bit b leading none, bit j goes
+        # to z + t*2^k with 2^j = z^2 + z + t*2^b, so that t = Tr(2^j).
+        pivots = {}
+
+        def eliminate(cur, pre=0):
+            while cur.bit_length() - 1 in pivots:
+                pc, pp = pivots[cur.bit_length() - 1]
+                cur, pre = cur ^ pc, pre ^ pp
+            return cur, pre
+
+        for e in (1 << j for j in range(1, k)):  # 1 is in the kernel: z has bit 0 clear
+            cur, pre = eliminate(mul(e, e) ^ e, e)
+            pivots[cur.bit_length() - 1] = (cur, pre)
+        b = min(set(range(k)) - set(pivots))
+        pivots[b] = (1 << b, 1 << k)
+        lo, hi = self.as_lo, self.as_hi = _span([eliminate(1 << j)[1] for j in range(k)])
+        self.trace = lambda c: (lo[c & 2047] ^ hi[c >> 11]) >> k
+        self.solve = lambda c: -1 if (z := lo[c & 2047] ^ hi[c >> 11]) >> k else z
+
+        for c in (1 << j for j in range(k)):
+            r, z, t = self.sqrt(c), (lo[c & 2047] ^ hi[c >> 11]) & ~(1 << k), self.trace(c)
+            if mul(r, r) != c or mul(z, z) ^ z != c ^ t << b or z & 1:
+                raise VerificationError(
+                    f"GF(2^{k}) mod {modulus:#x}: wrong square root or root of {c:#x}"
+                )
+        # Each c + trace(c)*2^b is now some z^2 + z, of trace 0, so Tr(c) =
+        # trace(c) * Tr(2^b) for every c: the traces are right iff Tr(2^b) = 1.
+        sq = tr = 1 << b
+        for _ in range(k - 1):
+            sq = mul(sq, sq)
+            tr ^= sq
+        if tr != 1:
+            raise VerificationError(f"GF(2^{k}) mod {modulus:#x}: Tr(2^{b}) = {tr:#x}, not 1")
 
 
-_GF2K_CONTEXTS = {}  # (k, modulus) -> _GF2k, built on a field's first curve kernel call
+_GF2K_CONTEXTS = {}  # (k, modulus) -> _GF2k, built on a field's first arithmetic call
 
 
 def _gf2k(k: int, modulus: int) -> _GF2k:
@@ -340,15 +391,12 @@ def c2_points(k, modulus, a2, a6):
     its two roots, the one with bit 0 clear gives the first point of the pair.
     """
     F = _gf2k(k, modulus)
-    mul, div = F.mul, F.div
-    roots = F.as_roots()
-    s = a6
-    for _ in range(k - 1):  # squaring is a bijection: sqrt(a6) = a6^(2^(k-1))
-        s = mul(s, s)
-    pts = [(0, s)]
+    mul, div, lo, hi = F.mul, F.div, F.as_lo, F.as_hi
+    pts = [(0, F.sqrt(a6))]
     for x in range(1, 1 << k):
-        z = roots[x ^ a2 ^ div(a6, mul(x, x))]
-        if z >= 0:
+        c = x ^ a2 ^ div(a6, mul(x, x))
+        z = lo[c & 2047] ^ hi[c >> 11]  # F.solve(c), inline
+        if not z >> k:
             y = mul(x, z)
             pts += ((x, y), (x, y ^ x))
     return pts

@@ -156,6 +156,15 @@ def gf2_pow(a, e, mod, k):
     return r
 
 
+def gf2_trace(a, mod, k):
+    """a + a^2 + a^4 + ... + a^(2^(k-1)), which lands in {0, 1}."""
+    acc = a
+    for _ in range(k - 1):
+        a = gf2_mul(a, a, mod, k)
+        acc ^= a
+    return acc
+
+
 def gf2_inv(a, mod, k):
     assert a != 0
     return gf2_pow(a, 2**k - 2, mod, k)

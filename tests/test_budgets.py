@@ -2,9 +2,9 @@
 
 The CLI's budgets are listed in the README and in ``cli.py``'s docstring;
 those calls run in-process through ``cli.main``, so a budget covers the
-work, not interpreter start-up.  ``family_sweep`` at F_97, the largest
-field it accepts, is called directly, one order at a time; its budget is
-listed in the README beside the CLI's.  Every answer is checked against
+work, not interpreter start-up.  ``family_sweep`` at F_97 and GF(2^6), the
+largest fields it accepts, is called directly, one order at a time; its
+budget is listed in the README beside the CLI's.  Every answer is checked against
 ``oracles``.
 """
 
@@ -20,7 +20,7 @@ import oracles
 
 CENSUS_BUDGET_S = 5.0
 CALL_BUDGET_S = 1.0  # family, halve and iso over the largest fields accepted
-SWEEP_BUDGET_S = 1.0  # family_sweep over F_97, per order
+SWEEP_BUDGET_S = 1.0  # family_sweep over F_97 and GF(2^6), per order
 
 P31 = 2**31 - 1  # the largest prime modulus accepted; p = 3 mod 4
 F20 = BinaryField(20)
@@ -261,3 +261,20 @@ def test_largest_family_sweep_fits_its_budget(order):
             t2 = t * t
             A = 2 * (t2 * t2 + 2 * t2 - 1) * pow((t2 - 1) ** 2, -1, P97) % P97
             assert any(oracles.iso_scan_alpha0(P97, A, 1, Aj, Bj) for Aj, Bj, _ in curves), t
+
+
+@pytest.mark.parametrize("order", [4, 8])
+def test_largest_binary_field_family_sweep_fits_its_budget(order):
+    F = BinaryField(6)
+    k, mod, q = 6, F.modulus, 64
+    t0 = time.perf_counter()
+    insts = family_sweep(F, order)
+    elapsed = time.perf_counter() - t0
+    assert elapsed < SWEEP_BUDGET_S, f"family_sweep at GF(2^6), order {order}: {elapsed:.3f} s"
+    assert len(insts) == (q - 1 if order == 4 else q // 2 - 1)
+    for inst in insts:
+        top = inst.witness_of_order(order)
+        assert top.verified
+        P = (top.point.x.value, top.point.y.value)
+        a2, a6 = inst.curve.a2.value, inst.curve.a6.value
+        assert oracles.char2_order(k, mod, a2, a6, P, cap=order) == order

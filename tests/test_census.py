@@ -96,12 +96,7 @@ def test_sigma_char2_brute_side_independently():
                 for P in pts
                 if P is not None
             )
-            tr = 0
-            v, acc = a2, a2
-            for _ in range(k - 1):
-                v = oracles.gf2_mul(v, v, mod, k)
-                acc ^= v
-            key = (a6, acc)
+            key = (a6, oracles.gf2_trace(a2, mod, k))
             assert found.setdefault(key, has8) == has8
     brute = sum(1 for v in found.values() if v)
     assert brute == sigma_char2(F, 8).brute_force_count == q // 2 - 1
@@ -251,6 +246,11 @@ def test_family_sweep_binary_fields():
     assert len(i8) == 3  # {t, 1/t} orbits among the six valid t
     with pytest.raises(InvalidParams):
         family_sweep(F, 6)
+    for k in range(1, 7):  # gamma -> a6 = gamma^4 is one-to-one: a class per gamma
+        q = 1 << k
+        i4 = family_sweep(BinaryField(k), 4)
+        assert [inst.params["gamma"].value for inst in i4] == list(range(1, q))
+        assert len({inst.curve.a6.value for inst in i4}) == q - 1
 
 
 def test_family_sweep_guards():
@@ -258,5 +258,8 @@ def test_family_sweep_guards():
         family_sweep(Rationals(), 4)
     with pytest.raises(FieldTooLarge):
         family_sweep(PrimeField(101), 4)
+    for N in (4, 8):  # GF(2^6) is the largest binary field swept
+        with pytest.raises(FieldTooLarge):
+            family_sweep(BinaryField(7), N)
     with pytest.raises(InvalidParams):
         family_sweep(PrimeField(7), 7)

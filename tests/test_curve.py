@@ -323,18 +323,20 @@ def test_char2_witness_orders_take_one_kernel_call(monkeypatch):
             assert calls == {"c2_order": 1}
 
 
-def test_binary_field_arithmetic_builds_no_kernel_tables(monkeypatch):
+def test_binary_field_builds_its_kernel_context_on_first_arithmetic(monkeypatch):
     monkeypatch.setattr(kernel, "_GF2K_CONTEXTS", {})
     F = BinaryField(20)
     x = F(2)
-    x * x / x
-    x.sqrt()
-    F.solve_artin_schreier(x * x + x)
-    assert kernel._GF2K_CONTEXTS == {}
     E = Char2Curve(F, 0, 1)
-    assert kernel._GF2K_CONTEXTS == {}
-    E.contains(E.w3)  # a curve's first kernel call builds its field's context
+    assert kernel._GF2K_CONTEXTS == {}  # neither the field nor the curve builds it
+    x * x  # the first multiply does
     assert list(kernel._GF2K_CONTEXTS) == [(20, F.modulus)]
+    G = BinaryField(20)
+    assert G == F and G is not F
+    assert (G(3) / G(2)).value == (F(3) / x).value
+    assert G._kernel() is F._kernel() is kernel._GF2K_CONTEXTS[20, F.modulus]
+    assert E.contains(E.w3)
+    assert len(kernel._GF2K_CONTEXTS) == 1
 
 
 def _large_order_point(p):

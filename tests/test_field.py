@@ -1,5 +1,6 @@
 """Field arithmetic: prime fields, GF(2^k), and exact rationals."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -198,7 +199,7 @@ def test_trace_gf4():
     assert [F.trace(x) for x in (F(0), F(1), rho, rho + 1)] == [0, 0, 1, 1]
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 8, 12])
 def test_trace_is_balanced_and_additive(k):
     F = BinaryField(k)
     values = [F.trace(a) for a in F.elements()]
@@ -217,7 +218,7 @@ def test_artin_schreier_gf4_known_values():
     assert solve_artin_schreier(F(0)) == F(0)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 12])
 def test_artin_schreier_exhaustive(k):
     F = BinaryField(k)
     for c in F.elements():
@@ -229,6 +230,25 @@ def test_artin_schreier_exhaustive(k):
             assert l is None
     with pytest.raises(InvalidParams):
         solve_artin_schreier(PrimeField(7)(1))
+
+
+@pytest.mark.parametrize("k", [16, 20])
+def test_trace_roots_and_square_roots_sampled_against_oracle(k):
+    """Above k = 11 the tables split c into bits 0-10 and 11 up; sample both halves."""
+    F = BinaryField(k)
+    m = F.modulus
+    rng = random.Random(k)
+    for c in [1 << j for j in range(k)] + [rng.randrange(1 << k) for _ in range(300)]:
+        tr = oracles.gf2_trace(c, m, k)
+        assert F.trace(F(c)) == tr
+        l = F.solve_artin_schreier(F(c))
+        if tr:
+            assert l is None
+        else:
+            assert oracles.gf2_mul(l.value, l.value, m, k) ^ l.value == c
+            assert l.value & 1 == 0
+        r = F(c).sqrt().value
+        assert oracles.gf2_mul(r, r, m, k) == c
 
 
 # ---------------------------------------------------------------------------

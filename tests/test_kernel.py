@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from ectorsion import kernel
+from ectorsion import VerificationError, kernel
 
 import oracles
 
@@ -109,6 +109,29 @@ def test_log_tables_are_permutations(k, m):
     assert sorted(F.log[1:]) == list(range(n))
     for i, v in enumerate(F.exp[:n]):
         assert F.log[v] == i
+
+
+@pytest.mark.parametrize("table,j,flip", [
+    (0, 1, 0b100), (0, 11, 1),  # sqrt, in the low and the high table
+    (1, 1, 0b100), (1, 11, 0b10),  # Artin-Schreier root
+    (1, 2, 1),  # the other root, with bit 0 set
+    (1, 3, 1 << 12), (1, 11, 1 << 12),  # trace
+])
+def test_gf2k_context_refuses_a_wrong_table(monkeypatch, table, j, flip):
+    """Flip one bit of one basis image, in the sqrt table or the root-and-trace one."""
+    span, calls = kernel._span, []
+
+    def corrupt(images):
+        images = list(images)
+        if len(calls) == table:
+            images[j] ^= flip
+        calls.append(images)
+        return span(images)
+
+    monkeypatch.setattr(kernel, "_span", corrupt)
+    with pytest.raises(VerificationError):
+        kernel._GF2k(12, 0x1053)  # x^12 + x^6 + x^4 + x + 1
+    assert len(calls) == 2  # both tables were built, the flipped one among them
 
 
 def _check_c2_group_law(k, m, a2, a6, pts, rng, samples, per_point):
