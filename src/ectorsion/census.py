@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from . import kernel
-from .curve import Char2Curve, Point, _hasse_interval, point_to_json
+from .curve import Char2Curve, Point, point_to_json
 from .errors import FieldTooLarge, InvalidParams, VerificationError
 from .families import (
     FamilyInstance,
@@ -68,17 +68,20 @@ class CensusReport:
 def _has_point_of_order(curve: Char2Curve, points: List[tuple], n: int) -> bool:
     """Whether one of ``points`` (kernel ints on ``curve``) has order exactly n = 2^j.
 
-    x(2P) depends on x(P) alone, and x(P) = 0 only at the 2-torsion point,
-    whose double is O.  So P has order 2^j iff j - 1 doublings take x(P)
-    to 0 without passing through 0 on the way: the x-coordinates are
-    doubled j - 1 times as a set, and ``c2_double_x`` drops the zeros.
+    x(2P) = x^2 + a6/x^2 depends on x(P) alone.  It is 0, so that 2P is
+    the 2-torsion point (0, sqrt(a6)), exactly when x(P)^4 = a6.  So P has
+    order 2 iff x(P) = 0, and order 2^j, j >= 2, iff j - 2 doublings take
+    x(P) to a6^(1/4): the x-coordinates are doubled as a set, and
+    ``c2_double_x`` drops x = 0, whose double is O.
     """
     if n < 2 or n & (n - 1):
         raise InvalidParams(f"order {n} is not a power of two")
     xs = {P[0] for P in points}
-    for _ in range(n.bit_length() - 2):
-        xs = set(kernel.c2_double_x(*curve._kp, xs))
-    return 0 in xs
+    for _ in range(n.bit_length() - 3):  # none for n = 2 and 4
+        xs = set(kernel.c2_double_x(curve._kp, xs))
+    k, modulus, _, a6 = curve._kp
+    sqrt = kernel._gf2k(k, modulus).sqrt
+    return (sqrt(sqrt(a6)) if n > 2 else 0) in xs
 
 
 def sigma_char2(field: BinaryField, N: int) -> CensusReport:
@@ -101,7 +104,7 @@ def sigma_char2(field: BinaryField, N: int) -> CensusReport:
             continue
         for a2, trace in a2s:
             curve = Char2Curve(field, a2, a6)
-            found = _has_point_of_order(curve, kernel.c2_points(*curve._kp), N)
+            found = _has_point_of_order(curve, kernel.c2_points(curve._kp), N)
             classes.setdefault((a6.value, trace), []).append(found)
     if len(classes) != 2 * ((1 << field.k) - 1):
         raise VerificationError(f"expected 2(q - 1) isomorphism classes, found {len(classes)}")
@@ -121,7 +124,7 @@ def verify_f3_example() -> dict:
     points = curve.full_group()
     gen = Point(F(1), F(2))
     gen_order = curve.order_of(gen)
-    upper = _hasse_interval(3)[1]
+    upper = kernel._hasse_interval(3)[1]
     return {
         "field": F.descriptor,
         "curve": curve.to_json_dict(),

@@ -55,6 +55,14 @@ _FAMILY_PARAMS = {
     "e8char2": ("t",),
 }
 
+_ISO_PARAMS = {"e4": ("a", "b", "c", "d"), "e8": ("s", "t"), "e8char2": ("s", "t")}
+
+# Each table's parameter names, once each, in order: the subcommand's flags.
+_FAMILY_FLAGS, _ISO_FLAGS = (
+    tuple(dict.fromkeys(n for names in params.values() for n in names))
+    for params in (_FAMILY_PARAMS, _ISO_PARAMS)
+)
+
 _FAMILY_CTORS = {
     "e4": e4_new,
     "e6": e6_new,
@@ -117,7 +125,7 @@ def _build_parser() -> _Parser:
     fam = sub.add_parser("family", help="construct a family instance with witnesses")
     fam.add_argument("--field", required=True)
     fam.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    for flag in ("a", "b", "t", "u", "T", "gamma"):
+    for flag in _FAMILY_FLAGS:
         fam.add_argument(f"--{flag}")
     fam.add_argument("--no-verify", action="store_true", help="skip witness re-verification")
     common(fam)
@@ -144,8 +152,8 @@ def _build_parser() -> _Parser:
 
     iso = sub.add_parser("iso", help="test family parameters for isomorphism")
     iso.add_argument("--field", required=True)
-    iso.add_argument("--kind", required=True, choices=("e4", "e8", "e8char2"))
-    for flag in ("a", "b", "c", "d", "s", "t"):
+    iso.add_argument("--kind", required=True, choices=tuple(_ISO_PARAMS))
+    for flag in _ISO_FLAGS:
         iso.add_argument(f"--{flag}")
     common(iso)
 
@@ -169,9 +177,7 @@ def _load_curve_and_field(args) -> Tuple[object, Field]:
 def _cmd_family(args) -> dict:
     field = field_from_descriptor(args.field)
     wanted = _FAMILY_PARAMS[args.family]
-    supplied = {
-        k: v for k, v in vars(args).items() if k in ("a", "b", "t", "u", "T", "gamma") and v is not None
-    }
+    supplied = {k: v for k in _FAMILY_FLAGS if (v := getattr(args, k)) is not None}
     extra = set(supplied) - set(wanted)
     if extra:
         raise InvalidParams(f"family {args.family} does not take {sorted(extra)}")
@@ -203,14 +209,15 @@ def _cmd_order(args) -> dict:
     return out
 
 
-def _require_iso_args(args, names: Sequence[str]) -> List[str]:
+def _require_iso_args(args) -> List[str]:
+    names = _ISO_PARAMS[args.kind]
     vals = []
     for n in names:
         v = getattr(args, n)
         if v is None:
             raise InvalidParams(f"iso --kind {args.kind} needs --{n}")
         vals.append(v)
-    for n in ("a", "b", "c", "d", "s", "t"):
+    for n in _ISO_FLAGS:
         if n not in names and getattr(args, n) is not None:
             raise InvalidParams(f"iso --kind {args.kind} does not take --{n}")
     return vals
@@ -218,16 +225,15 @@ def _require_iso_args(args, names: Sequence[str]) -> List[str]:
 
 def _cmd_iso(args) -> dict:
     field = field_from_descriptor(args.field)
+    params = [field.parse_element(v) for v in _require_iso_args(args)]
     if args.kind == "e4":
-        a, b, c, d = (field.parse_element(v) for v in _require_iso_args(args, ("a", "b", "c", "d")))
-        u = iso_e4(field, a, b, c, d)
+        u = iso_e4(field, *params)
         return {
             "kind": "e4",
             "isomorphic": u is not None,
             "u": None if u is None else field.format_element(u),
         }
-    s, t = (field.parse_element(v) for v in _require_iso_args(args, ("s", "t")))
-    ok = iso_e8(field, s, t) if args.kind == "e8" else iso_e8char2(field, s, t)
+    ok = (iso_e8 if args.kind == "e8" else iso_e8char2)(field, *params)
     return {"kind": args.kind, "isomorphic": ok}
 
 

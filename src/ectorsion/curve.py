@@ -10,20 +10,21 @@ Two models cover every characteristic:
 
 Points are immutable; the curve is always an explicit argument, so using a
 point with the wrong curve is a loud ``OffCurve`` instead of silent garbage.
-Over F_p and GF(2^k) the group law, scalar multiples, short order searches
-and full enumerations run on plain ints through ``kernel``; only a cubic
-curve over Q works on field elements.
+The group law, scalar multiples, point orders and full enumerations all run
+on raw coordinates in ``kernel`` (ints over F_p and GF(2^k), ``Fraction``s
+over Q); this module checks points, converts them and converts back.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Callable, List, Optional, Tuple
 
 from . import kernel
-from .errors import FieldTooLarge, InvalidParams, OffCurve, SingularCurve, VerificationError
+from .errors import FieldTooLarge, InvalidParams, OffCurve, SingularCurve
 from .field import (
     BinaryField,
     Field,
@@ -83,7 +84,7 @@ class TorsionWitness:
     verified: bool
     note: str = ""
 
-    def to_json_dict(self, field: Field) -> dict:
+    def to_json_dict(self) -> dict:
         d = {
             "point": point_to_json(self.point),
             "order": self.claimed_order,
@@ -120,27 +121,6 @@ def point_from_json(field: Field, obj) -> Point:
     return Point(element_from_json(field, obj["x"]), element_from_json(field, obj["y"]))
 
 
-def _hasse_interval(q: int) -> Tuple[int, int]:
-    """[q + 1 - floor(2*sqrt(q)), q + 1 + ceil(2*sqrt(q))]: #E(F_q) lies here (Hasse)."""
-    r = isqrt(4 * q)
-    return q + 1 - r, q + 1 + r + (r * r < 4 * q)
-
-
-def _prime_factors(n: int) -> List[int]:
-    """The distinct primes dividing n >= 1, by trial division."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
 _MAZUR_BOUND = 12  # no point of finite order over Q has order above 12 (Mazur)
 
 
@@ -154,30 +134,27 @@ def _default_cap(field: Field, cap: Optional[int] = None) -> int:
         raise InvalidParams(f"the order cap must be at least 1, got {cap}")
     q = field.order
     if cap is None:  # over a finite field, safely past the Hasse interval
-        return _MAZUR_BOUND if q is None else 2 * _hasse_interval(q)[1]
+        return _MAZUR_BOUND if q is None else 2 * kernel._hasse_interval(q)[1]
     return min(cap, _MAZUR_BOUND) if q is None else cap
 
 
-class _CurveBase:
-    """Shared plumbing: boundary checks, the kernel hook, order search.
+# The functions of one kernel model; ``points`` is None over Q.
+_Model = namedtuple("_Model", "add neg smul order points")
 
-    A curve over a finite field holds the four curve parameters its kernel
-    functions take in ``_kp``, and its class names those functions in
-    ``_K_ADD`` .. ``_K_POINTS`` (``cubic_*`` or ``c2_*``), looked up on each
-    call so that a wrapped or patched kernel function is the one that runs.
-    The methods below convert points to ints, call the kernel and convert
-    back.  They pass the parameters unpacked: a starred call costs about
-    0.3 us more, and a family sweep makes one such call per witness.
-    ``_kp`` is None only over Q, where ``CubicCurve._add`` works on field
-    elements and the loops below run on top of it.
+
+class _CurveBase:
+    """The boundary between points and the kernel.
+
+    A curve's constructor picks its kernel model: ``_kp`` holds the model's
+    constants and ``_k`` its functions, read from ``kernel`` then, so that
+    a kernel function wrapped or patched before the curve is built is the
+    one it runs.  Each method below checks its points, converts them to raw
+    coordinates, makes one kernel call and converts the answer back.
     """
 
     field: Field
-    _kp: Optional[tuple]
-    _K_ADD: str
-    _K_SMUL: str
-    _K_ORDER: str
-    _K_POINTS: str
+    _kp: tuple
+    _k: _Model
 
     def contains(self, P: Point) -> bool:
         raise NotImplementedError
@@ -195,122 +172,39 @@ class _CurveBase:
 
     def _add(self, P: Point, Q: Point) -> Point:
         """The group law on points already known to be on this curve."""
-        c0, c1, c2, c3 = self._kp
-        r = getattr(kernel, self._K_ADD)(c0, c1, c2, c3, _pt_ints(P), _pt_ints(Q))
-        return _pt_from_ints(self.field, r)
+        return _pt_from_ints(self.field, self._k.add(self._kp, _pt_ints(P), _pt_ints(Q)))
 
     def add(self, P: Point, Q: Point) -> Point:
-        raise NotImplementedError
+        return self._add(self._check(P), self._check(Q))
 
     def negate(self, P: Point) -> Point:
-        raise NotImplementedError
+        return _pt_from_ints(self.field, self._k.neg(self._kp, _pt_ints(self._check(P))))
 
     def double(self, P: Point) -> Point:
         P = self._check(P)
         return self._add(P, P)
 
-    def _smul(self, n: int, P: Point) -> Point:
-        """n*P for n >= 0 by double-and-add, P already known to be on this curve."""
-        if self._kp is not None:
-            c0, c1, c2, c3 = self._kp
-            r = getattr(kernel, self._K_SMUL)(c0, c1, c2, c3, n, _pt_ints(P))
-            return _pt_from_ints(self.field, r)
-        R = Point.infinity()
-        while n:
-            if n & 1:
-                R = self._add(R, P)
-            P = self._add(P, P)
-            n >>= 1
-        return R
-
     def scalar_mul(self, n: int, P: Point) -> Point:
-        P = self.negate(P) if n < 0 else self._check(P)
-        return self._smul(abs(n), P)
-
-    def _order_upto(self, P: Point, cap: int) -> Optional[int]:
-        """Order of P by iterated addition if it is at most cap, else None."""
-        if self._kp is not None:
-            c0, c1, c2, c3 = self._kp
-            return getattr(kernel, self._K_ORDER)(c0, c1, c2, c3, _pt_ints(P), cap) or None
-        R = P
-        for n in range(1, cap + 1):
-            if R.is_infinity:
-                return n
-            R = self._add(R, P)
-        return None
+        return _pt_from_ints(self.field, self._k.smul(self._kp, n, _pt_ints(self._check(P))))
 
     def order_of(self, P: Point, cap: Optional[int] = None) -> Optional[int]:
-        """Exact order of P, or None when it exceeds the cap.
-
-        Over a finite field, orders up to m = max(isqrt(hi - lo) + 1, 12)
-        come from iterated addition; a larger order costs O(q^(1/4)) group
-        operations (see ``_order_bsgs``), whatever the cap.  Over Q, iterated
-        addition runs up to the cap or 12, whichever is smaller.
-        """
+        """Exact order of P, or None when it exceeds the cap (see ``kernel._order``)."""
         cap = _default_cap(self.field, cap)
-        self._check(P)
-        q = self.field.order
-        if q is None:
-            return self._order_upto(P, cap)
-        lo, hi = _hasse_interval(q)
-        m = max(isqrt(hi - lo) + 1, 12)
-        n = self._order_upto(P, min(cap, m))
-        if n is not None or cap <= m:
-            return n
-        n = self._order_bsgs(P, lo, hi, m)
-        return n if n <= cap else None
-
-    def _order_bsgs(self, P: Point, lo: int, hi: int, m: int) -> int:
-        """Order of P, known to exceed m, on a curve with #E in [lo, hi].
-
-        Shanks-Mestre baby-step giant-step: #E kills P, so some giant step
-        c*P, c = lo + m + i(2m + 1), equals +-j*P with 0 <= j <= m, and
-        M = c -+ j is a multiple of the order.  The baby steps are keyed by
-        x, which P and -P share.  Each prime l is then stripped from M while
-        (M/l)*P = O.
-        """
-        baby = {}
-        R = P
-        for j in range(1, m + 1):
-            baby.setdefault(R.x.value, (j, R.y.value))
-            R = self._add(R, P)
-        step = self._smul(2 * m + 1, P)
-        c = lo + m
-        G = self._smul(c, P)
-        while c - m <= hi:
-            if G.is_infinity:
-                M = c
-                break
-            hit = baby.get(G.x.value)
-            if hit is not None:
-                j, y = hit
-                M = c - j if G.y.value == y else c + j
-                break
-            G = self._add(G, step)
-            c += 2 * m + 1
-        else:
-            raise VerificationError(f"no multiple of the order of {P!r} in [{lo}, {hi}]")
-        for ell in _prime_factors(M):
-            while M % ell == 0 and self._smul(M // ell, P).is_infinity:
-                M //= ell
-        if not self._smul(M, P).is_infinity:
-            raise VerificationError(f"{M} * {P!r} is not the point at infinity")
-        return M
+        return self._k.order(self._kp, _pt_ints(self._check(P)), cap) or None
 
     def full_group(self) -> List[Point]:
         """The point at infinity, then every affine point in the kernel's order."""
         q = self.field.order
         if q is None or q > _ENUM_LIMIT:
             raise FieldTooLarge("full enumeration needs a finite field of at most 2^16 elements")
-        pts = getattr(kernel, self._K_POINTS)(*self._kp)
+        pts = self._k.points(self._kp)
         return [Point.infinity()] + [_pt_from_ints(self.field, t) for t in pts]
 
 
 class CubicCurve(_CurveBase):
     """y^2 = (x - alpha) * g(x) with g = x^2 + p*x + q square-free, g(alpha) != 0."""
 
-    __slots__ = ("field", "alpha", "g", "_kp")
-    _K_ADD, _K_SMUL, _K_ORDER, _K_POINTS = "cubic_add", "cubic_smul", "cubic_order", "cubic_points"
+    __slots__ = ("field", "alpha", "g", "_kp", "_k")
 
     def __init__(self, field: Field, alpha, p, q):
         if field.characteristic == 2:
@@ -324,12 +218,14 @@ class CubicCurve(_CurveBase):
         self.g = QuadraticPoly(field, p, q)
         if not self.g(self.alpha):
             raise SingularCurve("repeated root: g(alpha) = 0")
-        # Integer coefficients of the expanded cubic for the prime-field kernel.
+        A, B, C = (c.value for c in self.coefficients())
         if isinstance(field, PrimeField):
-            A, B, C = self.coefficients()
-            self._kp = (field.p, A.value, B.value, C.value)
+            self._kp = (field.p, A, B, C)
+            self._k = _Model(kernel.cubic_add, kernel.cubic_neg, kernel.cubic_smul,
+                             kernel.cubic_order, kernel.cubic_points)
         else:
-            self._kp = None
+            self._kp = (A, B, C)
+            self._k = _Model(kernel.qq_add, kernel.qq_neg, kernel.qq_smul, kernel.qq_order, None)
 
     @classmethod
     def from_g(cls, field: Field, alpha, g: QuadraticPoly) -> "CubicCurve":
@@ -366,36 +262,9 @@ class CubicCurve(_CurveBase):
             return True
         return P.y * P.y == self.rhs(P.x)
 
-    def negate(self, P: Point) -> Point:
-        self._check(P)
-        if P.is_infinity:
-            return P
-        return Point(P.x, -P.y)
-
-    def add(self, P: Point, Q: Point) -> Point:
-        return self._add(self._check(P), self._check(Q))
-
-    def _add(self, P: Point, Q: Point) -> Point:
-        if self._kp is not None:
-            return super()._add(P, Q)
-        if P.is_infinity:
-            return Q
-        if Q.is_infinity:
-            return P
-        x1, y1, x2, y2 = P.x, P.y, Q.x, Q.y
-        A, B, _ = self.coefficients()
-        if x1 == x2:
-            if y1 + y2 == 0:
-                return Point.infinity()
-            lam = (3 * x1 * x1 + 2 * A * x1 + B) / (2 * y1)
-        else:
-            lam = (y2 - y1) / (x2 - x1)
-        x3 = lam * lam - A - x1 - x2
-        y3 = lam * (x1 - x3) - y1
-        return Point(x3, y3)
-
     # The shared methods under this class's own names, which
     # perfbench/spans.py instruments per class.
+    add = _CurveBase.add
     scalar_mul = _CurveBase.scalar_mul
     order_of = _CurveBase.order_of
     full_group = _CurveBase.full_group
@@ -522,8 +391,7 @@ def _integer_roots(a: int, b: int, c: int) -> List[int]:
 class Char2Curve(_CurveBase):
     """y^2 + x*y = x^3 + a2*x^2 + a6 over GF(2^k), a6 != 0 (so j = 1/a6 != 0)."""
 
-    __slots__ = ("field", "a2", "a6", "_kp")
-    _K_ADD, _K_SMUL, _K_ORDER, _K_POINTS = "c2_add", "c2_smul", "c2_order", "c2_points"
+    __slots__ = ("field", "a2", "a6", "_kp", "_k")
 
     def __init__(self, field: Field, a2, a6):
         if not isinstance(field, BinaryField):
@@ -534,6 +402,8 @@ class Char2Curve(_CurveBase):
         if not self.a6:
             raise SingularCurve("a6 = 0 is not an ordinary curve (j would be 0)")
         self._kp = (field.k, field.modulus, self.a2.value, self.a6.value)
+        self._k = _Model(kernel.c2_add, kernel.c2_neg, kernel.c2_smul, kernel.c2_order,
+                         kernel.c2_points)
 
     def contains(self, P: Point) -> bool:
         if P.is_infinity:
@@ -541,16 +411,7 @@ class Char2Curve(_CurveBase):
         for c in (P.x, P.y):
             if c.field is not self.field and c.field != self.field:
                 raise InvalidParams(f"mixed fields: {c.field.descriptor} vs {self.field}")
-        return kernel.c2_contains(*self._kp, _pt_ints(P))
-
-    def negate(self, P: Point) -> Point:
-        self._check(P)
-        if P.is_infinity:
-            return P
-        return Point(P.x, P.y + P.x)
-
-    def add(self, P: Point, Q: Point) -> Point:
-        return self._add(self._check(P), self._check(Q))
+        return kernel.c2_contains(self._kp, _pt_ints(P))
 
     @property
     def w3(self) -> Point:
@@ -565,8 +426,9 @@ class Char2Curve(_CurveBase):
         j = self.j_invariant()
         return bool(j) and j.is_square()
 
-    # The shared method under this class's own name, which
+    # The shared methods under this class's own names, which
     # perfbench/spans.py instruments per class.
+    add = _CurveBase.add
     full_group = _CurveBase.full_group
 
     def to_json_dict(self) -> dict:

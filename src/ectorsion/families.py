@@ -84,7 +84,7 @@ class FamilyInstance:
             "family": self.family,
             "params": {k: element_to_json(v) for k, v in self.params.items()},
             "curve": self.curve.to_json_dict(),
-            "witnesses": [w.to_json_dict(self.curve.field) for w in self.witnesses],
+            "witnesses": [w.to_json_dict() for w in self.witnesses],
         }
 
 

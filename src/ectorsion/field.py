@@ -155,7 +155,7 @@ class FieldElement:
         return hash((self.field, self.value))
 
     def __bool__(self):
-        return self.value != self.field._from_int(0)
+        return bool(self.value)
 
     def __repr__(self):
         return f"{self.field.format_element(self)}::{self.field.descriptor}"
@@ -430,7 +430,7 @@ class BinaryField(Field):
 
     def element(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise InvalidParams(f"element of {value.field.descriptor}, wanted {self.descriptor}")
             return value
         if isinstance(value, str):

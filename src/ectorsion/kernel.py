@@ -1,23 +1,25 @@
-"""The int kernel: the group law of both curve models on plain integers.
+"""The kernel: the group law of every curve model on raw coordinates.
 
-Everything here works on plain integers.  An affine point is an ``(x, y)``
-tuple and the point at infinity is ``None``.
+An affine point is an ``(x, y)`` tuple and the point at infinity is
+``None``.  Each model's functions take its constants tuple ``c`` first:
 
-* Over F_p (p an odd prime) a curve is the quadruple ``(p, A, B, C)`` for
-  y^2 = x^3 + A*x^2 + B*x + C, with coordinates in [0, p).
-* Over GF(2^k) a curve is ``(k, modulus, a2, a6)`` for
-  y^2 + x*y = x^3 + a2*x^2 + a6, with coordinates the bit-vectors below
-  2^k of polynomials reduced by the irreducible ``modulus`` of degree k,
-  with the arithmetic of one ``_GF2k`` context per ``(k, modulus)``, which
-  ``field.BinaryField`` runs on too.
+* ``cubic_*``: y^2 = x^3 + A*x^2 + B*x + C over F_p, ``c = (p, A, B, C)``.
+* ``c2_*``: y^2 + x*y = x^3 + a2*x^2 + a6 over GF(2^k), ``c = (k, modulus,
+  a2, a6)``, on bit-vectors below 2^k reduced by ``modulus``, with the
+  arithmetic of the ``_GF2k`` context that ``field.BinaryField`` shares.
+* ``qq_*``: the cubic over Q, ``c = (A, B, C)``, on ``Fraction``s.
 
+A model codes only ``add`` and ``neg``; its ``*_smul`` and ``*_order`` pass
+them, read from this module when called, to the loops all models share.
 Callers check their inputs; nothing here re-checks that a point is on its
 curve.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import accumulate
+from math import isqrt
 
 from .errors import VerificationError
 
@@ -79,19 +81,133 @@ def fp_sqrt(a: int, p: int) -> int:
         r = m
 
 
-def cubic_neg(p, pt):
+# ---------------------------------------------------------------------------
+# The loops every model shares
+# ---------------------------------------------------------------------------
+
+
+def _smul(add, neg, c, n, pt):
+    """n * pt by double-and-add (n may be negative)."""
+    if n < 0:
+        n, pt = -n, neg(c, pt)
+    acc = None
+    while n:
+        if n & 1:
+            acc = add(c, acc, pt)
+        n >>= 1
+        if n:
+            pt = add(c, pt, pt)
+    return acc
+
+
+def _order_by_addition(add, c, pt, cap) -> int:
+    """Exact order of ``pt`` by iterated addition; 0 if it exceeds ``cap``."""
     if pt is None:
-        return None
-    x, y = pt
-    return (x, (p - y) % p)
+        return 1
+    acc = pt
+    n = 1
+    while acc is not None:
+        if n + 1 > cap:
+            return 0  # even the next multiple is past the cap
+        acc = add(c, acc, pt)
+        n += 1
+    return n
 
 
-def cubic_add(p, A, B, C, pt1, pt2):
+def _hasse_interval(q: int) -> tuple:
+    """[q + 1 - floor(2*sqrt(q)), q + 1 + ceil(2*sqrt(q))]: #E(F_q) lies here (Hasse)."""
+    r = isqrt(4 * q)
+    return q + 1 - r, q + 1 + r + (r * r < 4 * q)
+
+
+def _prime_factors(n: int) -> list:
+    """The distinct primes dividing n >= 1, by trial division."""
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1 if d == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _order(add, neg, c, pt, cap, q) -> int:
+    """Exact order of ``pt`` on a curve over a field of q elements; 0 if it exceeds ``cap``.
+
+    Over a finite field, orders up to m = max(isqrt(hi - lo) + 1, 12) come
+    from iterated addition, and a larger one from ``_order_bsgs`` in
+    O(q^(1/4)) additions, whatever the cap.  Over Q (q None) iterated
+    addition runs up to the cap.
+    """
+    if q is None:
+        return _order_by_addition(add, c, pt, cap)
+    lo, hi = _hasse_interval(q)
+    m = max(isqrt(hi - lo) + 1, 12)
+    n = _order_by_addition(add, c, pt, min(cap, m))
+    if n or cap <= m:
+        return n
+    n = _order_bsgs(add, neg, c, pt, lo, hi, m)
+    return n if n <= cap else 0
+
+
+def _order_bsgs(add, neg, c, pt, lo, hi, m) -> int:
+    """Order of ``pt``, known to exceed m, on a curve with #E in [lo, hi].
+
+    Shanks-Mestre baby-step giant-step: #E kills pt, so some giant step
+    e*pt, e = lo + m + i(2m + 1), equals +-j*pt with 0 <= j <= m, and
+    M = e -+ j is a multiple of the order.  The baby steps are keyed by
+    x, which pt and -pt share.  Each prime l is then stripped from M while
+    (M/l)*pt = O.
+    """
+    baby = {}
+    R = pt
+    for j in range(1, m + 1):
+        baby.setdefault(R[0], (j, R[1]))
+        R = add(c, R, pt)
+    step = _smul(add, neg, c, 2 * m + 1, pt)
+    e = lo + m
+    G = _smul(add, neg, c, e, pt)
+    while e - m <= hi:
+        if G is None:
+            M = e
+            break
+        hit = baby.get(G[0])
+        if hit is not None:
+            j, y = hit
+            M = e - j if G[1] == y else e + j
+            break
+        G = add(c, G, step)
+        e += 2 * m + 1
+    else:
+        raise VerificationError(f"no multiple of the order of {pt!r} in [{lo}, {hi}]")
+    for ell in _prime_factors(M):
+        while M % ell == 0 and _smul(add, neg, c, M // ell, pt) is None:
+            M //= ell
+    if _smul(add, neg, c, M, pt) is not None:
+        raise VerificationError(f"{M} * {pt!r} is not the point at infinity")
+    return M
+
+
+# ---------------------------------------------------------------------------
+# F_p
+# ---------------------------------------------------------------------------
+
+
+def cubic_neg(c, pt):
+    return None if pt is None else (pt[0], -pt[1] % c[0])
+
+
+def cubic_add(c, pt1, pt2):
     """Chord-and-tangent addition on y^2 = x^3 + A x^2 + B x + C."""
     if pt1 is None:
         return pt2
     if pt2 is None:
         return pt1
+    p, A, B, _ = c
     x1, y1 = pt1
     x2, y2 = pt2
     if x1 == x2:
@@ -105,35 +221,17 @@ def cubic_add(p, A, B, C, pt1, pt2):
     return (x3, y3)
 
 
-def cubic_smul(p, A, B, C, n, pt):
-    """n * pt by double-and-add (n may be negative)."""
-    if n < 0:
-        n, pt = -n, cubic_neg(p, pt)
-    acc = None
-    while n:
-        if n & 1:
-            acc = cubic_add(p, A, B, C, acc, pt)
-        pt = cubic_add(p, A, B, C, pt, pt)
-        n >>= 1
-    return acc
+def cubic_smul(c, n, pt):
+    return _smul(cubic_add, cubic_neg, c, n, pt)
 
 
-def cubic_order(p, A, B, C, pt, cap) -> int:
-    """Exact order of ``pt`` by iterated addition; 0 if it exceeds ``cap``."""
-    if pt is None:
-        return 1
-    acc = pt
-    n = 1
-    while acc is not None:
-        if n + 1 > cap:
-            return 0  # even the next multiple is past the cap
-        acc = cubic_add(p, A, B, C, acc, pt)
-        n += 1
-    return n
+def cubic_order(c, pt, cap) -> int:
+    return _order(cubic_add, cubic_neg, c, pt, cap, c[0])
 
 
-def cubic_points(p, A, B, C):
+def cubic_points(c):
     """All affine points, ordered by x then y (infinity not included)."""
+    p, A, B, C = c
     pts = []
     for x in range(p):
         t = ((x * x + A * x + B) * x + C) % p
@@ -148,14 +246,50 @@ def cubic_points(p, A, B, C):
 
 
 # perfbench/spans.py wraps the two bulk functions below; nothing in the package calls them.
-def cubic_all_orders(p, A, B, C, cap):
+def cubic_all_orders(c, cap):
     """Orders of every affine point, aligned with cubic_points()."""
-    return [cubic_order(p, A, B, C, pt, cap) for pt in cubic_points(p, A, B, C)]
+    return [cubic_order(c, pt, cap) for pt in cubic_points(c)]
 
 
-def cubic_double_all(p, A, B, C, pts):
+def cubic_double_all(c, pts):
     """Doubles of a list of affine points (entries may become None)."""
-    return [cubic_add(p, A, B, C, pt, pt) for pt in pts]
+    return [cubic_add(c, pt, pt) for pt in pts]
+
+
+# ---------------------------------------------------------------------------
+# Q
+# ---------------------------------------------------------------------------
+
+
+def qq_neg(c, pt):
+    return None if pt is None else (pt[0], -pt[1])
+
+
+def qq_add(c, pt1, pt2):
+    """Chord-and-tangent addition on y^2 = x^3 + A x^2 + B x + C, on Fractions."""
+    if pt1 is None:
+        return pt2
+    if pt2 is None:
+        return pt1
+    A, B, _ = c
+    x1, y1 = pt1
+    x2, y2 = pt2
+    if x1 == x2:
+        if y1 + y2 == 0:
+            return None
+        lam = (3 * x1 * x1 + 2 * A * x1 + B) / (2 * y1)
+    else:
+        lam = (y2 - y1) / (x2 - x1)
+    x3 = lam * lam - A - x1 - x2
+    return (x3, lam * (x1 - x3) - y1)
+
+
+def qq_smul(c, n, pt):
+    return _smul(qq_add, qq_neg, c, n, pt)
+
+
+def qq_order(c, pt, cap) -> int:
+    return _order(qq_add, qq_neg, c, pt, cap, None)
 
 
 # ---------------------------------------------------------------------------
@@ -293,23 +427,25 @@ class _GF2k:
             raise VerificationError(f"GF(2^{k}) mod {modulus:#x}: Tr(2^{b}) = {tr:#x}, not 1")
 
 
-_GF2K_CONTEXTS = {}  # (k, modulus) -> _GF2k, built on a field's first arithmetic call
+# Built on a field's first arithmetic call; the 32 most recently used are
+# kept, as a context holds up to about 0.2 MB (k = 20).
+_gf2k = lru_cache(maxsize=32)(_GF2k)
 
 
-def _gf2k(k: int, modulus: int) -> _GF2k:
-    F = _GF2K_CONTEXTS.get((k, modulus))
-    if F is None:
-        F = _GF2K_CONTEXTS[k, modulus] = _GF2k(k, modulus)
-    return F
+def c2_neg(c, pt):
+    return None if pt is None else (pt[0], pt[0] ^ pt[1])
 
 
-def _c2_add(F, a2, pt1, pt2):
+def c2_add(c, pt1, pt2):
+    """Chord-and-tangent addition on y^2 + x*y = x^3 + a2*x^2 + a6."""
     if pt1 is None:
         return pt2
     if pt2 is None:
         return pt1
+    k, modulus, a2, _ = c
     x1, y1 = pt1
     x2, y2 = pt2
+    F = _gf2k(k, modulus)
     mul, div = F.mul, F.div
     if x1 == x2:
         if y2 == x1 ^ y1 or not x1:  # pt2 = -pt1, or the 2-torsion point doubled
@@ -322,35 +458,25 @@ def _c2_add(F, a2, pt1, pt2):
     return (x3, mul(lam, x1 ^ x3) ^ x3 ^ y1)
 
 
-def c2_contains(k, modulus, a2, a6, pt) -> bool:
+def c2_smul(c, n, pt):
+    return _smul(c2_add, c2_neg, c, n, pt)
+
+
+def c2_order(c, pt, cap) -> int:
+    return _order(c2_add, c2_neg, c, pt, cap, 1 << c[0])
+
+
+def c2_contains(c, pt) -> bool:
     """Whether ``pt`` satisfies y^2 + x*y = x^3 + a2*x^2 + a6, i.e. y(y + x) = x^2(x + a2) + a6."""
     if pt is None:
         return True
+    k, modulus, a2, a6 = c
     x, y = pt
     mul = _gf2k(k, modulus).mul
     return mul(y, y ^ x) == mul(mul(x, x), x ^ a2) ^ a6
 
 
-def c2_add(k, modulus, a2, a6, pt1, pt2):
-    """Chord-and-tangent addition on y^2 + x*y = x^3 + a2*x^2 + a6."""
-    return _c2_add(_gf2k(k, modulus), a2, pt1, pt2)
-
-
-def c2_smul(k, modulus, a2, a6, n, pt):
-    """n * pt by double-and-add (n may be negative)."""
-    if n < 0:
-        n, pt = -n, (None if pt is None else (pt[0], pt[0] ^ pt[1]))
-    F = _gf2k(k, modulus)
-    acc = None
-    while n:
-        if n & 1:
-            acc = _c2_add(F, a2, acc, pt)
-        pt = _c2_add(F, a2, pt, pt)
-        n >>= 1
-    return acc
-
-
-def c2_double_x(k, modulus, a2, a6, xs) -> list:
+def c2_double_x(c, xs) -> list:
     """x(2P) for each x = x(P) in ``xs``: x^2 + a6/x^2, whatever y(P) and a2.
 
     x = 0 is skipped: that point has order 2, and its double is O.  For
@@ -358,6 +484,7 @@ def c2_double_x(k, modulus, a2, a6, xs) -> list:
     lam + a2 reduces to x^2 + a6/x^2 once y^2 + x*y is replaced by the
     right-hand side.
     """
+    k, modulus, _, a6 = c
     F = _gf2k(k, modulus)
     mul, div = F.mul, F.div
     out = []
@@ -368,35 +495,34 @@ def c2_double_x(k, modulus, a2, a6, xs) -> list:
     return out
 
 
-def c2_order(k, modulus, a2, a6, pt, cap) -> int:
-    """Exact order of ``pt`` by iterated addition; 0 if it exceeds ``cap``."""
-    if pt is None:
-        return 1
-    F = _gf2k(k, modulus)
-    acc = pt
-    n = 1
-    while acc is not None:
-        if n + 1 > cap:
-            return 0  # even the next multiple is past the cap
-        acc = _c2_add(F, a2, acc, pt)
-        n += 1
-    return n
-
-
-def c2_points(k, modulus, a2, a6):
+def c2_points(c):
     """All affine points (infinity not included).
 
     The 2-torsion point (0, sqrt(a6)) comes first, then the rest by x.  For
     x != 0, y = x*z turns the equation into z^2 + z = x + a2 + a6/x^2; of
     its two roots, the one with bit 0 clear gives the first point of the pair.
     """
+    k, modulus, a2, a6 = c
     F = _gf2k(k, modulus)
-    mul, div, lo, hi = F.mul, F.div, F.as_lo, F.as_hi
+    lo, hi = F.as_lo, F.as_hi
     pts = [(0, F.sqrt(a6))]
-    for x in range(1, 1 << k):
-        c = x ^ a2 ^ div(a6, mul(x, x))
-        z = lo[c & 2047] ^ hi[c >> 11]  # F.solve(c), inline
+    if F.log is None:
+        mul, div = F.mul, F.div
+        for x in range(1, 1 << k):
+            c = x ^ a2 ^ div(a6, mul(x, x))
+            z = lo[c & 2047] ^ hi[c >> 11]  # F.solve(c), inline
+            if not z >> k:
+                y = mul(x, z)
+                pts += ((x, y), (x, y ^ x))
+        return pts
+    # The same loop on the log/antilog tables: a6/x^2 and x*z by exponents.
+    exp, log, n = F.exp, F.log, (1 << k) - 1
+    la6 = log[a6]
+    for x in range(1, n + 1):
+        lx = log[x]
+        c = x ^ a2 ^ exp[(la6 - 2 * lx) % n]
+        z = lo[c & 2047] ^ hi[c >> 11]
         if not z >> k:
-            y = mul(x, z)
+            y = exp[lx + log[z]] if z else 0
             pts += ((x, y), (x, y ^ x))
     return pts

@@ -61,7 +61,7 @@ def test_has_point_of_order_matches_oracle_orders(k):
     for a6 in range(1, q):
         for a2 in range(q):
             curve = Char2Curve(F, a2, a6)
-            pts = kernel.c2_points(k, mod, a2, a6)
+            pts = kernel.c2_points((k, mod, a2, a6))
             orders = {oracles.char2_order(k, mod, a2, a6, P) for P in pts}
             for n in (2, 4, 8, 16):
                 assert census._has_point_of_order(curve, pts, n) == (n in orders), (a2, a6, n)
@@ -71,7 +71,7 @@ def test_has_point_of_order_matches_oracle_orders(k):
 def test_has_point_of_order_takes_powers_of_two(n):
     curve = Char2Curve(BinaryField(2), 0, 1)
     with pytest.raises(InvalidParams):
-        census._has_point_of_order(curve, kernel.c2_points(*curve._kp), n)
+        census._has_point_of_order(curve, kernel.c2_points(curve._kp), n)
 
 
 def test_sigma_char2_class_disagreement_is_a_verification_error(monkeypatch):

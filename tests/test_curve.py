@@ -323,20 +323,21 @@ def test_char2_witness_orders_take_one_kernel_call(monkeypatch):
             assert calls == {"c2_order": 1}
 
 
-def test_binary_field_builds_its_kernel_context_on_first_arithmetic(monkeypatch):
-    monkeypatch.setattr(kernel, "_GF2K_CONTEXTS", {})
+def test_binary_field_builds_its_kernel_context_on_first_arithmetic():
+    built = kernel._gf2k.cache_info
+    kernel._gf2k.cache_clear()
     F = BinaryField(20)
     x = F(2)
     E = Char2Curve(F, 0, 1)
-    assert kernel._GF2K_CONTEXTS == {}  # neither the field nor the curve builds it
+    assert built().misses == 0  # neither the field nor the curve builds it
     x * x  # the first multiply does
-    assert list(kernel._GF2K_CONTEXTS) == [(20, F.modulus)]
+    assert built().misses == 1
     G = BinaryField(20)
     assert G == F and G is not F
     assert (G(3) / G(2)).value == (F(3) / x).value
-    assert G._kernel() is F._kernel() is kernel._GF2K_CONTEXTS[20, F.modulus]
+    assert G._kernel() is F._kernel() is kernel._gf2k(20, F.modulus)
     assert E.contains(E.w3)
-    assert len(kernel._GF2K_CONTEXTS) == 1
+    assert built().misses == 1  # the one context is that of (20, F.modulus)
 
 
 def _large_order_point(p):
@@ -350,16 +351,45 @@ def _large_order_point(p):
 
 def test_order_search_raises_when_its_answer_fails_the_recheck(monkeypatch):
     E, P = _large_order_point(4099)
-    monkeypatch.setattr(CubicCurve, "_smul", lambda self, n, P: P)  # a broken group law
+    monkeypatch.setattr(kernel, "_smul", lambda add, neg, c, n, pt: pt)  # a broken group law
     with pytest.raises(VerificationError):
         E.order_of(P)
 
 
 def test_order_search_raises_when_no_multiple_is_found(monkeypatch):
     E, P = _large_order_point(4099)
-    monkeypatch.setattr(curve_module, "_hasse_interval", lambda q: (1, 1))  # a wrong bound
+    monkeypatch.setattr(kernel, "_hasse_interval", lambda q: (1, 1))  # a wrong bound
     with pytest.raises(VerificationError):
         E.order_of(P, cap=10**6)
+
+
+@pytest.mark.parametrize("field", [PrimeField(2**31 - 1), BinaryField(20)], ids=str)
+def test_large_orders_are_searched_on_raw_coordinates(monkeypatch, field):
+    """An order past the iterated-addition bound takes baby-step giant-step,
+    and the search builds no Point."""
+    if isinstance(field, PrimeField):
+        E = CubicCurve(field, 0, 1, 3)  # y^2 = x (x^2 + x + 3)
+        ys = (E.rhs(field(x)).sqrt() for x in range(2, 100))
+    else:
+        E = Char2Curve(field, 1, 7)  # y = x z turns it into z^2 + z = x + a2 + a6 / x^2
+        zs = ((x, field.solve_artin_schreier(x + E.a2 + E.a6 / (x * x)))
+              for x in map(field, range(2, 100)))
+        ys = (None if z is None else x * z for x, z in zs)
+    x, y = next((x, y) for x, y in enumerate(ys, 2) if y is not None)
+    P = Point(field(x), y)
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(kernel, "_order_bsgs", counting("bsgs", kernel._order_bsgs))
+    monkeypatch.setattr(curve_module, "_pt_from_ints", counting("Point", curve_module._pt_from_ints))
+    n = E.order_of(P)
+    assert calls == {"bsgs": 1}
+    assert n > 12 and E.scalar_mul(n, P).is_infinity
 
 
 def test_off_curve_is_rejected():

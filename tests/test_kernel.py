@@ -1,6 +1,7 @@
 """The int kernel against the oracle's from-scratch arithmetic and group laws."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -34,22 +35,22 @@ def test_fp_sqrt_against_exhaustion():
 
 @pytest.mark.parametrize("p,A,B,C", CURVES)
 def test_kernel_group_law_matches_oracle(p, A, B, C):
-    pts = kernel.cubic_points(p, A, B, C)
+    pts = kernel.cubic_points((p, A, B, C))
     assert sorted(pts) == sorted(oracles.fp_cubic_points(p, A, B, C))
     everything = [None] + list(pts)
     rng = random.Random(p * 1000 + A)
     for _ in range(60):
         P = rng.choice(everything)
         Q = rng.choice(everything)
-        got = kernel.cubic_add(p, A, B, C, P, Q)
+        got = kernel.cubic_add((p, A, B, C), P, Q)
         want = oracles.fp_cubic_add(p, A, B, C, P, Q)
         assert got == want
-    assert kernel.cubic_all_orders(p, A, B, C, 4 * p) == [
+    assert kernel.cubic_all_orders((p, A, B, C), 4 * p) == [
         oracles.fp_cubic_order(p, A, B, C, P) for P in pts]
-    assert kernel.cubic_double_all(p, A, B, C, pts) == [
+    assert kernel.cubic_double_all((p, A, B, C), pts) == [
         oracles.fp_cubic_add(p, A, B, C, P, P) for P in pts]
     for P in pts[:12]:
-        assert kernel.cubic_order(p, A, B, C, P, 4 * p) == oracles.fp_cubic_order(p, A, B, C, P)
+        assert kernel.cubic_order((p, A, B, C), P, 4 * p) == oracles.fp_cubic_order(p, A, B, C, P)
         n = rng.randrange(-5, 40)
         want = None
         if n:
@@ -57,19 +58,60 @@ def test_kernel_group_law_matches_oracle(p, A, B, C):
             want = base
             for _ in range(abs(n) - 1):
                 want = oracles.fp_cubic_add(p, A, B, C, want, base)
-        assert kernel.cubic_smul(p, A, B, C, n, P) == want
+        assert kernel.cubic_smul((p, A, B, C), n, P) == want
+
+
+QQ_CURVES = [
+    # (A, B, C) over Q, a point, and how many of its multiples to take
+    ((0, 0, 1), (2, 3), 12),  # order 6
+    ((0, -2, 0), (2, 2), 2),  # infinite order: heights grow fast
+    ((Fraction(46, 9), 1, 0), (-3, -4), 12),  # e8 at t = 2: order 8
+    ((Fraction(5041, 81), Fraction(11360, 81), Fraction(6400, 81)),
+     (-40, Fraction(-520, 3)), 12),  # e12 at T = 2: order 12
+]
+
+
+@pytest.mark.parametrize("coeffs,G,count", QQ_CURVES)
+def test_qq_kernel_group_law_matches_oracle(coeffs, G, count):
+    """The Q model, on Fractions, over the first multiples of one point."""
+    A, B, C = c = tuple(map(Fraction, coeffs))
+    G = (Fraction(G[0]), Fraction(G[1]))
+    pts, R = [], G
+    while R is not None and len(pts) < count:
+        pts.append(R)
+        R = oracles.qq_cubic_add(A, B, C, R, G)
+    everything = [None] + pts
+    rng = random.Random(count + len(pts))
+    for _ in range(60):
+        P, Q = rng.choice(everything), rng.choice(everything)
+        assert kernel.qq_add(c, P, Q) == oracles.qq_cubic_add(A, B, C, P, Q)
+    assert kernel.qq_neg(c, None) is None
+    for P in pts:
+        assert oracles.qq_cubic_add(A, B, C, kernel.qq_neg(c, P), P) is None
+        order = oracles.qq_cubic_order(A, B, C, P, cap=12)
+        assert kernel.qq_order(c, P, 12) == order
+        if order > 1:
+            assert kernel.qq_order(c, P, order - 1) == 0  # past the cap
+        n = rng.randrange(-5, 15)
+        want = None
+        if n:
+            base = P if n > 0 else (P[0], -P[1])
+            want = base
+            for _ in range(abs(n) - 1):
+                want = oracles.qq_cubic_add(A, B, C, want, base)
+        assert kernel.qq_smul(c, n, P) == want
 
 
 def test_kernel_edge_cases():
     p, A, B, C = 5, 4, 1, 0  # y^2 = x(x^2+4x+1), has (0,0) of order 2
-    assert kernel.cubic_add(p, A, B, C, None, None) is None
-    assert kernel.cubic_add(p, A, B, C, (0, 0), (0, 0)) is None
-    assert kernel.cubic_neg(p, None) is None
-    assert kernel.cubic_neg(p, (1, 4)) == (1, 1)
-    assert kernel.cubic_order(p, A, B, C, None, 10) == 1
-    assert kernel.cubic_smul(p, A, B, C, 0, (0, 0)) is None
-    assert kernel.cubic_order(p, A, B, C, (1, 4), 2) == 0  # cap exceeded
-    pts = kernel.cubic_points(p, A, B, C)
+    assert kernel.cubic_add((p, A, B, C), None, None) is None
+    assert kernel.cubic_add((p, A, B, C), (0, 0), (0, 0)) is None
+    assert kernel.cubic_neg((p, A, B, C), None) is None
+    assert kernel.cubic_neg((p, A, B, C), (1, 4)) == (1, 1)
+    assert kernel.cubic_order((p, A, B, C), None, 10) == 1
+    assert kernel.cubic_smul((p, A, B, C), 0, (0, 0)) is None
+    assert kernel.cubic_order((p, A, B, C), (1, 4), 2) == 0  # cap exceeded
+    pts = kernel.cubic_points((p, A, B, C))
     assert (1, 4) in pts and (1, 2) not in pts
 
 
@@ -98,6 +140,15 @@ def test_gf2_bit_vector_arithmetic_matches_oracle():
             if a:
                 # already reduced, with no final polynomial remainder
                 assert kernel.gf2_inv(a, m) == oracles.gf2_inv(a, m, k)
+
+
+def test_gf2k_contexts_are_bounded():
+    """A 34th field evicts a context: at k = 20 each one takes about 0.2 MB."""
+    moduli = [m for m in range(1 << 10, 1 << 11) if oracles.gf2_poly_irreducible(m, 10)]
+    kernel._gf2k.cache_clear()
+    for m in moduli[:33]:
+        kernel._gf2k(10, m)
+    assert kernel._gf2k.cache_info().currsize <= 32
 
 
 @pytest.mark.parametrize("k,m", MODULI)
@@ -139,19 +190,19 @@ def _check_c2_group_law(k, m, a2, a6, pts, rng, samples, per_point):
     x != 0, and c2_smul, c2_order and c2_contains on ``per_point`` random
     points, against the oracle."""
     everything = [None] + pts
-    assert kernel.c2_double_x(k, m, a2, a6, [P[0] for P in pts]) == [
+    assert kernel.c2_double_x((k, m, a2, a6), [P[0] for P in pts]) == [
         oracles.char2_add(k, m, a2, a6, P, P)[0] for P in pts if P[0]  # 2(0, y) = O
     ]
     for _ in range(samples):
         P, Q = rng.choice(everything), rng.choice(everything)
-        assert kernel.c2_add(k, m, a2, a6, P, Q) == oracles.char2_add(k, m, a2, a6, P, Q)
+        assert kernel.c2_add((k, m, a2, a6), P, Q) == oracles.char2_add(k, m, a2, a6, P, Q)
     for P in rng.sample(pts, min(len(pts), per_point)):
-        assert kernel.c2_contains(k, m, a2, a6, P)
+        assert kernel.c2_contains((k, m, a2, a6), P)
         bad = (P[0], P[1] ^ 1)
-        assert kernel.c2_contains(k, m, a2, a6, bad) == oracles.char2_on(k, m, a2, a6, bad)
+        assert kernel.c2_contains((k, m, a2, a6), bad) == oracles.char2_on(k, m, a2, a6, bad)
         order = oracles.char2_order(k, m, a2, a6, P)
-        assert kernel.c2_order(k, m, a2, a6, P, 4 << k) == order
-        assert kernel.c2_order(k, m, a2, a6, P, order - 1) == 0  # past the cap
+        assert kernel.c2_order((k, m, a2, a6), P, 4 << k) == order
+        assert kernel.c2_order((k, m, a2, a6), P, order - 1) == 0  # past the cap
         n = rng.randrange(-5, 40)
         want = None
         if n:
@@ -159,7 +210,7 @@ def _check_c2_group_law(k, m, a2, a6, pts, rng, samples, per_point):
             want = base
             for _ in range(abs(n) - 1):
                 want = oracles.char2_add(k, m, a2, a6, want, base)
-        assert kernel.c2_smul(k, m, a2, a6, n, P) == want
+        assert kernel.c2_smul((k, m, a2, a6), n, P) == want
 
 
 @pytest.mark.parametrize("k,m", MODULI)
@@ -170,7 +221,7 @@ def test_c2_kernel_matches_oracle(k, m):
     if k > 5:  # one curve for each larger modulus keeps the test quick
         curves = [curves[m % 3]]
     for a2, a6 in curves:
-        pts = kernel.c2_points(k, m, a2, a6)
+        pts = kernel.c2_points((k, m, a2, a6))
         assert pts[0] == (0, oracles.gf2_pow(a6, q // 2, m, k))  # the 2-torsion point
         assert pts[1:] == sorted(pts[1:], key=lambda P: P[0])
         if k <= 5:
@@ -188,7 +239,7 @@ def test_c2_kernel_without_tables(k):
     m = next(m for m in range(1 << k, 1 << (k + 1)) if oracles.gf2_poly_irreducible(m, k))
     rng = random.Random(k)
     a2, a6 = rng.randrange(1 << k), rng.randrange(1, 1 << k)
-    pts = kernel.c2_points(k, m, a2, a6)
+    pts = kernel.c2_points((k, m, a2, a6))
     assert kernel._gf2k(k, m).log is None
     sample = rng.sample(pts, 40)
     assert all(oracles.char2_on(k, m, a2, a6, P) for P in sample)
@@ -197,11 +248,11 @@ def test_c2_kernel_without_tables(k):
 
 def test_c2_kernel_edge_cases():
     k, m, a2, a6 = 2, 0b111, 0, 1  # y^2 + xy = x^3 + 1 over GF(4): (0, 1) has order 2
-    assert kernel.c2_add(k, m, a2, a6, None, None) is None
-    assert kernel.c2_add(k, m, a2, a6, (0, 1), (0, 1)) is None
-    assert kernel.c2_add(k, m, a2, a6, (2, 2), (2, 0)) is None  # P + (-P)
-    assert kernel.c2_smul(k, m, a2, a6, 0, (2, 2)) is None
-    assert kernel.c2_smul(k, m, a2, a6, -1, (2, 2)) == (2, 0)
-    assert kernel.c2_order(k, m, a2, a6, None, 10) == 1
-    assert kernel.c2_order(k, m, a2, a6, (2, 2), 8) == 8
-    assert kernel.c2_contains(k, m, a2, a6, None)
+    assert kernel.c2_add((k, m, a2, a6), None, None) is None
+    assert kernel.c2_add((k, m, a2, a6), (0, 1), (0, 1)) is None
+    assert kernel.c2_add((k, m, a2, a6), (2, 2), (2, 0)) is None  # P + (-P)
+    assert kernel.c2_smul((k, m, a2, a6), 0, (2, 2)) is None
+    assert kernel.c2_smul((k, m, a2, a6), -1, (2, 2)) == (2, 0)
+    assert kernel.c2_order((k, m, a2, a6), None, 10) == 1
+    assert kernel.c2_order((k, m, a2, a6), (2, 2), 8) == 8
+    assert kernel.c2_contains((k, m, a2, a6), None)

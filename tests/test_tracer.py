@@ -1,0 +1,46 @@
+"""perfbench/spans.py instruments the package by name, in place.
+
+A kernel or curve function that it wraps and that is renamed or dropped
+would only show up in a traced benchmark run; this test makes it show up
+here.  The tracer rebinds names for the whole process, so it runs in a
+subprocess.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+SCRIPT = r"""
+import ectorsion, spans
+
+tr = spans.install(ectorsion)
+for mod, names in spans.SPAN_FUNCTIONS.items():
+    for name in names:
+        assert callable(getattr(getattr(ectorsion, mod), name, None)), (mod, name)
+for cls, meth, _ in spans.SPAN_METHODS:
+    assert meth in vars(getattr(ectorsion.curve, cls)), (cls, meth)
+for mod, cls, meth, _ in spans.COUNT_METHODS:
+    assert meth in vars(getattr(getattr(ectorsion, mod), cls)), (mod, cls, meth)
+for mod, name, _ in spans.COUNT_FUNCTIONS:
+    assert callable(getattr(getattr(ectorsion, mod), name, None)), (mod, name)
+
+p = 2**31 - 1  # p = 3 mod 4: y = rhs^((p+1)/4) when rhs is a square
+F = ectorsion.PrimeField(p)
+E = ectorsion.CubicCurve(F, 0, 1, 3)  # y^2 = x (x^2 + x + 3)
+x = next(x for x in range(2, 100) if pow(E.rhs(F(x)).value, (p - 1) // 2, p) == 1)
+P = ectorsion.Point(F(x), F(pow(E.rhs(F(x)).value, (p + 1) // 4, p)))
+assert E.order_of(P) > 12
+print(spans.metrics(tr, ectorsion.InvalidParams)["kernel.cubic_add_calls"])
+"""
+
+
+def test_benchmark_tracer_wraps_names_that_exist():
+    path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "perfbench")])
+    env = dict(os.environ, PYTHONPATH=path)
+    run = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) > 0  # the tracer counts the kernel's additions
