@@ -79,9 +79,8 @@ def _has_point_of_order(curve: Char2Curve, points: List[tuple], n: int) -> bool:
     xs = {P[0] for P in points}
     for _ in range(n.bit_length() - 3):  # none for n = 2 and 4
         xs = set(kernel.c2_double_x(curve._kp, xs))
-    k, modulus, _, a6 = curve._kp
-    sqrt = kernel._gf2k(k, modulus).sqrt
-    return (sqrt(sqrt(a6)) if n > 2 else 0) in xs
+    F, _, a6 = curve._kp
+    return (F.sqrt(F.sqrt(a6)) if n > 2 else 0) in xs
 
 
 def sigma_char2(field: BinaryField, N: int) -> CensusReport:

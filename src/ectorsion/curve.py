@@ -139,7 +139,7 @@ def _default_cap(field: Field, cap: Optional[int] = None) -> int:
 
 
 # The functions of one kernel model; ``points`` is None over Q.
-_Model = namedtuple("_Model", "add neg smul order points")
+_Model = namedtuple("_Model", "contains add neg smul order points")
 
 
 class _CurveBase:
@@ -148,8 +148,8 @@ class _CurveBase:
     A curve's constructor picks its kernel model: ``_kp`` holds the model's
     constants and ``_k`` its functions, read from ``kernel`` then, so that
     a kernel function wrapped or patched before the curve is built is the
-    one it runs.  Each method below checks its points, converts them to raw
-    coordinates, makes one kernel call and converts the answer back.
+    one it runs.  Each method below checks its points (``contains``), makes
+    one kernel call on their raw coordinates and converts the answer back.
     """
 
     field: Field
@@ -157,18 +157,24 @@ class _CurveBase:
     _k: _Model
 
     def contains(self, P: Point) -> bool:
-        raise NotImplementedError
+        """Whether P is on the curve, by the kernel's equation; InvalidParams for a foreign field."""
+        if P.is_infinity:
+            return True
+        for c in (P.x, P.y):
+            if c.field is not self.field and c.field != self.field:
+                raise InvalidParams(
+                    f"point over {c.field.descriptor}, curve over {self.field.descriptor}")
+        return self._k.contains(self._kp, (P.x.value, P.y.value))
 
     def _check(self, P: Point) -> Point:
         if not isinstance(P, Point):
             raise OffCurve(f"expected a Point, got {P!r}")
-        if not P.is_infinity and P.x.field != self.field:
-            raise OffCurve(
-                f"point over {P.x.field.descriptor}, curve over {self.field.descriptor}"
-            )
-        if not self.contains(P):
-            raise OffCurve(f"{P!r} does not satisfy the curve equation")
-        return P
+        try:
+            if self.contains(P):
+                return P
+        except InvalidParams as e:
+            raise OffCurve(str(e)) from None
+        raise OffCurve(f"{P!r} does not satisfy the curve equation")
 
     def _add(self, P: Point, Q: Point) -> Point:
         """The group law on points already known to be on this curve."""
@@ -207,25 +213,20 @@ class CubicCurve(_CurveBase):
     __slots__ = ("field", "alpha", "g", "_kp", "_k")
 
     def __init__(self, field: Field, alpha, p, q):
-        if field.characteristic == 2:
-            raise InvalidParams("this model needs characteristic != 2")
         self.field = field
-        self.alpha = field.element(alpha)
-        p = field.element(p)
-        q = field.element(q)
-        if not (p * p - 4 * q):
-            raise SingularCurve("repeated root: p^2 - 4q = 0")
-        self.g = QuadraticPoly(field, p, q)
-        if not self.g(self.alpha):
+        g = self.g = QuadraticPoly(field, p, q)  # InvalidParams in char 2, SingularCurve if p^2 = 4q
+        self.alpha = a = field.element(alpha)
+        if not g(a):
             raise SingularCurve("repeated root: g(alpha) = 0")
-        A, B, C = (c.value for c in self.coefficients())
+        A, B, C = (g.p - a).value, (g.q - a * g.p).value, (-a * g.q).value
         if isinstance(field, PrimeField):
             self._kp = (field.p, A, B, C)
-            self._k = _Model(kernel.cubic_add, kernel.cubic_neg, kernel.cubic_smul,
-                             kernel.cubic_order, kernel.cubic_points)
+            self._k = _Model(kernel.cubic_contains, kernel.cubic_add, kernel.cubic_neg,
+                             kernel.cubic_smul, kernel.cubic_order, kernel.cubic_points)
         else:
             self._kp = (A, B, C)
-            self._k = _Model(kernel.qq_add, kernel.qq_neg, kernel.qq_smul, kernel.qq_order, None)
+            self._k = _Model(kernel.qq_contains, kernel.qq_add, kernel.qq_neg, kernel.qq_smul,
+                             kernel.qq_order, None)
 
     @classmethod
     def from_g(cls, field: Field, alpha, g: QuadraticPoly) -> "CubicCurve":
@@ -246,8 +247,7 @@ class CubicCurve(_CurveBase):
 
     def coefficients(self) -> Tuple[FieldElement, FieldElement, FieldElement]:
         """(A, B, C) of the expanded form y^2 = x^3 + A x^2 + B x + C."""
-        p, q, a = self.g.p, self.g.q, self.alpha
-        return (p - a, q - a * p, -a * q)
+        return tuple(FieldElement(self.field, v) for v in self._kp[-3:])
 
     def rhs(self, x: FieldElement) -> FieldElement:
         return (x - self.alpha) * self.g(x)
@@ -257,13 +257,9 @@ class CubicCurve(_CurveBase):
         """The marked rational 2-torsion point (alpha, 0)."""
         return Point(self.alpha, self.field.zero)
 
-    def contains(self, P: Point) -> bool:
-        if P.is_infinity:
-            return True
-        return P.y * P.y == self.rhs(P.x)
-
     # The shared methods under this class's own names, which
     # perfbench/spans.py instruments per class.
+    contains = _CurveBase.contains
     add = _CurveBase.add
     scalar_mul = _CurveBase.scalar_mul
     order_of = _CurveBase.order_of
@@ -280,8 +276,7 @@ class CubicCurve(_CurveBase):
     def translate_x(self, x0) -> Tuple["CubicCurve", Callable[[Point], Point]]:
         """Shift coordinates by x -> x - x0; returns the new curve and point map."""
         x0 = self.field.element(x0)
-        p, q = self.g.p, self.g.q
-        shifted = CubicCurve(self.field, self.alpha - x0, p + 2 * x0, self.g(x0))
+        shifted = CubicCurve(self.field, self.alpha - x0, self.g.p + 2 * x0, self.g(x0))
 
         def fwd(P: Point) -> Point:
             if P.is_infinity:
@@ -401,17 +396,9 @@ class Char2Curve(_CurveBase):
         self.a6 = field.element(a6)
         if not self.a6:
             raise SingularCurve("a6 = 0 is not an ordinary curve (j would be 0)")
-        self._kp = (field.k, field.modulus, self.a2.value, self.a6.value)
-        self._k = _Model(kernel.c2_add, kernel.c2_neg, kernel.c2_smul, kernel.c2_order,
-                         kernel.c2_points)
-
-    def contains(self, P: Point) -> bool:
-        if P.is_infinity:
-            return True
-        for c in (P.x, P.y):
-            if c.field is not self.field and c.field != self.field:
-                raise InvalidParams(f"mixed fields: {c.field.descriptor} vs {self.field}")
-        return kernel.c2_contains(self._kp, _pt_ints(P))
+        self._kp = (field._kernel(), self.a2.value, self.a6.value)
+        self._k = _Model(kernel.c2_contains, kernel.c2_add, kernel.c2_neg, kernel.c2_smul,
+                         kernel.c2_order, kernel.c2_points)
 
     @property
     def w3(self) -> Point:
@@ -428,6 +415,7 @@ class Char2Curve(_CurveBase):
 
     # The shared methods under this class's own names, which
     # perfbench/spans.py instruments per class.
+    contains = _CurveBase.contains
     add = _CurveBase.add
     full_group = _CurveBase.full_group
 

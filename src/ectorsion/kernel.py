@@ -4,15 +4,14 @@ An affine point is an ``(x, y)`` tuple and the point at infinity is
 ``None``.  Each model's functions take its constants tuple ``c`` first:
 
 * ``cubic_*``: y^2 = x^3 + A*x^2 + B*x + C over F_p, ``c = (p, A, B, C)``.
-* ``c2_*``: y^2 + x*y = x^3 + a2*x^2 + a6 over GF(2^k), ``c = (k, modulus,
-  a2, a6)``, on bit-vectors below 2^k reduced by ``modulus``, with the
-  arithmetic of the ``_GF2k`` context that ``field.BinaryField`` shares.
+* ``c2_*``: y^2 + x*y = x^3 + a2*x^2 + a6 over GF(2^k), ``c = (F, a2, a6)``,
+  on bit-vectors below 2^k, with ``F`` the ``_GF2k`` context of the field.
 * ``qq_*``: the cubic over Q, ``c = (A, B, C)``, on ``Fraction``s.
 
-A model codes only ``add`` and ``neg``; its ``*_smul`` and ``*_order`` pass
-them, read from this module when called, to the loops all models share.
-Callers check their inputs; nothing here re-checks that a point is on its
-curve.
+A model codes only ``contains``, ``add`` and ``neg``; its ``*_smul`` and
+``*_order`` pass the last two, read from this module when called, to the
+loops all models share.  ``*_contains`` is the package's one point check,
+which callers run at their boundary; nothing else here re-checks it.
 """
 
 from __future__ import annotations
@@ -197,6 +196,15 @@ def _order_bsgs(add, neg, c, pt, lo, hi, m) -> int:
 # ---------------------------------------------------------------------------
 
 
+def cubic_contains(c, pt) -> bool:
+    """Whether ``pt`` satisfies y^2 = x^3 + A x^2 + B x + C."""
+    if pt is None:
+        return True
+    p, A, B, C = c
+    x, y = pt
+    return (y * y - ((x + A) * x + B) * x - C) % p == 0
+
+
 def cubic_neg(c, pt):
     return None if pt is None else (pt[0], -pt[1] % c[0])
 
@@ -259,6 +267,15 @@ def cubic_double_all(c, pts):
 # ---------------------------------------------------------------------------
 # Q
 # ---------------------------------------------------------------------------
+
+
+def qq_contains(c, pt) -> bool:
+    """Whether ``pt`` satisfies y^2 = x^3 + A x^2 + B x + C, on Fractions."""
+    if pt is None:
+        return True
+    A, B, C = c
+    x, y = pt
+    return y * y == ((x + A) * x + B) * x + C
 
 
 def qq_neg(c, pt):
@@ -427,8 +444,8 @@ class _GF2k:
             raise VerificationError(f"GF(2^{k}) mod {modulus:#x}: Tr(2^{b}) = {tr:#x}, not 1")
 
 
-# Built on a field's first arithmetic call; the 32 most recently used are
-# kept, as a context holds up to about 0.2 MB (k = 20).
+# Built by a field's first curve or arithmetic call; the 32 most recently
+# used are kept, as a context holds up to about 0.2 MB (k = 20).
 _gf2k = lru_cache(maxsize=32)(_GF2k)
 
 
@@ -442,10 +459,9 @@ def c2_add(c, pt1, pt2):
         return pt2
     if pt2 is None:
         return pt1
-    k, modulus, a2, _ = c
+    F, a2, _ = c
     x1, y1 = pt1
     x2, y2 = pt2
-    F = _gf2k(k, modulus)
     mul, div = F.mul, F.div
     if x1 == x2:
         if y2 == x1 ^ y1 or not x1:  # pt2 = -pt1, or the 2-torsion point doubled
@@ -463,17 +479,16 @@ def c2_smul(c, n, pt):
 
 
 def c2_order(c, pt, cap) -> int:
-    return _order(c2_add, c2_neg, c, pt, cap, 1 << c[0])
+    return _order(c2_add, c2_neg, c, pt, cap, 1 << c[0].k)
 
 
 def c2_contains(c, pt) -> bool:
     """Whether ``pt`` satisfies y^2 + x*y = x^3 + a2*x^2 + a6, i.e. y(y + x) = x^2(x + a2) + a6."""
     if pt is None:
         return True
-    k, modulus, a2, a6 = c
+    F, a2, a6 = c
     x, y = pt
-    mul = _gf2k(k, modulus).mul
-    return mul(y, y ^ x) == mul(mul(x, x), x ^ a2) ^ a6
+    return F.mul(y, y ^ x) == F.mul(F.mul(x, x), x ^ a2) ^ a6
 
 
 def c2_double_x(c, xs) -> list:
@@ -484,8 +499,7 @@ def c2_double_x(c, xs) -> list:
     lam + a2 reduces to x^2 + a6/x^2 once y^2 + x*y is replaced by the
     right-hand side.
     """
-    k, modulus, _, a6 = c
-    F = _gf2k(k, modulus)
+    F, _, a6 = c
     mul, div = F.mul, F.div
     out = []
     for x in xs:
@@ -502,9 +516,8 @@ def c2_points(c):
     x != 0, y = x*z turns the equation into z^2 + z = x + a2 + a6/x^2; of
     its two roots, the one with bit 0 clear gives the first point of the pair.
     """
-    k, modulus, a2, a6 = c
-    F = _gf2k(k, modulus)
-    lo, hi = F.as_lo, F.as_hi
+    F, a2, a6 = c
+    k, lo, hi = F.k, F.as_lo, F.as_hi
     pts = [(0, F.sqrt(a6))]
     if F.log is None:
         mul, div = F.mul, F.div

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
-from .errors import InvalidParams, VerificationError
+from .errors import InvalidParams, SingularCurve, VerificationError
 from .field import Field, FieldElement
 
 __all__ = [
@@ -46,7 +46,7 @@ class QuadraticPoly:
         self.p = field.element(p)
         self.q = field.element(q)
         if not self.disc():
-            raise InvalidParams("x^2 + p*x + q must be square-free (p^2 - 4q != 0)")
+            raise SingularCurve("x^2 + p*x + q must be square-free (p^2 - 4q != 0)")
 
     def disc(self) -> FieldElement:
         return self.p * self.p - 4 * self.q

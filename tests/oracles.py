@@ -80,6 +80,11 @@ def fp_squares(p):
 # The same cubic over Q, with Fractions
 # ---------------------------------------------------------------------------
 
+def qq_cubic_on(A, B, C, P):
+    x, y = P
+    return y * y == x * x * x + A * x * x + B * x + C
+
+
 def qq_cubic_add(A, B, C, P1, P2):
     if P1 is INF:
         return P2

@@ -61,7 +61,7 @@ def test_has_point_of_order_matches_oracle_orders(k):
     for a6 in range(1, q):
         for a2 in range(q):
             curve = Char2Curve(F, a2, a6)
-            pts = kernel.c2_points((k, mod, a2, a6))
+            pts = kernel.c2_points((kernel._gf2k(k, mod), a2, a6))
             orders = {oracles.char2_order(k, mod, a2, a6, P) for P in pts}
             for n in (2, 4, 8, 16):
                 assert census._has_point_of_order(curve, pts, n) == (n in orders), (a2, a6, n)

@@ -328,16 +328,27 @@ def test_binary_field_builds_its_kernel_context_on_first_arithmetic():
     kernel._gf2k.cache_clear()
     F = BinaryField(20)
     x = F(2)
-    E = Char2Curve(F, 0, 1)
-    assert built().misses == 0  # neither the field nor the curve builds it
+    assert built().misses == 0  # the field alone builds nothing
     x * x  # the first multiply does
     assert built().misses == 1
     G = BinaryField(20)
     assert G == F and G is not F
+    E = Char2Curve(G, 0, 1)  # a curve fetches its field's context, shared by equal fields
     assert (G(3) / G(2)).value == (F(3) / x).value
     assert G._kernel() is F._kernel() is kernel._gf2k(20, F.modulus)
     assert E.contains(E.w3)
     assert built().misses == 1  # the one context is that of (20, F.modulus)
+    Char2Curve(BinaryField(19), 0, 1)
+    assert built().misses == 2  # a curve over a field with no context builds exactly one
+
+
+def test_char2_group_law_looks_up_no_kernel_context():
+    """The curve's constants carry its field's context: an order search fetches none."""
+    inst = e8char2_new(BinaryField(3), 3, verify=False)
+    P = next(w.point for w in inst.witnesses if w.claimed_order == 8)
+    before = kernel._gf2k.cache_info()
+    assert inst.curve.order_of(P) == 8
+    assert kernel._gf2k.cache_info() == before
 
 
 def _large_order_point(p):
@@ -399,7 +410,11 @@ def test_off_curve_is_rejected():
     foreign = Point(PrimeField(7)(1), PrimeField(7)(1))
     for curve in (E, E2):
         O = Point.infinity()
-        for bad in (pt(curve, 1, 1), foreign, (1, 2)):  # (1, 2) is not a Point at all
+        mixed = Point(curve.w3.x, foreign.y)  # x on the curve, y in another field
+        for P in (foreign, mixed):
+            with pytest.raises(InvalidParams):
+                curve.contains(P)
+        for bad in (pt(curve, 1, 1), foreign, mixed, (1, 2)):  # (1, 2) is not a Point at all
             for call in (
                 lambda: curve.add(bad, O),
                 lambda: curve.add(O, bad),

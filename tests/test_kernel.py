@@ -49,6 +49,11 @@ def test_kernel_group_law_matches_oracle(p, A, B, C):
         oracles.fp_cubic_order(p, A, B, C, P) for P in pts]
     assert kernel.cubic_double_all((p, A, B, C), pts) == [
         oracles.fp_cubic_add(p, A, B, C, P, P) for P in pts]
+    assert kernel.cubic_contains((p, A, B, C), None)
+    for P in pts:
+        assert kernel.cubic_contains((p, A, B, C), P)
+        for bad in ((P[0], (P[1] + 1) % p), ((P[0] + 1) % p, P[1])):
+            assert kernel.cubic_contains((p, A, B, C), bad) == oracles.fp_cubic_on(p, A, B, C, bad)
     for P in pts[:12]:
         assert kernel.cubic_order((p, A, B, C), P, 4 * p) == oracles.fp_cubic_order(p, A, B, C, P)
         n = rng.randrange(-5, 40)
@@ -86,7 +91,11 @@ def test_qq_kernel_group_law_matches_oracle(coeffs, G, count):
         P, Q = rng.choice(everything), rng.choice(everything)
         assert kernel.qq_add(c, P, Q) == oracles.qq_cubic_add(A, B, C, P, Q)
     assert kernel.qq_neg(c, None) is None
+    assert kernel.qq_contains(c, None)
     for P in pts:
+        assert kernel.qq_contains(c, P)
+        for bad in ((P[0], P[1] + 1), (P[0] + Fraction(1, 3), P[1])):
+            assert kernel.qq_contains(c, bad) == oracles.qq_cubic_on(A, B, C, bad)
         assert oracles.qq_cubic_add(A, B, C, kernel.qq_neg(c, P), P) is None
         order = oracles.qq_cubic_order(A, B, C, P, cap=12)
         assert kernel.qq_order(c, P, 12) == order
@@ -189,20 +198,21 @@ def _check_c2_group_law(k, m, a2, a6, pts, rng, samples, per_point):
     """c2_add on ``samples`` random pairs, c2_double_x on every point with
     x != 0, and c2_smul, c2_order and c2_contains on ``per_point`` random
     points, against the oracle."""
+    c = (kernel._gf2k(k, m), a2, a6)
     everything = [None] + pts
-    assert kernel.c2_double_x((k, m, a2, a6), [P[0] for P in pts]) == [
+    assert kernel.c2_double_x(c, [P[0] for P in pts]) == [
         oracles.char2_add(k, m, a2, a6, P, P)[0] for P in pts if P[0]  # 2(0, y) = O
     ]
     for _ in range(samples):
         P, Q = rng.choice(everything), rng.choice(everything)
-        assert kernel.c2_add((k, m, a2, a6), P, Q) == oracles.char2_add(k, m, a2, a6, P, Q)
+        assert kernel.c2_add(c, P, Q) == oracles.char2_add(k, m, a2, a6, P, Q)
     for P in rng.sample(pts, min(len(pts), per_point)):
-        assert kernel.c2_contains((k, m, a2, a6), P)
+        assert kernel.c2_contains(c, P)
         bad = (P[0], P[1] ^ 1)
-        assert kernel.c2_contains((k, m, a2, a6), bad) == oracles.char2_on(k, m, a2, a6, bad)
+        assert kernel.c2_contains(c, bad) == oracles.char2_on(k, m, a2, a6, bad)
         order = oracles.char2_order(k, m, a2, a6, P)
-        assert kernel.c2_order((k, m, a2, a6), P, 4 << k) == order
-        assert kernel.c2_order((k, m, a2, a6), P, order - 1) == 0  # past the cap
+        assert kernel.c2_order(c, P, 4 << k) == order
+        assert kernel.c2_order(c, P, order - 1) == 0  # past the cap
         n = rng.randrange(-5, 40)
         want = None
         if n:
@@ -210,7 +220,7 @@ def _check_c2_group_law(k, m, a2, a6, pts, rng, samples, per_point):
             want = base
             for _ in range(abs(n) - 1):
                 want = oracles.char2_add(k, m, a2, a6, want, base)
-        assert kernel.c2_smul((k, m, a2, a6), n, P) == want
+        assert kernel.c2_smul(c, n, P) == want
 
 
 @pytest.mark.parametrize("k,m", MODULI)
@@ -221,7 +231,7 @@ def test_c2_kernel_matches_oracle(k, m):
     if k > 5:  # one curve for each larger modulus keeps the test quick
         curves = [curves[m % 3]]
     for a2, a6 in curves:
-        pts = kernel.c2_points((k, m, a2, a6))
+        pts = kernel.c2_points((kernel._gf2k(k, m), a2, a6))
         assert pts[0] == (0, oracles.gf2_pow(a6, q // 2, m, k))  # the 2-torsion point
         assert pts[1:] == sorted(pts[1:], key=lambda P: P[0])
         if k <= 5:
@@ -239,7 +249,7 @@ def test_c2_kernel_without_tables(k):
     m = next(m for m in range(1 << k, 1 << (k + 1)) if oracles.gf2_poly_irreducible(m, k))
     rng = random.Random(k)
     a2, a6 = rng.randrange(1 << k), rng.randrange(1, 1 << k)
-    pts = kernel.c2_points((k, m, a2, a6))
+    pts = kernel.c2_points((kernel._gf2k(k, m), a2, a6))
     assert kernel._gf2k(k, m).log is None
     sample = rng.sample(pts, 40)
     assert all(oracles.char2_on(k, m, a2, a6, P) for P in sample)
@@ -248,11 +258,12 @@ def test_c2_kernel_without_tables(k):
 
 def test_c2_kernel_edge_cases():
     k, m, a2, a6 = 2, 0b111, 0, 1  # y^2 + xy = x^3 + 1 over GF(4): (0, 1) has order 2
-    assert kernel.c2_add((k, m, a2, a6), None, None) is None
-    assert kernel.c2_add((k, m, a2, a6), (0, 1), (0, 1)) is None
-    assert kernel.c2_add((k, m, a2, a6), (2, 2), (2, 0)) is None  # P + (-P)
-    assert kernel.c2_smul((k, m, a2, a6), 0, (2, 2)) is None
-    assert kernel.c2_smul((k, m, a2, a6), -1, (2, 2)) == (2, 0)
-    assert kernel.c2_order((k, m, a2, a6), None, 10) == 1
-    assert kernel.c2_order((k, m, a2, a6), (2, 2), 8) == 8
-    assert kernel.c2_contains((k, m, a2, a6), None)
+    c = (kernel._gf2k(k, m), a2, a6)
+    assert kernel.c2_add(c, None, None) is None
+    assert kernel.c2_add(c, (0, 1), (0, 1)) is None
+    assert kernel.c2_add(c, (2, 2), (2, 0)) is None  # P + (-P)
+    assert kernel.c2_smul(c, 0, (2, 2)) is None
+    assert kernel.c2_smul(c, -1, (2, 2)) == (2, 0)
+    assert kernel.c2_order(c, None, 10) == 1
+    assert kernel.c2_order(c, (2, 2), 8) == 8
+    assert kernel.c2_contains(c, None)
