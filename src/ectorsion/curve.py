@@ -152,6 +152,7 @@ class _CurveBase:
     one kernel call on their raw coordinates and converts the answer back.
     """
 
+    __slots__ = ()
     field: Field
     _kp: tuple
     _k: _Model

@@ -110,23 +110,24 @@ def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
         raise WrongCase("g is irreducible over K; use halve_quadext")
     alphas = (curve.alpha, roots[0], roots[1])
     x0, y0 = P.x, P.y
-    base = []
+    signed = []
     for a in alphas:
         r = (x0 - a).sqrt()
         if r is None:
             return HalvingResult("split", (), {})
-        base.append(r)
+        signed.append((r, -r))
+    neg_y0 = -y0
     seen = {}
     halves = []
-    for e1 in (1, -1):
-        for e2 in (1, -1):
-            for e3 in (1, -1):
-                r1, r2, r3 = e1 * base[0], e2 * base[1], e3 * base[2]
-                if r1 * r2 * r3 != -y0:
+    for r1 in signed[0]:
+        for r2 in signed[1]:
+            r12 = r1 * r2
+            for r3 in signed[2]:
+                if r12 * r3 != neg_y0:
                     continue
                 s1 = r1 + r2 + r3
-                s2 = r1 * r2 + r1 * r3 + r2 * r3
-                Q = Point(x0 + s2, -y0 - s1 * s2)
+                s2 = r12 + (r1 + r2) * r3
+                Q = Point(x0 + s2, neg_y0 - s1 * s2)
                 slope = -s1
                 if Q in seen:
                     _same_slope(Q, seen[Q], slope)
@@ -135,9 +136,9 @@ def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
                 _verify_half(curve, P, Q)
                 halves.append((Q, slope))
     witness = {
-        "r1": element_to_json(base[0]),
-        "r2": element_to_json(base[1]),
-        "r3": element_to_json(base[2]),
+        "r1": element_to_json(signed[0][0]),
+        "r2": element_to_json(signed[1][0]),
+        "r3": element_to_json(signed[2][0]),
     }
     return HalvingResult("split", tuple(halves), witness)
 
@@ -160,14 +161,16 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
         return HalvingResult("quadext", (), {})
     nrho = rho.norm()  # nonzero: z != 0 since its X-coefficient is -1
     r = -P.y / nrho
-    if r * r != P.x - curve.alpha:
+    r2 = r * r
+    if r2 != P.x - curve.alpha:
         raise VerificationError("r^2 != x0 - alpha")
     tr = rho.trace()
+    mid = r2 + nrho
     halves = []
-    for sg in (1, -1):
-        n = (r + sg * rho).norm()
-        Q = Point(curve.alpha + n, -sg * tr * n)
-        slope = -(r + sg * tr)
+    for t in (tr, -tr):  # t = +-trace(rho): norm(r +- rho) = r^2 + r*t + norm(rho)
+        n = mid + r * t
+        Q = Point(curve.alpha + n, -t * n)
+        slope = -(r + t)
         _verify_half(curve, P, Q)
         halves.append((Q, slope))
     if halves[0][0] == halves[1][0]:
@@ -196,21 +199,22 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
     r0 = t.sqrt()
     if r0 is None:
         raise NotHalvable("x0 - alpha is not a square in K")
-    p = curve.g.p
+    u, y2 = (2 * x0 + curve.g.p) * t, 2 * y0  # D = u - y2*r
     branches = []
     seen = {}
     halves = []
     for r in (r0, -r0):
-        D = (2 * x0 + p) * t - 2 * y0 * r
-        if not D.is_square():
+        s = (u - y2 * r).sqrt()  # sqrt(D), None when D is not a square
+        if s is None:
             continue
-        if not D:
+        if not s:
             raise VerificationError("discriminant cannot vanish on a nonsingular curve")
-        T = D.sqrt() / r
+        T = s / r
+        w, rT = y0 / r, r * T
         branches.append((r, T))
-        for sg in (1, -1):
-            xq = x0 + sg * r * T - y0 / r
-            slope = -(r + sg * T)
+        for sg_rT, sg_T in ((rT, T), (-rT, -T)):
+            xq = x0 + sg_rT - w
+            slope = -(r + sg_T)
             Q = Point(xq, slope * (xq - x0) - y0)
             if Q in seen:
                 _same_slope(Q, seen[Q], slope)

@@ -8,13 +8,16 @@ iota(c0 + c1*X) = (c0 - c1*p) - c1*X, giving
     trace(z) = z + iota(z) = 2*c0 - c1*p      (in K)
     norm(z)  = z * iota(z) = c0^2 - c0*c1*p + c1^2*q   (in K)
 
-``ext_sqrt`` decides squareness constructively.  If rho^2 = z and
-t := trace(rho) is nonzero, then t^2 = trace(z) + 2*norm(rho) and
-rho = (z + norm(rho)) / t, so scanning the two candidate norms
-+-sqrt(norm(z)) finds rho.  The only squares this scan misses have
-trace(rho) = 0, i.e. rho = b*(X + p/2); those satisfy z = b^2*(p^2-4q)/4,
-which forces z into K, and are recovered from gamma = sqrt(z/(p^2-4q)) as
-rho = gamma*(2X + p).
+``ext_sqrt`` decides squareness constructively.  For a root rho^2 = z write
+n = norm(rho) and s = trace(rho), both in K.  Then s^2 = trace(z) + 2*n and,
+when s != 0, rho = (z + n) / s, each coordinate of z + n divided by s in K;
+so scanning the two candidate norms n = +-sqrt(norm(z)) finds rho.  The only
+squares this scan misses have s = 0, i.e. rho = b*(X + p/2); those satisfy
+z = b^2*(p^2-4q)/4, which forces z into K, and are recovered from
+gamma = sqrt(z/(p^2-4q)) as rho = gamma*(2X + p).
+
+For r in K and eps = +-1, norm(r + eps*rho) = r^2 + eps*r*trace(rho) +
+norm(rho), so the halving formulas take their norms in K, never in K_g.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ __all__ = [
 class QuadraticPoly:
     """g(x) = x^2 + p*x + q over a field of characteristic != 2, square-free."""
 
-    __slots__ = ("field", "p", "q")
+    __slots__ = ("field", "p", "q", "_roots")
 
     def __init__(self, field: Field, p, q):
         if field.characteristic == 2:
@@ -45,6 +48,7 @@ class QuadraticPoly:
         self.field = field
         self.p = field.element(p)
         self.q = field.element(q)
+        self._roots = False  # not looked for yet
         if not self.disc():
             raise SingularCurve("x^2 + p*x + q must be square-free (p^2 - 4q != 0)")
 
@@ -58,15 +62,15 @@ class QuadraticPoly:
         return x * x + self.p * x + self.q
 
     def irreducible(self) -> bool:
-        return not self.disc().is_square()
+        return self.roots() is None
 
     def roots(self) -> Optional[Tuple[FieldElement, FieldElement]]:
-        """The two (distinct) roots in K, or None when g is irreducible."""
-        s = self.disc().sqrt()
-        if s is None:
-            return None
-        two = self.field.element(2)
-        return ((-self.p + s) / two, (-self.p - s) / two)
+        """The two (distinct) roots in K, or None when g is irreducible; found on the first call."""
+        if self._roots is False:
+            s = self.disc().sqrt()
+            two = self.field.element(2)
+            self._roots = None if s is None else ((-self.p + s) / two, (-self.p - s) / two)
+        return self._roots
 
     def __eq__(self, other):
         return (
@@ -96,22 +100,22 @@ class QuadExtElement:
 
     def _coerce(self, other) -> Optional["QuadExtElement"]:
         if isinstance(other, QuadExtElement):
-            if other.g != self.g:
+            if other.g is not self.g and other.g != self.g:
                 raise InvalidParams("mixing elements of different quadratic extensions")
             return other
         if isinstance(other, FieldElement):
-            if other.field != self.g.field:
+            if other.field is not self.g.field and other.field != self.g.field:
                 raise InvalidParams("scalar from a different base field")
-            return QuadExtElement(self.g, other, 0)
+            return _elt(self.g, other, self.g.field.zero)
         if isinstance(other, int):
-            return QuadExtElement(self.g, self.g.field.element(other), 0)
+            return _elt(self.g, self.g.field.element(other), self.g.field.zero)
         return None
 
     def __add__(self, other):
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return QuadExtElement(self.g, self.c0 + w.c0, self.c1 + w.c1)
+        return _elt(self.g, self.c0 + w.c0, self.c1 + w.c1)
 
     __radd__ = __add__
 
@@ -119,7 +123,7 @@ class QuadExtElement:
         w = self._coerce(other)
         if w is None:
             return NotImplemented
-        return QuadExtElement(self.g, self.c0 - w.c0, self.c1 - w.c1)
+        return _elt(self.g, self.c0 - w.c0, self.c1 - w.c1)
 
     def __rsub__(self, other):
         w = self._coerce(other)
@@ -133,7 +137,7 @@ class QuadExtElement:
             return NotImplemented
         # (c0 + c1 X)(d0 + d1 X) with X^2 = -pX - q.
         cross = self.c1 * w.c1
-        return QuadExtElement(
+        return _elt(
             self.g,
             self.c0 * w.c0 - cross * self.g.q,
             self.c0 * w.c1 + self.c1 * w.c0 - cross * self.g.p,
@@ -143,7 +147,7 @@ class QuadExtElement:
 
     def conj(self) -> "QuadExtElement":
         """The involution iota exchanging the two roots of g."""
-        return QuadExtElement(self.g, self.c0 - self.c1 * self.g.p, -self.c1)
+        return _elt(self.g, self.c0 - self.c1 * self.g.p, -self.c1)
 
     def trace(self) -> FieldElement:
         return 2 * self.c0 - self.c1 * self.g.p
@@ -158,7 +162,7 @@ class QuadExtElement:
         n = w.norm()
         if not n:
             raise ZeroDivisionError("division by zero in the quadratic extension")
-        return self * w.conj() * QuadExtElement(self.g, n.inverse(), 0)
+        return self * w.conj() * n.inverse()
 
     def __rtruediv__(self, other):
         w = self._coerce(other)
@@ -182,12 +186,15 @@ class QuadExtElement:
         return r
 
     def __neg__(self):
-        return QuadExtElement(self.g, -self.c0, -self.c1)
+        return _elt(self.g, -self.c0, -self.c1)
 
     def __eq__(self, other):
         if isinstance(other, (QuadExtElement, FieldElement, int)):
-            w = self._coerce(other)
-            return self.c0 == w.c0 and self.c1 == w.c1 and self.g == w.g
+            try:
+                w = self._coerce(other)
+            except InvalidParams:  # another extension or base field
+                return False
+            return self.c0 == w.c0 and self.c1 == w.c1
         return NotImplemented
 
     def __hash__(self):
@@ -202,6 +209,13 @@ class QuadExtElement:
     def __repr__(self):
         fmt = self.g.field.format_element
         return f"({fmt(self.c0)}) + ({fmt(self.c1)})*X"
+
+
+def _elt(g: QuadraticPoly, c0: FieldElement, c1: FieldElement) -> QuadExtElement:
+    """c0 + c1*X from coordinates already in g's field, without coercing them again."""
+    z = object.__new__(QuadExtElement)
+    z.g, z.c0, z.c1 = g, c0, c1
+    return z
 
 
 class QuadExt:
@@ -276,7 +290,7 @@ def ext_sqrt(z: QuadExtElement) -> Optional[QuadExtElement]:
     for n in (n0, -n0) if n0 else (n0,):
         s = (tr + 2 * n).sqrt()
         if s is not None and s:
-            rho = (z + n) / s
+            rho = _elt(z.g, (z.c0 + n) / s, z.c1 / s)
             _check_root(rho, z)
             return rho
     # Trace-zero roots rho = b*(X + p/2) square to base-field values
@@ -284,7 +298,7 @@ def ext_sqrt(z: QuadExtElement) -> Optional[QuadExtElement]:
     if z.in_base_field():
         gamma = (z.c0 / z.g.disc()).sqrt()
         if gamma is not None:
-            rho = QuadExtElement(z.g, gamma * z.g.p, 2 * gamma)
+            rho = _elt(z.g, gamma * z.g.p, 2 * gamma)
             _check_root(rho, z)
             return rho
     return None

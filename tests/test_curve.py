@@ -635,3 +635,11 @@ def test_point_class_invariants():
     assert Point.infinity().is_infinity
     assert Point(F(1), F(2)) == Point(F(1), F(2))
     assert len({Point(F(1), F(2)), Point(F(1), F(2))}) == 1
+
+
+def test_curves_carry_no_instance_dict():
+    for E in (CubicCurve(PrimeField(7), 0, 0, 1), CubicCurve(Rationals(), 1, 0, 1),
+              Char2Curve(BinaryField(3), 1, 1)):
+        assert not hasattr(E, "__dict__")
+        with pytest.raises(AttributeError):
+            E.stray = 1

@@ -14,6 +14,7 @@ from ectorsion import (
     Point,
     PointIsW3,
     PrimeField,
+    QuadExtElement,
     Rationals,
     SingularCurve,
     TwoTorsionHalf,
@@ -21,7 +22,11 @@ from ectorsion import (
     e4_new,
     e4char2_new,
     e6_new,
+    e8_new,
     e8char2_new,
+    e10_new,
+    e12_new,
+    ext_sqrt,
     halvability_criterion_origin,
     halve,
     halve_char2,
@@ -374,3 +379,46 @@ def test_half_to_roots_rational_case():
     reb, _ = triple.rebuild_half()
     assert reb == P6
     assert triple.doubled() == E.double(P6)
+
+
+def _check_quadext_witness(E, P):
+    """halve_quadext's witness is ext_sqrt(x0 - X) and the r it derives; True if halvable."""
+    res = halve_quadext(E, P)
+    z = QuadExtElement(E.g, P.x, -1)  # x0 - X
+    root = ext_sqrt(z)
+    if not res.halvable:
+        assert root is None and res.witness == {}
+        return False
+    F = E.field
+    w = res.witness
+    rho = QuadExtElement(E.g, F.parse_element(w["rho"]["c0"]), F.parse_element(w["rho"]["c1"]))
+    r = F.parse_element(w["r"])
+    assert rho == root and rho * rho == z
+    assert r * r == P.x - E.alpha
+    assert r * rho.norm() == -P.y
+    return True
+
+
+def test_quadext_witness_is_the_extension_root():
+    halved = 0
+    for E in small_cubic_curves([7, 11, 13]):
+        if E.g.roots() is not None:
+            continue
+        for P in E.full_group():
+            if not P.is_infinity:
+                halved += _check_quadext_witness(E, P)
+    assert halved > 0
+
+
+def test_quadext_witness_of_even_order_witnesses_over_q():
+    Q = Rationals()
+    insts = [e4_new(Q, Q(a), Q(b)) for a, b in ((-6, -6), (1, 1))]
+    for ctor in (e6_new, e8_new, e10_new, e12_new):
+        insts += [ctor(Q, Q(t)) for t in (Fraction(-3), Fraction(5, 2))]
+    halved = 0
+    for inst in insts:
+        assert inst.curve.g.irreducible()
+        for w in inst.witnesses:
+            if w.claimed_order % 2 == 0:
+                halved += _check_quadext_witness(inst.curve, w.point)
+    assert halved == 10  # W3 on the six e4, e8, e12 curves; both order-4 witnesses of each e8

@@ -229,3 +229,63 @@ def test_mixed_extension_arithmetic_rejected():
         _gen(g1) + _gen(g2)
     with pytest.raises(InvalidParams):
         QuadExtElement(g1, F(1), F(0)) * PrimeField(5)(2)
+
+
+def test_equality_with_another_extension_is_false():
+    F = PrimeField(7)
+    X1, X2 = _gen(QuadraticPoly(F, 0, 1)), _gen(QuadraticPoly(F, 0, 3))
+    assert not X1 == X2 and X1 != X2
+    assert X1 not in [X2] and X2 not in [X1]
+    with pytest.raises(InvalidParams):
+        X1 - X2
+
+
+def test_equality_with_a_scalar_of_another_field_is_false():
+    F = PrimeField(7)
+    one = QuadExtElement(QuadraticPoly(F, 0, 1), F(1), F(0))
+    foreign = PrimeField(5)(1)
+    assert not one == foreign and one != foreign
+    assert not foreign == one
+    assert one not in [foreign] and foreign not in [one]
+    assert one == F(1) and one == 1  # a scalar of its own field still compares by value
+    with pytest.raises(InvalidParams):
+        one + foreign
+
+
+def test_equal_moduli_built_apart_mix():
+    F = PrimeField(7)
+    g1, g2 = QuadraticPoly(F, 0, 1), QuadraticPoly(F, 0, 1)
+    assert g1 is not g2 and g1 == g2
+    a = QuadExtElement(g1, F(2), F(3))
+    b = QuadExtElement(g2, F(5), F(1))
+    assert a + b == QuadExtElement(g1, F(0), F(4))
+    assert a - b == QuadExtElement(g2, F(4), F(2))
+    assert a * b == QuadExtElement(g1, F(0), F(3))  # 10 + 17X + 3X^2 = 7 + 17X
+    assert (a / b) * b == a and (a / b).g is g1
+    assert QuadExtElement(g1, F(3), F(4)) == QuadExtElement(g2, F(3), F(4))
+    with pytest.raises(InvalidParams):
+        a + QuadExtElement(QuadraticPoly(F, 0, 3), F(1), F(1))
+    with pytest.raises(InvalidParams):
+        a / QuadExtElement(QuadraticPoly(F, 1, 1), F(1), F(1))
+
+
+def test_roots_are_found_once_per_modulus():
+    F = PrimeField(13)
+    for g in (QuadraticPoly(F, 0, -1), QuadraticPoly(F, 0, 2), QuadraticPoly(Rationals(), -3, 2)):
+        first = g.roots()
+        assert g.roots() is first
+        assert g.irreducible() == (first is None)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_irreducible_agrees_with_the_discriminant_oracle(p):
+    F = PrimeField(p)
+    squares = oracles.fp_squares(p)
+    for pp in range(p):
+        for qq in range(p):
+            d = (pp * pp - 4 * qq) % p
+            if d == 0:
+                continue
+            g = QuadraticPoly(F, pp, qq)
+            assert g.irreducible() == (d not in squares)
+            assert g.irreducible() == (g.roots() is None)

@@ -34,7 +34,14 @@ x = next(x for x in range(2, 100) if pow(E.rhs(F(x)).value, (p - 1) // 2, p) == 
 P = ectorsion.Point(F(x), F(pow(E.rhs(F(x)).value, (p + 1) // 4, p)))
 assert E.order_of(P) > 12
 assert tr.counts["curve.contains"] > 0  # the boundary's point check is still counted
-print(spans.metrics(tr, ectorsion.InvalidParams)["kernel.cubic_add_calls"])
+
+F7 = ectorsion.PrimeField(7)
+E7 = ectorsion.CubicCurve(F7, 0, 0, 1)  # y^2 = x (x^2 + 1), x^2 + 1 irreducible mod 7
+assert E7.g.irreducible()
+P = E7.double(next(Q for Q in E7.full_group() if not Q.is_infinity and Q.y))
+assert ectorsion.halve(E7, P).criterion == "quadext"
+m = spans.metrics(tr, ectorsion.InvalidParams)
+print(m["kernel.cubic_add_calls"], m["quadratic.ext_sqrt_calls"], m["halving.quadext_calls"])
 """
 
 
@@ -44,4 +51,6 @@ def test_benchmark_tracer_wraps_names_that_exist():
     run = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert int(run.stdout) > 0  # the tracer counts the kernel's additions
+    adds, ext_sqrts, quadexts = map(int, run.stdout.split())
+    assert adds > 0  # the tracer counts the kernel's additions
+    assert ext_sqrts > 0 and quadexts > 0  # and sees the halving route through K_g
