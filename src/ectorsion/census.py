@@ -24,7 +24,7 @@ from .curve import Char2Curve, Point, point_to_json
 from .errors import FieldTooLarge, InvalidParams, VerificationError
 from .families import (
     FamilyInstance,
-    _e8_isomorphic,
+    _e8_p,
     e4_new,
     e4char2_new,
     e6_new,
@@ -33,7 +33,7 @@ from .families import (
     e10_new,
     e12_new,
 )
-from .field import BinaryField, Field, FieldElement, PrimeField
+from .field import BinaryField, Field, PrimeField
 
 __all__ = [
     "CensusReport",
@@ -170,15 +170,14 @@ def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstan
     """Every valid parameter of the order-N family over a small finite field.
 
     Returns one representative per isomorphism class where the family has an
-    isomorphism test (e4 via the b/a^2 normal form, e8 via the explicit
-    criterion, char-2 families by coinciding curves) and one instance per
-    parameter otherwise (e6, e10, e12).  Every instance returned has its
-    witnesses checked when ``verify`` is set.  e4 and e8char2 key a parameter
-    before building its curve, so only representatives are built and
-    checked, and e4 stops after the first row of a that has met all q - 1
-    classes b/a^2; e8 builds each valid parameter, then keeps the first of
-    its class; e4char2 has one class per parameter.  The largest fields
-    swept are F_97 and GF(2^6).
+    isomorphism test (e4 via the b/a^2 normal form, e8 via P(t) in y^2 =
+    x(x^2 + P(t)x + 1), char-2 families by coinciding curves) and one
+    instance per parameter otherwise (e6, e10, e12).  Every instance returned
+    has its witnesses checked when ``verify`` is set.  e4, e8 and e8char2 key
+    a parameter before building its curve, so only representatives are
+    built and checked, and e4 stops after the first row of a that has met
+    all q - 1 classes b/a^2; e4char2 has one class per parameter.  The
+    largest fields swept are F_97 and GF(2^6).
     """
     q = field.order
     if q is None:
@@ -225,15 +224,21 @@ def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstan
                 continue
         return out
     if N == 8:
-        reps: List[FieldElement] = []
+        # E8(t): y^2 = x(x^2 + P(t)x + 1) has (0, 0) as its only rational
+        # 2-torsion point, so E8(s) ~ E8(t) iff P(s) = P(t), or P(s) = -P(t)
+        # with -1 a square; but -P(t) is no P(s): P + 2 is a square, P - 2 not.
+        # A key enters ``seen`` with a valid parameter, the first of its class.
+        seen = set()
         for t in field.elements():
+            if t * t == 1:
+                continue
+            key = _e8_p(t)
+            if key in seen:
+                continue
             try:
-                inst = e8_new(field, t, verify=verify)
+                out.append(e8_new(field, t, verify=verify))
             except InvalidParams:
                 continue
-            if any(_e8_isomorphic(r, t) for r in reps):
-                continue
-            reps.append(t)
-            out.append(inst)
+            seen.add(key)
         return out
     raise InvalidParams("N must be one of {4, 6, 8, 10, 12}")

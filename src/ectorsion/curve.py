@@ -138,7 +138,7 @@ def _default_cap(field: Field, cap: Optional[int] = None) -> int:
     return min(cap, _MAZUR_BOUND) if q is None else cap
 
 
-# The functions of one kernel model; ``points`` is None over Q.
+# One kernel model's functions (``points`` is None over Q), built by tuple.__new__ as _make does.
 _Model = namedtuple("_Model", "contains add neg smul order points")
 
 
@@ -222,12 +222,13 @@ class CubicCurve(_CurveBase):
         A, B, C = (g.p - a).value, (g.q - a * g.p).value, (-a * g.q).value
         if isinstance(field, PrimeField):
             self._kp = (field.p, A, B, C)
-            self._k = _Model(kernel.cubic_contains, kernel.cubic_add, kernel.cubic_neg,
-                             kernel.cubic_smul, kernel.cubic_order, kernel.cubic_points)
+            self._k = tuple.__new__(_Model, (kernel.cubic_contains, kernel.cubic_add,
+                                             kernel.cubic_neg, kernel.cubic_smul,
+                                             kernel.cubic_order, kernel.cubic_points))
         else:
             self._kp = (A, B, C)
-            self._k = _Model(kernel.qq_contains, kernel.qq_add, kernel.qq_neg, kernel.qq_smul,
-                             kernel.qq_order, None)
+            self._k = tuple.__new__(_Model, (kernel.qq_contains, kernel.qq_add, kernel.qq_neg,
+                                             kernel.qq_smul, kernel.qq_order, None))
 
     @classmethod
     def from_g(cls, field: Field, alpha, g: QuadraticPoly) -> "CubicCurve":
@@ -248,7 +249,7 @@ class CubicCurve(_CurveBase):
 
     def coefficients(self) -> Tuple[FieldElement, FieldElement, FieldElement]:
         """(A, B, C) of the expanded form y^2 = x^3 + A x^2 + B x + C."""
-        return tuple(FieldElement(self.field, v) for v in self._kp[-3:])
+        return tuple(self.field._elt(self.field, v) for v in self._kp[-3:])
 
     def rhs(self, x: FieldElement) -> FieldElement:
         return (x - self.alpha) * self.g(x)
@@ -328,7 +329,7 @@ def _pt_ints(P: Point):
 def _pt_from_ints(field: Field, t) -> Point:
     if t is None:
         return Point.infinity()
-    return Point(FieldElement(field, t[0]), FieldElement(field, t[1]))
+    return Point(field._elt(field, t[0]), field._elt(field, t[1]))
 
 
 def _cubic_rational_root(field: Field, A, B, C) -> Optional[FieldElement]:
@@ -398,8 +399,8 @@ class Char2Curve(_CurveBase):
         if not self.a6:
             raise SingularCurve("a6 = 0 is not an ordinary curve (j would be 0)")
         self._kp = (field._kernel(), self.a2.value, self.a6.value)
-        self._k = _Model(kernel.c2_contains, kernel.c2_add, kernel.c2_neg, kernel.c2_smul,
-                         kernel.c2_order, kernel.c2_points)
+        self._k = tuple.__new__(_Model, (kernel.c2_contains, kernel.c2_add, kernel.c2_neg,
+                                         kernel.c2_smul, kernel.c2_order, kernel.c2_points))
 
     @property
     def w3(self) -> Point:

@@ -192,9 +192,7 @@ def e8_new(field: Field, t, verify: bool = True) -> FamilyInstance:
     if (2 * t * t - 1).is_square():
         raise InvalidParams("e8 needs 2t^2 - 1 to be a non-square")
     one = field.one
-    den = t * t - 1
-    p = 2 * (t ** 4 + 2 * t * t - 1) / (den * den)
-    curve = CubicCurve(field, 0, p, 1)
+    curve = CubicCurve(field, 0, _e8_p(t), 1)
     zero = field.zero
     y4 = 2 * t * t / (1 - t * t)
     x8a = (1 + t) / (1 - t)
@@ -211,6 +209,12 @@ def e8_new(field: Field, t, verify: bool = True) -> FamilyInstance:
         _witness(curve, Point(x8b, -y8b), 8, verify),
     )
     return FamilyInstance("e8", {"t": t}, curve, witnesses)
+
+
+def _e8_p(t: FieldElement) -> FieldElement:
+    """P(t) = 2(t^4 + 2t^2 - 1)/(t^2 - 1)^2, so that E8(t) is y^2 = x(x^2 + P(t)x + 1); t^2 != 1."""
+    den = t * t - 1
+    return 2 * (t ** 4 + 2 * t * t - 1) / (den * den)
 
 
 def e10_new(field: Field, u, verify: bool = True) -> FamilyInstance:

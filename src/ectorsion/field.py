@@ -15,6 +15,9 @@ nonnegative one, and in GF(2^k) squaring is a bijection so the root is
 already unique (x -> x**(2**(k-1))).
 
 A field instance doubles as an element factory: ``F = PrimeField(7); F(3)``.
+F_p elements (each field's ``_elt`` class) have their own ``+ - *``, unary
+``-`` and ``==``: one call against the same field object or an int (products
+via ``PrimeField._mul``), the generic path otherwise, as Q and GF(2^k) use.
 """
 
 from __future__ import annotations
@@ -98,7 +101,7 @@ class FieldElement:
         v = self._rhs(other)
         if v is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._add(self.value, v))
+        return self.__class__(self.field, self.field._add(self.value, v))
 
     __radd__ = __add__
 
@@ -106,19 +109,19 @@ class FieldElement:
         v = self._rhs(other)
         if v is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._sub(self.value, v))
+        return self.__class__(self.field, self.field._sub(self.value, v))
 
     def __rsub__(self, other):
         v = self._rhs(other)
         if v is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._sub(v, self.value))
+        return self.__class__(self.field, self.field._sub(v, self.value))
 
     def __mul__(self, other):
         v = self._rhs(other)
         if v is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._mul(self.value, v))
+        return self.__class__(self.field, self.field._mul(self.value, v))
 
     __rmul__ = __mul__
 
@@ -126,21 +129,21 @@ class FieldElement:
         v = self._rhs(other)
         if v is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._div(self.value, v))
+        return self.__class__(self.field, self.field._div(self.value, v))
 
     def __rtruediv__(self, other):
         v = self._rhs(other)
         if v is None:
             return NotImplemented
-        return FieldElement(self.field, self.field._div(v, self.value))
+        return self.__class__(self.field, self.field._div(v, self.value))
 
     def __pow__(self, n):
         if not isinstance(n, int):
             return NotImplemented
-        return FieldElement(self.field, self.field._pow(self.value, n))
+        return self.__class__(self.field, self.field._pow(self.value, n))
 
     def __neg__(self):
-        return FieldElement(self.field, self.field._neg(self.value))
+        return self.__class__(self.field, self.field._neg(self.value))
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
@@ -168,13 +171,14 @@ class FieldElement:
         return self.field.sqrt(self)
 
     def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field._div(self.field._from_int(1), self.value))
+        return self.__class__(self.field, self.field._div(self.field._from_int(1), self.value))
 
 
 class Field:
     """Abstract base: element factory plus the field-specific arithmetic."""
 
     kind: str = "?"
+    _elt = FieldElement  # the class of this field's elements
 
     # -- raw-value arithmetic, implemented per subclass ---------------------
     def _from_int(self, n: int):
@@ -217,11 +221,11 @@ class Field:
 
     @property
     def zero(self) -> FieldElement:
-        return FieldElement(self, self._from_int(0))
+        return self._elt(self, self._from_int(0))
 
     @property
     def one(self) -> FieldElement:
-        return FieldElement(self, self._from_int(1))
+        return self._elt(self, self._from_int(1))
 
     @property
     def characteristic(self) -> int:
@@ -255,11 +259,55 @@ class Field:
         return self.descriptor
 
 
+class _PrimeElement(FieldElement):
+    """An F_p element, with the fast operators described in the module docstring."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        if other.__class__ is _PrimeElement and other.field is self.field:
+            other = other.value
+        elif other.__class__ is not int:
+            return FieldElement.__add__(self, other)
+        return _PrimeElement(self.field, (self.value + other) % self.field.p)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if other.__class__ is _PrimeElement and other.field is self.field:
+            other = other.value
+        elif other.__class__ is not int:
+            return FieldElement.__sub__(self, other)
+        return _PrimeElement(self.field, (self.value - other) % self.field.p)
+
+    def __mul__(self, other):
+        if other.__class__ is _PrimeElement and other.field is self.field:
+            other = other.value
+        elif other.__class__ is not int:
+            return FieldElement.__mul__(self, other)
+        return _PrimeElement(self.field, self.field._mul(self.value, other))
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return _PrimeElement(self.field, -self.value % self.field.p)
+
+    def __eq__(self, other):
+        if other.__class__ is _PrimeElement and other.field is self.field:
+            return self.value == other.value
+        if other.__class__ is int:
+            return self.value == other % self.field.p
+        return FieldElement.__eq__(self, other)
+
+    __hash__ = FieldElement.__hash__
+
+
 class PrimeField(Field):
     """F_p for a prime p < 2**31 (p = 2 is allowed, though curves reject it)."""
 
     kind = "prime"
     __slots__ = ("p",)
+    _elt = _PrimeElement
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
@@ -303,13 +351,13 @@ class PrimeField(Field):
 
     def element(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise InvalidParams(f"element of {value.field.descriptor}, wanted {self.descriptor}")
             return value
         if isinstance(value, str):
             return self.parse_element(value)
         if isinstance(value, int):
-            return FieldElement(self, value % self.p)
+            return _PrimeElement(self, value % self.p)
         raise InvalidParams(f"cannot make an F_{self.p} element from {value!r}")
 
     @property
@@ -322,14 +370,14 @@ class PrimeField(Field):
 
     def elements(self):
         for i in range(self.p):
-            yield FieldElement(self, i)
+            yield _PrimeElement(self, i)
 
     def is_square(self, a):
         return kernel.fp_is_square(a.value, self.p)
 
     def sqrt(self, a):
         r = kernel.fp_sqrt(a.value, self.p)
-        return None if r < 0 else FieldElement(self, r)
+        return None if r < 0 else _PrimeElement(self, r)
 
     @property
     def descriptor(self):
@@ -340,7 +388,7 @@ class PrimeField(Field):
         if "/" in text:
             num, den = text.split("/", 1)
             return self.element(int(num)) / self.element(int(den))
-        return FieldElement(self, int(text) % self.p)
+        return _PrimeElement(self, int(text) % self.p)
 
     def format_element(self, a):
         return str(a.value)
@@ -536,7 +584,7 @@ class Rationals(Field):
 
     def element(self, value) -> FieldElement:
         if isinstance(value, FieldElement):
-            if value.field != self:
+            if value.field is not self and value.field != self:
                 raise InvalidParams(f"element of {value.field.descriptor}, wanted Q")
             return value
         if isinstance(value, str):

@@ -12,6 +12,7 @@ from ectorsion import (
     VerificationError,
     cli,
     e4_new,
+    e8_new,
     family_sweep,
     iso_e4,
     sigma_char2,
@@ -20,6 +21,7 @@ from ectorsion import (
 )
 
 import ectorsion.census as census
+from ectorsion.families import _e8_isomorphic, _e8_p
 from ectorsion import kernel
 import oracles
 
@@ -219,6 +221,66 @@ def test_family_sweep_e4_counts_and_verifies_every_class(p):
     insts = family_sweep(PrimeField(p), 4)
     assert len(insts) == (p - 1) // 2
     assert all(w.verified for inst in insts for w in inst.witnesses)
+
+
+def _e8_valid(F):
+    """The parameters e8_new accepts, in field order."""
+    valid = []
+    for t in F.elements():
+        try:
+            valid.append(e8_new(F, t, verify=False).params["t"])
+        except InvalidParams:
+            continue
+    return valid
+
+
+@pytest.mark.parametrize("p", oracles.small_primes(5, 97))
+def test_e8_key_agrees_with_the_isomorphism_criterion(p):
+    """P(s) = P(t) exactly when _e8_isomorphic(s, t), on valid parameters.
+
+    The curves of P and -P are also isomorphic when -1 is a square, but then
+    -P(t) is the key of no valid parameter: P + 2 is a square and P - 2 is
+    not, so -P + 2 = -(P - 2) is not either.
+    """
+    F = PrimeField(p)
+    valid = _e8_valid(F)
+    keys = {t: _e8_p(t) for t in valid}
+    for t in valid:
+        assert (keys[t] + 2).is_square() and not (keys[t] - 2).is_square()
+    for s in valid:
+        for t in valid:
+            assert (keys[s] == keys[t]) == _e8_isomorphic(s, t), (s, t)
+            # P + 2 = 4(t^2/(t^2 - 1))^2, so P(s) = P(t) iff t^2 = s^2 or t^2 =
+            # s^2/(2s^2 - 1), a non-square: each class is {t, -t}
+            assert (keys[s] == keys[t]) == (s == t or s == -t), (s, t)
+
+
+@pytest.mark.parametrize("p", oracles.small_primes(3, 97))
+def test_family_sweep_e8_matches_the_pairwise_scan(p):
+    """Same params, same order, as building every t and keeping the first of each class."""
+    F = PrimeField(p)
+    reps = []
+    for t in _e8_valid(F):
+        if not any(_e8_isomorphic(r, t) for r in reps):
+            reps.append(t)
+    assert [inst.params["t"] for inst in family_sweep(F, 8, verify=False)] == reps
+
+
+@pytest.mark.parametrize("p", [5, 13, 31, 97])
+@pytest.mark.parametrize("verify", [True, False])
+def test_family_sweep_e8_builds_one_curve_per_class(monkeypatch, p, verify):
+    """One successful e8_new call per returned class, not one per valid t."""
+    built = []
+
+    def counting_e8_new(*args, **kwargs):
+        inst = e8_new(*args, **kwargs)
+        built.append(inst)
+        return inst
+
+    monkeypatch.setattr(census, "e8_new", counting_e8_new)
+    insts = family_sweep(PrimeField(p), 8, verify=verify)
+    assert built == insts
+    assert all(w.verified == verify for inst in insts for w in inst.witnesses)
 
 
 @pytest.mark.parametrize("p,N", [(7, 8), (11, 10), (13, 12), (11, 6)])

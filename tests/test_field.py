@@ -130,11 +130,89 @@ def test_cross_field_arithmetic_is_rejected():
     assert a != b
 
 
+def test_element_of_a_foreign_field_is_refused():
+    F, Q = PrimeField(7), Rationals()
+    for field, foreign in ((F, PrimeField(11)(3)), (F, Q(3)), (Q, F(3)), (Q, BinaryField(3)(3))):
+        with pytest.raises(InvalidParams):
+            field.element(foreign)
+    for field, twin in ((F, PrimeField(7)), (Q, Rationals())):  # twin: equal, built apart
+        a, b = field(3), twin(3)
+        assert field.element(a) is a and field.element(b) is b
+
+
 def test_elements_of_equal_field_instances_mix():
     a, b = PrimeField(7)(3), PrimeField(7)(3)
     assert a.field is not b.field
     assert a == b and a + b == PrimeField(7)(6)
     assert BinaryField(3)(5) * BinaryField(3)(1) == BinaryField(3)(5)
+
+
+# ---------------------------------------------------------------------------
+# the F_p operator table
+# ---------------------------------------------------------------------------
+
+_FP_BINARY = {
+    "+": lambda x, y: x + y,
+    "-": lambda x, y: x - y,
+    "*": lambda x, y: x * y,
+}
+
+
+@pytest.mark.parametrize("p", [2, 7, 97])
+def test_prime_field_operators_match_int_arithmetic(p):
+    """Every F_p operator, against an element of the same field, of an equal
+    field built apart, and ints of either sign and any size, agrees with
+    int arithmetic mod p and stays in the left operand's field."""
+    F, G = PrimeField(p), PrimeField(p)
+    rng = random.Random(p)
+    values = sorted(set(range(min(p, 8))) | {p - 1} | {rng.randrange(p) for _ in range(6)})
+    ints = (-5 * p - 2, -p, -1, 0, 1, p - 1, p, p + 3, 7 * p + 5, 2**40 + 1)
+    kind = type(F.one)
+    for a in values:
+        x = F(a)
+        neg = -x
+        assert neg.value == -a % p and neg.field is F and type(neg) is kind
+        for name, op in _FP_BINARY.items():
+            cases = [(x, F(b), a, b) for b in values]
+            cases += [(x, G(b), a, b) for b in values]
+            cases += [(x, n, a, n) for n in ints] + [(n, x, n, a) for n in ints]
+            for lhs, rhs, u, v in cases:
+                r = op(lhs, rhs)
+                assert r.value == op(u, v) % p, (name, lhs, rhs)
+                assert r.field is F and type(r) is kind, (name, lhs, rhs)
+        for b in values:
+            assert (x == F(b)) == (a == b) and (x == G(b)) == (a == b)
+            assert (x != F(b)) == (a != b)
+        for n in ints:
+            assert (x == n) == (n == x) == ((a - n) % p == 0)
+            assert (x != n) == ((a - n) % p != 0)
+
+
+def test_prime_field_operators_refuse_foreign_operands():
+    x = PrimeField(7)(3)
+    foreign = (PrimeField(11)(3), Rationals()(3))
+    for name, op in _FP_BINARY.items():
+        for other in (True, False, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+        for other in foreign:
+            with pytest.raises(InvalidParams):
+                op(x, other)
+            with pytest.raises(InvalidParams):
+                op(other, x)
+    assert all(x != other for other in foreign)
+
+
+def test_prime_field_elements_hash_by_value():
+    F, G = PrimeField(7), PrimeField(7)
+    same = (F(3), G(3), F(10), G(-4), F(1) + 2, 5 * G(2))
+    assert len({hash(e) for e in same}) == 1
+    assert len(set(same)) == 1
+    table = {F(3): "three", F(4): "four"}
+    assert table[G(10)] == "three" and table[F(1) * 4] == "four"
+    assert G(5) not in table and len({F(v) for v in range(20)}) == 7
 
 
 # ---------------------------------------------------------------------------
