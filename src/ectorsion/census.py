@@ -9,9 +9,10 @@ whose rational group contains a point of the requested order using nothing
 but the group law, run on ints through ``kernel``.  The two counts must
 agree (q - 1 for order 4, q/2 - 1 for order 8).
 
-``family_sweep`` enumerates the valid parameters of one family over a small
-finite field, one representative per isomorphism class where the family has
-an isomorphism criterion, verifying every witness it returns.
+``family_sweep`` builds one member of each isomorphism class of one family
+over a small finite field, from the class's normal-form parameter (every
+parameter where classes are single parameters), verifying every witness it
+returns.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .curve import Char2Curve, Point, point_to_json
 from .errors import FieldTooLarge, InvalidParams, VerificationError
 from .families import (
     FamilyInstance,
-    _e8_p,
     e4_new,
     e4char2_new,
     e6_new,
@@ -167,17 +167,16 @@ def verify_f4_example() -> dict:
 
 
 def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstance]:
-    """Every valid parameter of the order-N family over a small finite field.
+    """Every isomorphism class of the order-N family over a small finite field.
 
-    Returns one representative per isomorphism class where the family has an
-    isomorphism test (e4 via the b/a^2 normal form, e8 via P(t) in y^2 =
-    x(x^2 + P(t)x + 1), char-2 families by coinciding curves) and one
-    instance per parameter otherwise (e6, e10, e12).  Every instance returned
-    has its witnesses checked when ``verify`` is set.  e4, e8 and e8char2 key
-    a parameter before building its curve, so only representatives are
-    built and checked, and e4 stops after the first row of a that has met
-    all q - 1 classes b/a^2; e4char2 has one class per parameter.  The
-    largest fields swept are F_97 and GF(2^6).
+    One constructor call per normal-form parameter, in field order:
+    (1, b) for e4, since (a, b) ~ (1, b/a^2) (``e4_normalize``); the t of
+    {t, -t} with the smaller value for e8; the t of {t, 1/t} with the smaller
+    value for e8char2; every parameter for e6, e10, e12 and e4char2 (whose
+    gamma -> a6 = gamma^4 is one-to-one).  Validity is the same across a
+    class, so a parameter the constructor refuses is a class that is skipped.
+    Every instance returned has its witnesses checked when ``verify`` is set.
+    The largest fields swept are F_97 and GF(2^6).
     """
     q = field.order
     if q is None:
@@ -186,59 +185,25 @@ def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstan
         raise FieldTooLarge("parameter sweeps are desk-scale: at most F_97 or GF(2^6)")
     if isinstance(field, BinaryField):
         if N == 4:
-            # a6 = gamma^4 and gamma -> gamma^4 permutes GF(2^k)^*: every
-            # gamma gives a class of its own.
-            return [e4char2_new(field, g, verify=verify) for g in field.elements() if g]
-        if N == 8:  # the smaller t of each pair {t, 1/t}, t != 0, 1 (t = 1/t only at 1)
-            return [e8char2_new(field, t, verify=verify) for t in field.elements()
-                    if 1 < t.value < t.inverse().value]
-        raise InvalidParams("binary-field sweeps cover N in {4, 8}")
-    out: List[FamilyInstance] = []
-    if N == 4:
-        seen = set()
-        for a in field.elements():
-            if not a:
-                continue
-            for b in field.elements():
-                if not b:
-                    continue
-                # iso_e4: (a,b) ~ (c,d) iff b/a^2 = d/c^2, and a^2 + 4b =
-                # a^2 (1 + 4 b/a^2), so validity is a property of the class.
-                key = b / (a * a)
-                if key in seen:
-                    continue
-                seen.add(key)
-                try:
-                    out.append(e4_new(field, a, b, verify=verify))
-                except InvalidParams:
-                    continue
-            if len(seen) == q - 1:  # every nonzero class met
-                break
-        return out
-    if N in (6, 10, 12):
+            ctor, params = e4char2_new, [(g,) for g in field.elements() if g]
+        elif N == 8:  # the smaller t of each pair {t, 1/t}, t != 0, 1 (t = 1/t only at 1)
+            ctor, params = e8char2_new, [(t,) for t in field.elements()
+                                         if 1 < t.value < t.inverse().value]
+        else:
+            raise InvalidParams("binary-field sweeps cover N in {4, 8}")
+    elif N == 4:
+        ctor, params = e4_new, [(field.one, b) for b in field.elements() if b]
+    elif N == 8:
+        ctor, params = e8_new, [(t,) for t in field.elements() if t.value <= (-t).value]
+    elif N in (6, 10, 12):
         ctor = {6: e6_new, 10: e10_new, 12: e12_new}[N]
-        for v in field.elements():
-            try:
-                out.append(ctor(field, v, verify=verify))
-            except InvalidParams:
-                continue
-        return out
-    if N == 8:
-        # E8(t): y^2 = x(x^2 + P(t)x + 1) has (0, 0) as its only rational
-        # 2-torsion point, so E8(s) ~ E8(t) iff P(s) = P(t), or P(s) = -P(t)
-        # with -1 a square; but -P(t) is no P(s): P + 2 is a square, P - 2 not.
-        # A key enters ``seen`` with a valid parameter, the first of its class.
-        seen = set()
-        for t in field.elements():
-            if t * t == 1:
-                continue
-            key = _e8_p(t)
-            if key in seen:
-                continue
-            try:
-                out.append(e8_new(field, t, verify=verify))
-            except InvalidParams:
-                continue
-            seen.add(key)
-        return out
-    raise InvalidParams("N must be one of {4, 6, 8, 10, 12}")
+        params = [(v,) for v in field.elements()]
+    else:
+        raise InvalidParams("N must be one of {4, 6, 8, 10, 12}")
+    out: List[FamilyInstance] = []
+    for args in params:
+        try:
+            out.append(ctor(field, *args, verify=verify))
+        except InvalidParams:
+            continue
+    return out

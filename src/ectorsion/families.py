@@ -350,32 +350,21 @@ def iso_e4(field: Field, a, b, c, d) -> Optional[FieldElement]:
 
 
 def iso_e8(field: Field, s, t) -> bool:
-    """Whether E8(s) and E8(t) are K-isomorphic.
+    """Whether E8(s) and E8(t) are K-isomorphic: exactly when s = +-t.
 
-    Always true for s = +-t and for s^2 + t^2 = 2 s^2 t^2; when K contains a
-    primitive 4th root of unity, also for s^4 t^4 + 2s^2 + 2t^2 = 4 s^2 t^2 + 1.
+    An isomorphism fixes (0, 0), so P(s) = +-P(t), and P(s) = P(t) iff
+    (s^2 - t^2)(s^2 + t^2 - 2s^2t^2) = 0, whose second factor would make
+    2s^2 - 1 a square, while -P(t) is no P(s): P + 2 is a square, -(P - 2) not.
     """
     s = e8_new(field, s, verify=False).params["t"]
     t = e8_new(field, t, verify=False).params["t"]
-    return _e8_isomorphic(s, t)
-
-
-def _e8_isomorphic(s: FieldElement, t: FieldElement) -> bool:
-    """iso_e8's criterion on parameters already known to be valid."""
-    s2, t2 = s * s, t * t
-    if s == t or s == -t or s2 + t2 == 2 * s2 * t2:
-        return True
-    if s.field.element(-1).is_square():
-        return s2 * s2 * t2 * t2 + 2 * s2 + 2 * t2 == 4 * s2 * t2 + 1
-    return False
+    return s == t or s == -t
 
 
 def iso_e8char2(field: Field, s, t) -> bool:
     """E8char2(s) and E8char2(t) coincide exactly when s = t or s = 1/t."""
-    e8char2_new(field, s, verify=False)
-    e8char2_new(field, t, verify=False)
-    s = field.element(s)
-    t = field.element(t)
+    s = e8char2_new(field, s, verify=False).params["t"]
+    t = e8char2_new(field, t, verify=False).params["t"]
     return s == t or s * t == field.one
 
 

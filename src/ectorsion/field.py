@@ -214,6 +214,24 @@ class Field:
 
     # -- public surface -----------------------------------------------------
     def element(self, value) -> FieldElement:
+        """``value`` as an element of this field.
+
+        An element of this field, or of an equal one, is returned as it is; a
+        string goes to ``parse_element``; a bool is refused; anything else
+        goes to the field's own ``_from_number``.
+        """
+        if isinstance(value, FieldElement):
+            if value.field is not self and value.field != self:
+                raise InvalidParams(f"element of {value.field.descriptor}, wanted {self.descriptor}")
+            return value
+        if isinstance(value, str):
+            return self.parse_element(value)
+        if isinstance(value, bool):
+            raise InvalidParams(f"booleans are not elements of {self.descriptor}")
+        return self._from_number(value)
+
+    def _from_number(self, value) -> FieldElement:
+        """The element a number other than a bool stands for; per field."""
         raise NotImplementedError
 
     def __call__(self, value) -> FieldElement:
@@ -349,13 +367,7 @@ class PrimeField(Field):
             raise ZeroDivisionError(f"0**{n} in {self.descriptor}")
         return pow(a, n, self.p)
 
-    def element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field is not self and value.field != self:
-                raise InvalidParams(f"element of {value.field.descriptor}, wanted {self.descriptor}")
-            return value
-        if isinstance(value, str):
-            return self.parse_element(value)
+    def _from_number(self, value):
         if isinstance(value, int):
             return _PrimeElement(self, value % self.p)
         raise InvalidParams(f"cannot make an F_{self.p} element from {value!r}")
@@ -476,13 +488,7 @@ class BinaryField(Field):
     def _neg(self, a):
         return a
 
-    def element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field is not self and value.field != self:
-                raise InvalidParams(f"element of {value.field.descriptor}, wanted {self.descriptor}")
-            return value
-        if isinstance(value, str):
-            return self.parse_element(value)
+    def _from_number(self, value):
         if isinstance(value, int):
             if value < 0:
                 raise InvalidParams("bit-vector values are nonnegative")
@@ -582,15 +588,7 @@ class Rationals(Field):
             raise ZeroDivisionError(f"0**{n} in Q")
         return a**n
 
-    def element(self, value) -> FieldElement:
-        if isinstance(value, FieldElement):
-            if value.field is not self and value.field != self:
-                raise InvalidParams(f"element of {value.field.descriptor}, wanted Q")
-            return value
-        if isinstance(value, str):
-            return self.parse_element(value)
-        if isinstance(value, bool):
-            raise InvalidParams("booleans are not rational numbers")
+    def _from_number(self, value):
         if isinstance(value, (int, Fraction)):
             return FieldElement(self, Fraction(value))
         raise InvalidParams(f"cannot make a rational from {value!r} (floats are rejected)")

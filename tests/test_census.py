@@ -21,7 +21,7 @@ from ectorsion import (
 )
 
 import ectorsion.census as census
-from ectorsion.families import _e8_isomorphic, _e8_p
+from ectorsion.families import _e8_p
 from ectorsion import kernel
 import oracles
 
@@ -223,6 +223,22 @@ def test_family_sweep_e4_counts_and_verifies_every_class(p):
     assert all(w.verified for inst in insts for w in inst.witnesses)
 
 
+@pytest.mark.parametrize("p", oracles.small_primes(5, 31))
+def test_family_sweep_e4_represents_every_class_once(p):
+    """Pairwise non-isomorphic representatives, and every valid (a, b) isomorphic to exactly one."""
+    reps = [(inst.params["a"].value, inst.params["b"].value)
+            for inst in family_sweep(PrimeField(p), 4, verify=False)]
+    for i, (a, b) in enumerate(reps):
+        for j, (c, d) in enumerate(reps):
+            assert bool(oracles.iso_scan_e4(p, a, b, c, d)) == (i == j), ((a, b), (c, d))
+    sq = oracles.fp_squares(p)
+    for a in range(1, p):
+        for b in range(1, p):
+            if (a * a + 4 * b) % p in sq:  # e4 needs a^2 + 4b to be a non-square
+                continue
+            assert sum(bool(oracles.iso_scan_e4(p, a, b, c, d)) for c, d in reps) == 1, (a, b)
+
+
 def _e8_valid(F):
     """The parameters e8_new accepts, in field order."""
     valid = []
@@ -236,7 +252,7 @@ def _e8_valid(F):
 
 @pytest.mark.parametrize("p", oracles.small_primes(5, 97))
 def test_e8_key_agrees_with_the_isomorphism_criterion(p):
-    """P(s) = P(t) exactly when _e8_isomorphic(s, t), on valid parameters.
+    """P(s) = P(t) exactly when s = +-t, on valid parameters.
 
     The curves of P and -P are also isomorphic when -1 is a square, but then
     -P(t) is the key of no valid parameter: P + 2 is a square and P - 2 is
@@ -249,21 +265,37 @@ def test_e8_key_agrees_with_the_isomorphism_criterion(p):
         assert (keys[t] + 2).is_square() and not (keys[t] - 2).is_square()
     for s in valid:
         for t in valid:
-            assert (keys[s] == keys[t]) == _e8_isomorphic(s, t), (s, t)
             # P + 2 = 4(t^2/(t^2 - 1))^2, so P(s) = P(t) iff t^2 = s^2 or t^2 =
             # s^2/(2s^2 - 1), a non-square: each class is {t, -t}
             assert (keys[s] == keys[t]) == (s == t or s == -t), (s, t)
 
 
+def _e8_oracle_classes(p):
+    """Valid e8 parameters mod p, grouped by ``oracles.iso_scan_alpha0``, each class in field order.
+
+    t is valid when t is not in {0, 1, -1} and 2t^2 - 1 is a non-square; E8(t)
+    is y^2 = x(x^2 + Px + 1) with P = 2(t^4 + 2t^2 - 1)/(t^2 - 1)^2, in ints mod p.
+    """
+    sq = oracles.fp_squares(p)
+    classes = []
+    for t in range(p):
+        if t * t % p in (0, 1) or (2 * t * t - 1) % p in sq:
+            continue
+        P = 2 * (t**4 + 2 * t * t - 1) * pow((t * t - 1) ** 2, -1, p) % p
+        for cls in classes:
+            if oracles.iso_scan_alpha0(p, cls[0][1], 1, P, 1):
+                cls.append((t, P))
+                break
+        else:
+            classes.append([(t, P)])
+    return classes
+
+
 @pytest.mark.parametrize("p", oracles.small_primes(3, 97))
 def test_family_sweep_e8_matches_the_pairwise_scan(p):
-    """Same params, same order, as building every t and keeping the first of each class."""
-    F = PrimeField(p)
-    reps = []
-    for t in _e8_valid(F):
-        if not any(_e8_isomorphic(r, t) for r in reps):
-            reps.append(t)
-    assert [inst.params["t"] for inst in family_sweep(F, 8, verify=False)] == reps
+    """One instance per oracle class, in order, each the first valid t of its class."""
+    reps = [cls[0][0] for cls in _e8_oracle_classes(p)]
+    assert [inst.params["t"].value for inst in family_sweep(PrimeField(p), 8, verify=False)] == reps
 
 
 @pytest.mark.parametrize("p", [5, 13, 31, 97])

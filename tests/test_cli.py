@@ -186,6 +186,22 @@ def test_order_with_cap(capsys):
         assert code == 2
 
 
+def test_order_refuses_boolean_coordinates(capsys):
+    """JSON true/false are not field elements: exit 2, over F_p and GF(2^k) alike."""
+    fp_curve = '{"field": "Fp:7", "alpha": %s, "p": "0", "q": "1"}'
+    fp_point = '{"x": %s, "y": %s}'
+    js = run_json(capsys, "order", "--curve", fp_curve % "1", "--point", fp_point % (1, 0))
+    assert js["order"] == 2  # the same call with ints is a valid query
+    for curve, point in (
+        (fp_curve % "true", fp_point % ("true", "false")),
+        (fp_curve % "1", fp_point % ("true", "false")),
+        (fp_curve % "true", fp_point % (1, 0)),
+        ('{"field": "F2k:3:b", "a2": true, "a6": true}', '{"x": "0", "y": "1"}'),
+    ):
+        code, _ = run(capsys, "order", "--curve", curve, "--point", point)
+        assert code == 2, (curve, point)
+
+
 def test_order_over_q(capsys):
     js = run_json(capsys, "order", "--field", "Q",
                   "--curve", '{"alpha": 0, "p": 3, "q": 1}',

@@ -339,7 +339,7 @@ def test_iso_e4_agrees_with_u_scan(p):
                 assert u.value in scan
 
 
-@pytest.mark.parametrize("p", [7, 11, 13])
+@pytest.mark.parametrize("p", oracles.small_primes(5, 61))  # p = 1 and 3 mod 4
 def test_iso_e8_agrees_with_curve_isomorphism(p):
     F = PrimeField(p)
     sq = oracles.fp_squares(p)
@@ -351,6 +351,17 @@ def test_iso_e8_agrees_with_curve_isomorphism(p):
             pt_ = insts[t].curve.g.p.value
             scan = oracles.iso_scan_alpha0(p, ps, 1, pt_, 1)
             assert iso_e8(F, s, t) == bool(scan)
+
+
+@pytest.mark.parametrize("s", [Fraction(2), Fraction(3), Fraction(1, 3), Fraction(2, 3), Fraction(3, 2)])
+def test_iso_e8_over_q_agrees_with_the_p_coefficient(s):
+    """Over Q, u^4 = 1 leaves u = +-1, so E8(s) ~ E8(t) iff their P coefficients agree."""
+    def P(t):
+        return 2 * (t**4 + 2 * t * t - 1) / (t * t - 1) ** 2
+
+    Q = Rationals()
+    for t, expected in ((-s, True), (1 / s, False), (2 * s, False)):  # all valid: iso_e8 checks
+        assert iso_e8(Q, s, t) == expected == (P(s) == P(t)), (s, t)
 
 
 def test_iso_e8_is_an_equivalence_relation():

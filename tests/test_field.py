@@ -130,6 +130,17 @@ def test_cross_field_arithmetic_is_rejected():
     assert a != b
 
 
+@pytest.mark.parametrize("field", [PrimeField(7), BinaryField(3), Rationals()], ids=repr)
+def test_every_field_refuses_bools(field):
+    """bool is an int subclass, but True and False stand for no field element."""
+    for b in (True, False):
+        with pytest.raises(InvalidParams):
+            field.element(b)
+        with pytest.raises(InvalidParams):
+            field(b)
+    assert field.element(1) == field.one and field.element(0) == field.zero
+
+
 def test_element_of_a_foreign_field_is_refused():
     F, Q = PrimeField(7), Rationals()
     for field, foreign in ((F, PrimeField(11)(3)), (F, Q(3)), (Q, F(3)), (Q, BinaryField(3)(3))):

@@ -41,13 +41,16 @@ assert E7.g.irreducible()
 P = E7.double(next(Q for Q in E7.full_group() if not Q.is_infinity and Q.y))
 assert ectorsion.halve(E7, P).criterion == "quadext"
 
+sweeps = [len(ectorsion.census.family_sweep(ectorsion.PrimeField(13), N)) for N in (4, 8)]
+ctor_spans = [tr.names.count(f"families.e{N}_new") for N in (4, 8)]
+
 before = tr.counts["field.prime.mul"]
 a, b = F7(3), F7(5)
 products = [a * b, b * a, a * a, 2 * a, a * 3, -4 * b, a * ectorsion.PrimeField(7)(6)]
 counted = tr.counts["field.prime.mul"] - before
 m = spans.metrics(tr, ectorsion.InvalidParams)
 print(m["kernel.cubic_add_calls"], m["quadratic.ext_sqrt_calls"], m["halving.quadext_calls"],
-      len(products), counted)
+      len(products), counted, *sweeps, *ctor_spans)
 """
 
 
@@ -57,7 +60,10 @@ def test_benchmark_tracer_wraps_names_that_exist():
     run = subprocess.run([sys.executable, "-c", SCRIPT], env=env, capture_output=True,
                          text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    adds, ext_sqrts, quadexts, products, counted = map(int, run.stdout.split())
+    adds, ext_sqrts, quadexts, products, counted, e4s, e8s, e4_spans, e8_spans = map(
+        int, run.stdout.split())
     assert adds > 0  # the tracer counts the kernel's additions
     assert ext_sqrts > 0 and quadexts > 0  # and sees the halving route through K_g
     assert counted == products  # every F_p product, element or int operand, goes through _mul
+    # family_sweep calls its constructors through names the tracer rebinds
+    assert 0 < e4s <= e4_spans and 0 < e8s <= e8_spans
