@@ -100,9 +100,7 @@ def element_to_json(e: FieldElement) -> str:
 
 
 def element_from_json(field: Field, v) -> FieldElement:
-    if isinstance(v, str):
-        return field.parse_element(v)
-    if isinstance(v, int):
+    if isinstance(v, (str, int)):  # Field.element parses strings and refuses bools
         return field.element(v)
     raise InvalidParams(f"cannot read a field element from {v!r}")
 
@@ -198,6 +196,28 @@ class _CurveBase:
         """Exact order of P, or None when it exceeds the cap (see ``kernel._order``)."""
         cap = _default_cap(self.field, cap)
         return self._k.order(self._kp, _pt_ints(self._check(P)), cap) or None
+
+    def multiple_indices(self, G: Point, points, cap: int) -> Tuple[int, List[Optional[int]]]:
+        """G's exact order n by iterated addition, and where ``points`` sit among its multiples.
+
+        The list holds, for each of ``points``, the j in [1, n) with P = jG,
+        or None when P is no affine multiple of G (or is not a point over
+        this curve's field object).  n is 0, and every j None, when n
+        exceeds the cap, which is required: the search makes up to cap - 1
+        additions.  Only G is checked: a point found equals a multiple of G.
+        """
+        mults = kernel._multiples(self._k.add, self._kp, _pt_ints(self._check(G)),
+                                  _default_cap(self.field, cap))
+        if mults is None:
+            return 0, [None] * len(points)
+        index = {pt: j for j, pt in enumerate(mults[:-1], 1)}
+        F = self.field
+        return len(mults), [
+            index.get((P.x.value, P.y.value))
+            if isinstance(P, Point) and P.x is not None and P.x.field is F and P.y.field is F
+            else None
+            for P in points
+        ]
 
     def full_group(self) -> List[Point]:
         """The point at infinity, then every affine point in the kernel's order."""

@@ -5,6 +5,10 @@ InvalidParams naming the violated condition), builds the curve, and attaches
 TorsionWitness records for the distinguished points.  With ``verify=True``
 (the default) every claimed order is replayed through the group law; a
 mismatch raises VerificationError rather than producing a bad certificate.
+One order search does it: the witness G of largest claimed order N is
+checked by iterated addition, which keeps its multiples, and every other
+witness equal to some jG has order N / gcd(j, N).  A witness outside them
+gets its own ``order_of``, so nothing assumes the group is cyclic.
 
 The validity predicates are exactly the nonsingularity conditions: for each
 family the discriminant data factors as
@@ -27,6 +31,8 @@ x = -4T^2/(T^2-1).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
+from operator import itemgetter
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from .curve import (
@@ -88,14 +94,27 @@ class FamilyInstance:
         }
 
 
-def _witness(curve, point: Point, order: int, verify: bool, note: str = "") -> TorsionWitness:
+def _witnesses(curve, verify: bool, specs) -> Tuple[TorsionWitness, ...]:
+    """The witnesses of ``specs``, each (point, claimed order[, note]), in order.
+
+    With ``verify``, the point G of largest claimed order N has its order
+    checked by iterated addition, which keeps its multiples: a witness equal
+    to jG has order N / gcd(j, N).  A witness found among none of them, or
+    every witness when G's order is not N, has its order checked on its own
+    by ``curve.order_of``; the first wrong claim raises VerificationError.
+    """
     if verify:
-        got = curve.order_of(point)
-        if got != order:
-            raise VerificationError(
-                f"witness {point!r} claims order {order} but has order {got}"
-            )
-    return TorsionWitness(point, order, bool(verify), note)
+        G, N = max(specs, key=itemgetter(1))[:2]
+        n, js = curve.multiple_indices(G, [s[0] for s in specs], N)
+        for s, j in zip(specs, js):
+            P, order = s[0], s[1]
+            got = N // gcd(j, N) if j and n == N else curve.order_of(P)
+            if got != order:
+                raise VerificationError(
+                    f"witness {P!r} claims order {order} but has order {got}"
+                )
+    verified = bool(verify)
+    return tuple([TorsionWitness(s[0], s[1], verified, *s[2:]) for s in specs])
 
 
 def _odd_characteristic(field: Field, family: str) -> None:
@@ -118,19 +137,25 @@ def e4_new(field: Field, a, b, verify: bool = True) -> FamilyInstance:
     Valid iff a != 0, b != 0 and a^2 + 4b is not a square (the latter makes
     (0,0) the only rational 2-torsion point and the curve nonsingular).
     """
+    a, b = _e4_params(field, a, b)
+    curve = CubicCurve(field, 0, a * a + 2 * b, b * b)
+    zero = field.zero
+    witnesses = _witnesses(curve, verify, (
+        (Point(zero, zero), 2),
+        (Point(-b, a * b), 4),
+        (Point(-b, -(a * b)), 4),
+    ))
+    return FamilyInstance("e4", {"a": a, "b": b}, curve, witnesses)
+
+
+def _e4_params(field: Field, a, b) -> Tuple[FieldElement, FieldElement]:
+    """(a, b) as elements once valid for e4; InvalidParams naming the failed condition."""
     _odd_characteristic(field, "e4")
     a = _nonzero(field, a, "a", "e4")
     b = _nonzero(field, b, "b", "e4")
     if (a * a + 4 * b).is_square():
         raise InvalidParams("e4 needs a^2 + 4b to be a non-square")
-    curve = CubicCurve(field, 0, a * a + 2 * b, b * b)
-    zero = field.zero
-    witnesses = (
-        _witness(curve, Point(zero, zero), 2, verify),
-        _witness(curve, Point(-b, a * b), 4, verify),
-        _witness(curve, Point(-b, -(a * b)), 4, verify),
-    )
-    return FamilyInstance("e4", {"a": a, "b": b}, curve, witnesses)
+    return a, b
 
 
 def e4_normalize(field: Field, a, b) -> Tuple[Tuple[FieldElement, FieldElement], Callable[[Point], Point]]:
@@ -163,13 +188,13 @@ def e6_new(field: Field, t, verify: bool = True) -> FamilyInstance:
         raise InvalidParams("e6 needs t != 1/2")
     curve = CubicCurve(field, -field.one, t * t + 2 * t, t * t)
     zero = field.zero
-    witnesses = (
-        _witness(curve, Point(-field.one, zero), 2, verify),
-        _witness(curve, Point(zero, t), 3, verify),
-        _witness(curve, Point(zero, -t), 3, verify),
-        _witness(curve, Point(-2 * t, t - 2 * t * t), 6, verify),
-        _witness(curve, Point(-2 * t, 2 * t * t - t), 6, verify),
-    )
+    witnesses = _witnesses(curve, verify, (
+        (Point(-field.one, zero), 2),
+        (Point(zero, t), 3),
+        (Point(zero, -t), 3),
+        (Point(-2 * t, t - 2 * t * t), 6),
+        (Point(-2 * t, 2 * t * t - t), 6),
+    ))
     return FamilyInstance("e6", {"t": t}, curve, witnesses)
 
 
@@ -185,12 +210,7 @@ def e8_new(field: Field, t, verify: bool = True) -> FamilyInstance:
     Valid iff t is outside {0, 1, -1} and 2t^2 - 1 is not a square.  This is
     the e4 family at a = 2t^2/(1-t^2), b = -1.
     """
-    _odd_characteristic(field, "e8")
-    t = _nonzero(field, t, "t", "e8")
-    if t * t == 1:
-        raise InvalidParams("e8 needs t != 1 and t != -1")
-    if (2 * t * t - 1).is_square():
-        raise InvalidParams("e8 needs 2t^2 - 1 to be a non-square")
+    t = _e8_param(field, t)
     one = field.one
     curve = CubicCurve(field, 0, _e8_p(t), 1)
     zero = field.zero
@@ -199,16 +219,27 @@ def e8_new(field: Field, t, verify: bool = True) -> FamilyInstance:
     y8a = 2 * t / ((1 - t) * (1 - t))
     x8b = (1 - t) / (1 + t)
     y8b = 2 * t / ((1 + t) * (1 + t))
-    witnesses = (
-        _witness(curve, Point(zero, zero), 2, verify),
-        _witness(curve, Point(one, y4), 4, verify),
-        _witness(curve, Point(one, -y4), 4, verify),
-        _witness(curve, Point(x8a, -y8a), 8, verify),
-        _witness(curve, Point(x8a, y8a), 8, verify),
-        _witness(curve, Point(x8b, y8b), 8, verify),
-        _witness(curve, Point(x8b, -y8b), 8, verify),
-    )
+    witnesses = _witnesses(curve, verify, (
+        (Point(zero, zero), 2),
+        (Point(one, y4), 4),
+        (Point(one, -y4), 4),
+        (Point(x8a, -y8a), 8),
+        (Point(x8a, y8a), 8),
+        (Point(x8b, y8b), 8),
+        (Point(x8b, -y8b), 8),
+    ))
     return FamilyInstance("e8", {"t": t}, curve, witnesses)
+
+
+def _e8_param(field: Field, t) -> FieldElement:
+    """t as an element once valid for e8; InvalidParams naming the failed condition."""
+    _odd_characteristic(field, "e8")
+    t = _nonzero(field, t, "t", "e8")
+    if t * t == 1:
+        raise InvalidParams("e8 needs t != 1 and t != -1")
+    if (2 * t * t - 1).is_square():
+        raise InvalidParams("e8 needs 2t^2 - 1 to be a non-square")
+    return t
 
 
 def _e8_p(t: FieldElement) -> FieldElement:
@@ -241,11 +272,11 @@ def e10_new(field: Field, u, verify: bool = True) -> FamilyInstance:
     w2 = Point(-field.one, zero)
     p5 = Point(zero, 4 * u * u / D)
     p10 = curve.add(p5, w2)
-    witnesses = (
-        _witness(curve, w2, 2, verify),
-        _witness(curve, p5, 5, verify),
-        _witness(curve, p10, 10, verify, note="sum of the order-5 and order-2 points"),
-    )
+    witnesses = _witnesses(curve, verify, (
+        (w2, 2),
+        (p5, 5),
+        (p10, 10, "sum of the order-5 and order-2 points"),
+    ))
     return FamilyInstance("e10", {"u": u}, curve, witnesses)
 
 
@@ -282,14 +313,14 @@ def e12_new(field: Field, T, verify: bool = True) -> FamilyInstance:
     y4 = 8 * T2 * T * (3 * T2 + 1) / (d2 * den)
     p4 = Point(x4, y4)
     p12 = curve.add(p3, p4)
-    witnesses = (
-        _witness(curve, w2, 2, verify),
-        _witness(curve, p3, 3, verify),
-        _witness(curve, Point(zero, -y3), 3, verify),
-        _witness(curve, p4, 4, verify),
-        _witness(curve, Point(x4, -y4), 4, verify),
-        _witness(curve, p12, 12, verify, note="sum of the order-3 and order-4 points"),
-    )
+    witnesses = _witnesses(curve, verify, (
+        (w2, 2),
+        (p3, 3),
+        (Point(zero, -y3), 3),
+        (p4, 4),
+        (Point(x4, -y4), 4),
+        (p12, 12, "sum of the order-3 and order-4 points"),
+    ))
     return FamilyInstance("e12", {"T": T}, curve, witnesses)
 
 
@@ -300,20 +331,16 @@ def e4char2_new(field: Field, gamma, verify: bool = True) -> FamilyInstance:
     gamma = _nonzero(field, gamma, "gamma", "e4char2")
     g2 = gamma * gamma
     curve = Char2Curve(field, 0, g2 * g2)
-    witnesses = (
-        _witness(curve, Point(field.zero, g2), 2, verify),
-        _witness(curve, Point(gamma, g2), 4, verify),
-    )
+    witnesses = _witnesses(curve, verify, (
+        (Point(field.zero, g2), 2),
+        (Point(gamma, g2), 4),
+    ))
     return FamilyInstance("e4char2", {"gamma": gamma}, curve, witnesses)
 
 
 def e8char2_new(field: Field, t, verify: bool = True) -> FamilyInstance:
     """y^2 + xy = x^3 + (t/(t^2+1))^8 over GF(2^k): an order-8 point in closed form."""
-    if not isinstance(field, BinaryField):
-        raise InvalidParams("e8char2 lives over GF(2^k)")
-    t = _nonzero(field, t, "t", "e8char2")
-    if t == field.one:
-        raise InvalidParams("e8char2 needs t != 1 (t^2 + 1 would vanish)")
+    t = _e8char2_param(field, t)
     gamma = (t / (t * t + 1)) ** 2
     g2 = gamma * gamma
     curve = Char2Curve(field, 0, g2 * g2)
@@ -321,12 +348,22 @@ def e8char2_new(field: Field, t, verify: bool = True) -> FamilyInstance:
     s4 = (s * s) * (s * s)
     x8 = t ** 3 / s4
     y8 = (t ** 6 + t ** 5 + t ** 3) / (s4 * s4)
-    witnesses = (
-        _witness(curve, Point(field.zero, g2), 2, verify),
-        _witness(curve, Point(gamma, g2), 4, verify),
-        _witness(curve, Point(x8, y8), 8, verify),
-    )
+    witnesses = _witnesses(curve, verify, (
+        (Point(field.zero, g2), 2),
+        (Point(gamma, g2), 4),
+        (Point(x8, y8), 8),
+    ))
     return FamilyInstance("e8char2", {"t": t}, curve, witnesses)
+
+
+def _e8char2_param(field: Field, t) -> FieldElement:
+    """t as an element once valid for e8char2; InvalidParams naming the failed condition."""
+    if not isinstance(field, BinaryField):
+        raise InvalidParams("e8char2 lives over GF(2^k)")
+    t = _nonzero(field, t, "t", "e8char2")
+    if t == field.one:
+        raise InvalidParams("e8char2 needs t != 1 (t^2 + 1 would vanish)")
+    return t
 
 
 def iso_e4(field: Field, a, b, c, d) -> Optional[FieldElement]:
@@ -335,8 +372,7 @@ def iso_e4(field: Field, a, b, c, d) -> Optional[FieldElement]:
     The two displayed conditions u^2(a^2+2b) = c^2+2d and u^4 b^2 = d^2
     collapse to the closed form b c^2 = d a^2 with u = c/a.
     """
-    inst = e4_new(field, a, b, verify=False)  # validates (a, b)
-    a, b = inst.params["a"], inst.params["b"]
+    a, b = _e4_params(field, a, b)
     c = _nonzero(field, c, "c", "iso_e4")
     d = _nonzero(field, d, "d", "iso_e4")
     if c * c + 4 * d == 0:
@@ -356,15 +392,15 @@ def iso_e8(field: Field, s, t) -> bool:
     (s^2 - t^2)(s^2 + t^2 - 2s^2t^2) = 0, whose second factor would make
     2s^2 - 1 a square, while -P(t) is no P(s): P + 2 is a square, -(P - 2) not.
     """
-    s = e8_new(field, s, verify=False).params["t"]
-    t = e8_new(field, t, verify=False).params["t"]
+    s = _e8_param(field, s)
+    t = _e8_param(field, t)
     return s == t or s == -t
 
 
 def iso_e8char2(field: Field, s, t) -> bool:
     """E8char2(s) and E8char2(t) coincide exactly when s = t or s = 1/t."""
-    s = e8char2_new(field, s, verify=False).params["t"]
-    t = e8char2_new(field, t, verify=False).params["t"]
+    s = _e8char2_param(field, s)
+    t = _e8char2_param(field, t)
     return s == t or s * t == field.one
 
 

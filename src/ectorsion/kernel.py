@@ -10,8 +10,10 @@ An affine point is an ``(x, y)`` tuple and the point at infinity is
 
 A model codes only ``contains``, ``add`` and ``neg``; its ``*_smul`` and
 ``*_order`` pass the last two, read from this module when called, to the
-loops all models share.  ``*_contains`` is the package's one point check,
-which callers run at their boundary; nothing else here re-checks it.
+loops all models share.  ``_multiples``, the one iterated addition, also
+hands a point's multiples to ``curve``.  ``*_contains`` is the package's
+one point check, which callers run at their boundary; nothing else here
+re-checks it.
 """
 
 from __future__ import annotations
@@ -99,18 +101,25 @@ def _smul(add, neg, c, n, pt):
     return acc
 
 
+def _multiples(add, c, pt, cap):
+    """[pt, 2pt, ..., n*pt = None] by iterated addition, n the exact order of ``pt``.
+
+    None if n exceeds ``cap``; the loop stops at the cap-th multiple.
+    """
+    out = [pt]
+    acc = pt
+    while acc is not None:
+        if len(out) >= cap:
+            return None  # even the next multiple is past the cap
+        acc = add(c, acc, pt)
+        out.append(acc)
+    return out
+
+
 def _order_by_addition(add, c, pt, cap) -> int:
     """Exact order of ``pt`` by iterated addition; 0 if it exceeds ``cap``."""
-    if pt is None:
-        return 1
-    acc = pt
-    n = 1
-    while acc is not None:
-        if n + 1 > cap:
-            return 0  # even the next multiple is past the cap
-        acc = add(c, acc, pt)
-        n += 1
-    return n
+    mults = _multiples(add, c, pt, cap)
+    return len(mults) if mults else 0
 
 
 def _hasse_interval(q: int) -> tuple:

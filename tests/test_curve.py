@@ -1,6 +1,7 @@
 """Curve models: construction, the group law, enumeration, serialization."""
 
 import random
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -30,6 +31,7 @@ from ectorsion import (
     point_to_json,
 )
 from ectorsion import curve as curve_module, kernel
+from ectorsion.curve import element_from_json
 
 import oracles
 
@@ -219,6 +221,40 @@ def test_order_of_infinity_and_cap():
         for Q in (P, Point.infinity()):
             with pytest.raises(InvalidParams):
                 E.order_of(Q, cap=cap)
+
+
+def test_multiple_indices_place_points_among_the_multiples():
+    F = PrimeField(11)
+    E = CubicCurve.from_weierstrass(F, 0, -1, 0)  # full rational 2-torsion
+    group = E.full_group()
+    G = max(group, key=E.order_of)
+    n = E.order_of(G)
+    mults = [E.scalar_mul(j, G) for j in range(1, n)]
+    others = [P for P in group if P not in mults and not P.is_infinity]
+    assert others  # the group is not cyclic
+    F7 = PrimeField(7)
+    foreign = Point(F7(G.x.value % 7), F7(G.y.value % 7))
+    got_n, js = E.multiple_indices(G, mults + others + [Point.infinity(), foreign, "not a point"], n)
+    assert got_n == n
+    assert js == list(range(1, n)) + [None] * (len(others) + 3)
+    assert E.multiple_indices(G, mults, cap=n - 1) == (0, [None] * (n - 1))
+    assert E.multiple_indices(Point.infinity(), [Point.infinity(), G], 1) == (1, [None, None])
+    with pytest.raises(OffCurve):
+        E.multiple_indices(Point(F(1), F(1)), [], n)
+    with pytest.raises(InvalidParams):
+        E.multiple_indices(G, [], cap=0)
+
+
+def test_element_from_json_leaves_strings_and_ints_to_the_field():
+    for F in (PrimeField(13), Rationals(), BinaryField(4)):
+        for v in ("3", 3, "0", 0):
+            assert element_from_json(F, v) == F.element(v)
+        for v in (True, False):
+            with pytest.raises(InvalidParams, match=f"^booleans are not elements of {F.descriptor}$"):
+                element_from_json(F, v)
+        for v in (1.5, 2.0, [1], None, {"x": 1}):
+            with pytest.raises(InvalidParams, match=re.escape(f"cannot read a field element from {v!r}")):
+                element_from_json(F, v)
 
 
 def _iteration_bound(q):

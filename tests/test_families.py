@@ -1,12 +1,16 @@
 """Torsion families: validity predicates, witnesses, isomorphism tests."""
 
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from ectorsion import (
     BinaryField,
+    CubicCurve,
     InvalidParams,
+    OffCurve,
     Point,
     PrimeField,
     Rationals,
@@ -26,7 +30,10 @@ from ectorsion import (
     kubert_to_e4,
     kubert_to_e6,
     kubert_to_e8,
+    VerificationError,
 )
+from ectorsion import families, kernel
+from ectorsion.families import _witnesses
 
 import oracles
 
@@ -292,6 +299,144 @@ def test_family_instance_json_shape():
 
 
 # ---------------------------------------------------------------------------
+# witness checks from one order search
+# ---------------------------------------------------------------------------
+
+# Kernel additions per verified instance: N - 1 for the order-N witness G,
+# whose multiples settle every other witness, plus the one curve.add that
+# e10 and e12 make for their sum point with or without verify.
+_ADDS = {"e4": 3, "e6": 5, "e8": 7, "e10": 10, "e12": 12, "e4char2": 3, "e8char2": 7}
+_SUM_POINT = {"e10", "e12"}
+_CTORS = {"e4": e4_new, "e6": e6_new, "e8": e8_new, "e10": e10_new, "e12": e12_new,
+          "e4char2": e4char2_new, "e8char2": e8char2_new}
+
+
+def _instances_to_count():
+    """(family, field, params) for every valid instance at F_13 and F_97, a
+    few over Q, and every e4char2 and e8char2 parameter at GF(2^3)..GF(2^6)."""
+    for p in (13, 97):
+        F = PrimeField(p)
+        for fam in ("e4", "e6", "e8", "e10", "e12"):
+            for v in range(1, p):
+                params = (1, v) if fam == "e4" else (v,)
+                try:
+                    _CTORS[fam](F, *params, verify=False)
+                except InvalidParams:
+                    continue
+                yield fam, F, params
+    for fam, params in (("e4", (1, 1)), ("e6", (Fraction(2),)), ("e8", (Fraction(2),)),
+                        ("e10", (Fraction(2),)), ("e12", (Fraction(2),))):
+        yield fam, Q, params
+    for k in range(3, 7):
+        F = BinaryField(k)
+        for v in range(2, 1 << k):
+            yield "e4char2", F, (v,)
+            yield "e8char2", F, (v,)
+
+
+def test_witness_checks_add_only_in_the_one_order_search(monkeypatch):
+    calls = Counter()
+    for name in ("cubic_add", "qq_add", "c2_add"):
+        def counting(*args, fn=getattr(kernel, name)):
+            calls["add"] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(kernel, name, counting)  # before any curve is built
+    seen = set()
+    for fam, F, params in _instances_to_count():
+        for verify in (True, False):
+            calls.clear()
+            inst = _CTORS[fam](F, *params, verify=verify)
+            assert calls["add"] == (_ADDS[fam] if verify else int(fam in _SUM_POINT)), (fam, F, params)
+            assert all(w.verified is verify for w in inst.witnesses)
+        seen.add(fam)
+    assert seen == set(_ADDS)
+
+
+def _e8_at_97():
+    F = PrimeField(97)
+    inst = e8_new(F, 2)
+    return F, inst, [(w.point, w.claimed_order) for w in inst.witnesses]
+
+
+def test_a_witness_of_largest_order_that_has_another_order_is_refused():
+    F, inst, specs = _e8_at_97()
+    E = inst.curve
+    w2, w4 = specs[0][0], specs[1][0]
+    with pytest.raises(VerificationError, match=re.escape(f"witness {w4!r} claims order 8 but has order 4")):
+        _witnesses(E, True, [(w2, 2), (w4, 8)])
+    w8 = specs[3][0]  # its order exceeds the claim, so the search stops at the cap
+    with pytest.raises(VerificationError, match=re.escape(f"witness {w8!r} claims order 4 but has order 8")):
+        _witnesses(E, True, [(w2, 2), (w8, 4)])
+
+
+def test_a_multiple_with_a_wrong_claim_is_refused():
+    F, inst, specs = _e8_at_97()
+    assert _witnesses(inst.curve, True, specs) == inst.witnesses
+    for i, (P, order) in enumerate(specs[:-1]):
+        for wrong in {2, 4, 8} - {order}:
+            bad = specs[:i] + [(P, wrong)] + specs[i + 1:]
+            with pytest.raises(VerificationError,
+                               match=re.escape(f"witness {P!r} claims order {wrong} but has order {order}")):
+                _witnesses(inst.curve, True, bad)
+
+
+def test_a_witness_off_the_curve_is_refused():
+    F, inst, specs = _e8_at_97()
+    off = Point(F(1), F(1))
+    assert not inst.curve.contains(off)
+    with pytest.raises(OffCurve):
+        _witnesses(inst.curve, True, specs + [(off, 4)])
+    with pytest.raises(OffCurve):
+        _witnesses(inst.curve, True, [(off, 8)] + specs[:3])
+    with pytest.raises(OffCurve):  # a point over another field
+        _witnesses(inst.curve, True, specs + [(Point(PrimeField(7)(0), PrimeField(7)(0)), 2)])
+    # Off the curve, y = 0 still "doubles" to infinity: only the check on G refuses it.
+    flat = Point(F(1), F(0))
+    assert not inst.curve.contains(flat)
+    with pytest.raises(OffCurve):
+        _witnesses(inst.curve, True, [(flat, 2)])
+
+
+def test_a_witness_outside_the_largest_ones_multiples_is_checked_on_its_own(monkeypatch):
+    """On a curve with full rational 2-torsion, two of the three points of
+    order 2 are not (N/2)G; each reaches curve.order_of, once."""
+    F = PrimeField(13)
+    t = next(t for t in range(1, 13) if not _invalid(e6_new, F, t)
+             and not e6_exactly_one_2torsion(F, t))
+    inst = e6_new(F, t)
+    E, G = inst.curve, inst.witness_of_order(6).point
+    half = E.scalar_mul(3, G)
+    outside = [T for T in E.two_torsion() if T != half]
+    assert len(outside) == 2
+    calls = Counter()
+
+    def counting(self, P, cap=None, fn=CubicCurve.order_of):
+        calls[P] += 1
+        return fn(self, P, cap)
+
+    monkeypatch.setattr(CubicCurve, "order_of", counting)
+    for T in outside:
+        calls.clear()
+        got = _witnesses(E, True, [(G, 6), (half, 2), (T, 2, "outside <G>")])
+        assert [(w.point, w.claimed_order, w.verified, w.note) for w in got] == [
+            (G, 6, True, ""), (half, 2, True, ""), (T, 2, True, "outside <G>")]
+        assert calls == {T: 1}
+        for wrong in (3, 6):
+            with pytest.raises(VerificationError,
+                               match=re.escape(f"witness {T!r} claims order {wrong} but has order 2")):
+                _witnesses(E, True, [(G, 6), (T, wrong)])
+
+
+def _invalid(ctor, F, *params):
+    try:
+        ctor(F, *params, verify=False)
+    except InvalidParams:
+        return True
+    return False
+
+
+# ---------------------------------------------------------------------------
 # normalization and isomorphism
 # ---------------------------------------------------------------------------
 
@@ -387,6 +532,55 @@ def test_iso_e8char2_matches_curve_equality():
                 same = e8char2_new(F, s, verify=False).curve == e8char2_new(F, t, verify=False).curve
                 assert iso_e8char2(F, s, t) == same
                 assert same == (s == t or s * t == F.one)
+
+
+def test_isomorphism_tests_build_no_curve(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an isomorphism test built a curve")
+
+    monkeypatch.setattr(families, "CubicCurve", refuse)
+    monkeypatch.setattr(families, "Char2Curve", refuse)
+    F7, F16 = PrimeField(7), BinaryField(4)
+    assert iso_e4(Q, 1, 1, 2, 4) == Q(2)
+    assert iso_e8(F7, 3, 4) and not iso_e8(Q, 2, 3)
+    assert iso_e8char2(F16, 2, F16(2).inverse()) and not iso_e8char2(F16, 2, 3)
+
+
+def test_isomorphism_tests_refuse_with_the_constructors_messages():
+    """Each invalid parameter raises, from the isomorphism test, the
+    constructor's own InvalidParams message, on either side."""
+    cases = [
+        (iso_e8, e8_new, PrimeField(7), range(7), 3),
+        (iso_e8, e8_new, BinaryField(3), range(8), 3),
+        (iso_e8, e8_new, Q, (0, 1, -1, Fraction(1, 2), 5), 2),
+        (iso_e8char2, e8char2_new, BinaryField(3), range(8), 2),
+        (iso_e8char2, e8char2_new, PrimeField(7), range(7), 2),
+    ]
+    refused = 0
+    for iso, ctor, F, values, good in cases:
+        for v in values:
+            try:
+                ctor(F, v, verify=False)
+                continue
+            except InvalidParams as e:
+                msg = re.escape(str(e))
+            refused += 1
+            with pytest.raises(InvalidParams, match=f"^{msg}$"):
+                iso(F, v, good)
+            with pytest.raises(InvalidParams, match=f"^{msg}$"):
+                iso(F, good, v)
+    for F in (PrimeField(7), BinaryField(3)):
+        for a in range(F.order):
+            for b in range(F.order):
+                try:
+                    e4_new(F, a, b, verify=False)
+                    continue
+                except InvalidParams as e:
+                    msg = re.escape(str(e))
+                refused += 1
+                with pytest.raises(InvalidParams, match=f"^{msg}$"):
+                    iso_e4(F, a, b, 1, 1)
+    assert refused > 80
 
 
 def test_j_fourth_power_criterion():

@@ -124,6 +124,21 @@ def test_kernel_edge_cases():
     assert (1, 4) in pts and (1, 2) not in pts
 
 
+@pytest.mark.parametrize("p,A,B,C", CURVES)
+def test_multiples_are_the_iterated_sums_up_to_the_order(p, A, B, C):
+    c = (p, A, B, C)
+    for P in [None] + kernel.cubic_points(c)[:12]:
+        n = oracles.fp_cubic_order(p, A, B, C, P)
+        want, R = [P], P
+        while R is not None:
+            R = oracles.fp_cubic_add(p, A, B, C, R, P)
+            want.append(R)
+        assert kernel._multiples(kernel.cubic_add, c, P, n) == want
+        assert len(want) == n and want[-1] is None
+        if n > 1:
+            assert kernel._multiples(kernel.cubic_add, c, P, n - 1) is None  # past the cap
+
+
 # ---------------------------------------------------------------------------
 # GF(2^k)
 # ---------------------------------------------------------------------------
