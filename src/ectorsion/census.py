@@ -6,8 +6,9 @@ unordered {t, 1/t} pairs for order 8), while the brute-force side enumerates
 every (a2, a6) with a6 != 0, groups by K-isomorphism class — same a6, a2
 differing by l^2 + l, i.e. equal absolute trace — and counts the classes
 whose rational group contains a point of the requested order using nothing
-but the group law, run on ints through ``kernel``.  The two counts must
-agree (q - 1 for order 4, q/2 - 1 for order 8).
+but the group law, run through ``kernel`` on each curve's constants
+(F, a2, a6) with no curve object built.  The two counts must agree (q - 1
+for order 4, q/2 - 1 for order 8), as must the curves of each class.
 
 ``family_sweep`` builds one member of each isomorphism class of one family
 over a small finite field, from the class's normal-form parameter (every
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from . import kernel
-from .curve import Char2Curve, Point, point_to_json
+from .curve import Point, point_to_json
 from .errors import FieldTooLarge, InvalidParams, VerificationError
 from .families import (
     FamilyInstance,
@@ -65,8 +66,9 @@ class CensusReport:
         }
 
 
-def _has_point_of_order(curve: Char2Curve, points: List[tuple], n: int) -> bool:
-    """Whether one of ``points`` (kernel ints on ``curve``) has order exactly n = 2^j.
+def _has_point_of_order(c: tuple, points: List[tuple], n: int) -> bool:
+    """Whether one of ``points`` (kernel ints on the curve of kernel constants
+    ``c`` = (F, a2, a6)) has order exactly n = 2^j.
 
     x(2P) = x^2 + a6/x^2 depends on x(P) alone.  It is 0, so that 2P is
     the 2-torsion point (0, sqrt(a6)), exactly when x(P)^4 = a6.  So P has
@@ -78,8 +80,8 @@ def _has_point_of_order(curve: Char2Curve, points: List[tuple], n: int) -> bool:
         raise InvalidParams(f"order {n} is not a power of two")
     xs = {P[0] for P in points}
     for _ in range(n.bit_length() - 3):  # none for n = 2 and 4
-        xs = set(kernel.c2_double_x(curve._kp, xs))
-    F, _, a6 = curve._kp
+        xs = set(kernel.c2_double_x(c, xs))
+    F, _, a6 = c
     return (F.sqrt(F.sqrt(a6)) if n > 2 else 0) in xs
 
 
@@ -92,20 +94,21 @@ def sigma_char2(field: BinaryField, N: int) -> CensusReport:
     if field.k > 6:
         raise FieldTooLarge("brute-force census sweeps all curves: k <= 6")
 
-    # Family side: closed-form parametrization, deduplicated.
-    family_count = len(family_sweep(field, N, verify=False))
+    # Family side: closed-form parametrization, deduplicated, witnesses checked.
+    family_count = len(family_sweep(field, N))
 
-    # Brute-force side: every curve, grouped into (a6, trace a2) classes.
+    # Brute-force side: every curve as kernel constants, grouped into
+    # (a6, trace a2) classes; a6 runs over 1 .. q - 1, so each is ordinary.
+    F = field._kernel()
+    q = 1 << field.k
     classes: Dict[tuple, List[bool]] = {}
-    a2s = [(a2, field.trace(a2)) for a2 in field.elements()]
-    for a6 in field.elements():
-        if not a6:
-            continue
+    a2s = [(a2, F.trace(a2)) for a2 in range(q)]
+    for a6 in range(1, q):
         for a2, trace in a2s:
-            curve = Char2Curve(field, a2, a6)
-            found = _has_point_of_order(curve, kernel.c2_points(curve._kp), N)
-            classes.setdefault((a6.value, trace), []).append(found)
-    if len(classes) != 2 * ((1 << field.k) - 1):
+            c = (F, a2, a6)
+            found = _has_point_of_order(c, kernel.c2_points(c), N)
+            classes.setdefault((a6, trace), []).append(found)
+    if len(classes) != 2 * (q - 1):
         raise VerificationError(f"expected 2(q - 1) isomorphism classes, found {len(classes)}")
     for key, flags in classes.items():
         # Isomorphic curves must agree on the presence of order-N points.
@@ -166,7 +169,7 @@ def verify_f4_example() -> dict:
     }
 
 
-def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstance]:
+def family_sweep(field: Field, N: int) -> List[FamilyInstance]:
     """Every isomorphism class of the order-N family over a small finite field.
 
     One constructor call per normal-form parameter, in field order:
@@ -175,7 +178,7 @@ def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstan
     value for e8char2; every parameter for e6, e10, e12 and e4char2 (whose
     gamma -> a6 = gamma^4 is one-to-one).  Validity is the same across a
     class, so a parameter the constructor refuses is a class that is skipped.
-    Every instance returned has its witnesses checked when ``verify`` is set.
+    Every instance returned has had its witnesses checked by its constructor.
     The largest fields swept are F_97 and GF(2^6).
     """
     q = field.order
@@ -203,7 +206,7 @@ def family_sweep(field: Field, N: int, verify: bool = True) -> List[FamilyInstan
     out: List[FamilyInstance] = []
     for args in params:
         try:
-            out.append(ctor(field, *args, verify=verify))
+            out.append(ctor(field, *args))
         except InvalidParams:
             continue
     return out

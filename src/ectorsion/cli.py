@@ -127,7 +127,6 @@ def _build_parser() -> _Parser:
     fam.add_argument("--family", required=True, choices=FAMILY_NAMES)
     for flag in _FAMILY_FLAGS:
         fam.add_argument(f"--{flag}")
-    fam.add_argument("--no-verify", action="store_true", help="skip witness re-verification")
     common(fam)
 
     hal = sub.add_parser("halve", help="compute all rational halves of a point")
@@ -185,7 +184,7 @@ def _cmd_family(args) -> dict:
     if missing:
         raise InvalidParams(f"family {args.family} needs --{' --'.join(missing)}")
     params = [field.parse_element(supplied[k]) for k in wanted]
-    inst = _FAMILY_CTORS[args.family](field, *params, verify=not args.no_verify)
+    inst = _FAMILY_CTORS[args.family](field, *params)
     return inst.to_json_dict()
 
 

@@ -21,7 +21,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, ClassVar, List, Optional, Tuple
 
 from . import kernel
 from .errors import FieldTooLarge, InvalidParams, OffCurve, SingularCurve
@@ -33,7 +33,7 @@ from .field import (
     Rationals,
     field_from_descriptor,
 )
-from .quadratic import QuadraticPoly
+from .quadratic import QuadraticPoly, require_odd_characteristic
 
 __all__ = [
     "Point",
@@ -77,12 +77,12 @@ class Point:
 
 @dataclass(frozen=True, slots=True)
 class TorsionWitness:
-    """A point with a claimed order and the result of replaying the claim."""
+    """A point with a claimed order, built only once the group law confirms it."""
 
     point: Point
     claimed_order: int
-    verified: bool
     note: str = ""
+    verified: ClassVar[bool] = True
 
     def to_json_dict(self) -> dict:
         d = {
@@ -259,8 +259,10 @@ class CubicCurve(_CurveBase):
         """Factor y^2 = x^3 + A x^2 + B x + C through a rational root.
 
         Raises InvalidParams when the cubic has no root in K (no rational
-        2-torsion means the (alpha, g) shape does not exist over K).
+        2-torsion means the (alpha, g) shape does not exist over K), and in
+        characteristic 2 before any root is looked for.
         """
+        require_odd_characteristic(field)
         A, B, C = field.element(A), field.element(B), field.element(C)
         alpha = _cubic_rational_root(field, A, B, C)
         if alpha is None:

@@ -2,8 +2,8 @@
 
 Each ``<family>_new`` constructor validates its parameters (raising
 InvalidParams naming the violated condition), builds the curve, and attaches
-TorsionWitness records for the distinguished points.  With ``verify=True``
-(the default) every claimed order is replayed through the group law; a
+TorsionWitness records for the distinguished points.  Every claimed order
+is replayed through the group law before the instance is returned; a
 mismatch raises VerificationError rather than producing a bad certificate.
 One order search does it: the witness G of largest claimed order N is
 checked by iterated addition, which keeps its multiples, and every other
@@ -94,27 +94,25 @@ class FamilyInstance:
         }
 
 
-def _witnesses(curve, verify: bool, specs) -> Tuple[TorsionWitness, ...]:
+def _witnesses(curve, specs) -> Tuple[TorsionWitness, ...]:
     """The witnesses of ``specs``, each (point, claimed order[, note]), in order.
 
-    With ``verify``, the point G of largest claimed order N has its order
-    checked by iterated addition, which keeps its multiples: a witness equal
-    to jG has order N / gcd(j, N).  A witness found among none of them, or
-    every witness when G's order is not N, has its order checked on its own
-    by ``curve.order_of``; the first wrong claim raises VerificationError.
+    The point G of largest claimed order N has its order checked by iterated
+    addition, which keeps its multiples: a witness equal to jG has order
+    N / gcd(j, N).  A witness found among none of them, or every witness when
+    G's order is not N, has its order checked on its own by
+    ``curve.order_of``; the first wrong claim raises VerificationError.
     """
-    if verify:
-        G, N = max(specs, key=itemgetter(1))[:2]
-        n, js = curve.multiple_indices(G, [s[0] for s in specs], N)
-        for s, j in zip(specs, js):
-            P, order = s[0], s[1]
-            got = N // gcd(j, N) if j and n == N else curve.order_of(P)
-            if got != order:
-                raise VerificationError(
-                    f"witness {P!r} claims order {order} but has order {got}"
-                )
-    verified = bool(verify)
-    return tuple([TorsionWitness(s[0], s[1], verified, *s[2:]) for s in specs])
+    G, N = max(specs, key=itemgetter(1))[:2]
+    n, js = curve.multiple_indices(G, [s[0] for s in specs], N)
+    for s, j in zip(specs, js):
+        P, order = s[0], s[1]
+        got = N // gcd(j, N) if j and n == N else curve.order_of(P)
+        if got != order:
+            raise VerificationError(
+                f"witness {P!r} claims order {order} but has order {got}"
+            )
+    return tuple([TorsionWitness(*s) for s in specs])
 
 
 def _odd_characteristic(field: Field, family: str) -> None:
@@ -131,7 +129,7 @@ def _nonzero(field: Field, value, name: str, family: str) -> FieldElement:
     return v
 
 
-def e4_new(field: Field, a, b, verify: bool = True) -> FamilyInstance:
+def e4_new(field: Field, a, b) -> FamilyInstance:
     """y^2 = x(x^2 + (a^2+2b)x + b^2): order-4 points over (0,0).
 
     Valid iff a != 0, b != 0 and a^2 + 4b is not a square (the latter makes
@@ -140,7 +138,7 @@ def e4_new(field: Field, a, b, verify: bool = True) -> FamilyInstance:
     a, b = _e4_params(field, a, b)
     curve = CubicCurve(field, 0, a * a + 2 * b, b * b)
     zero = field.zero
-    witnesses = _witnesses(curve, verify, (
+    witnesses = _witnesses(curve, (
         (Point(zero, zero), 2),
         (Point(-b, a * b), 4),
         (Point(-b, -(a * b)), 4),
@@ -173,7 +171,7 @@ def e4_normalize(field: Field, a, b) -> Tuple[Tuple[FieldElement, FieldElement],
     return (field.one, b / a2), fwd
 
 
-def e6_new(field: Field, t, verify: bool = True) -> FamilyInstance:
+def e6_new(field: Field, t) -> FamilyInstance:
     """y^2 = (x+1)(x^2 + (t^2+2t)x + t^2): (0, t) has order 3, (-2t, t-2t^2) order 6.
 
     Valid iff t is outside {0, -4, 1/2} (evaluated in K); a repeated root
@@ -188,7 +186,7 @@ def e6_new(field: Field, t, verify: bool = True) -> FamilyInstance:
         raise InvalidParams("e6 needs t != 1/2")
     curve = CubicCurve(field, -field.one, t * t + 2 * t, t * t)
     zero = field.zero
-    witnesses = _witnesses(curve, verify, (
+    witnesses = _witnesses(curve, (
         (Point(-field.one, zero), 2),
         (Point(zero, t), 3),
         (Point(zero, -t), 3),
@@ -204,7 +202,7 @@ def e6_exactly_one_2torsion(field: Field, t) -> bool:
     return not (t * t + 4 * t).is_square()
 
 
-def e8_new(field: Field, t, verify: bool = True) -> FamilyInstance:
+def e8_new(field: Field, t) -> FamilyInstance:
     """y^2 = x(x^2 + 2(t^4+2t^2-1)/(t^2-1)^2 x + 1): four points of order 8.
 
     Valid iff t is outside {0, 1, -1} and 2t^2 - 1 is not a square.  This is
@@ -219,7 +217,7 @@ def e8_new(field: Field, t, verify: bool = True) -> FamilyInstance:
     y8a = 2 * t / ((1 - t) * (1 - t))
     x8b = (1 - t) / (1 + t)
     y8b = 2 * t / ((1 + t) * (1 + t))
-    witnesses = _witnesses(curve, verify, (
+    witnesses = _witnesses(curve, (
         (Point(zero, zero), 2),
         (Point(one, y4), 4),
         (Point(one, -y4), 4),
@@ -248,7 +246,7 @@ def _e8_p(t: FieldElement) -> FieldElement:
     return 2 * (t ** 4 + 2 * t * t - 1) / (den * den)
 
 
-def e10_new(field: Field, u, verify: bool = True) -> FamilyInstance:
+def e10_new(field: Field, u) -> FamilyInstance:
     """The order-10 family: (0, 4u^2/((u-1)(u+1)^2)) has order 5.
 
     Valid iff u is outside {0, 1, -1}, u^2+u-1 != 0, u^2-4u-1 != 0, and
@@ -272,7 +270,7 @@ def e10_new(field: Field, u, verify: bool = True) -> FamilyInstance:
     w2 = Point(-field.one, zero)
     p5 = Point(zero, 4 * u * u / D)
     p10 = curve.add(p5, w2)
-    witnesses = _witnesses(curve, verify, (
+    witnesses = _witnesses(curve, (
         (w2, 2),
         (p5, 5),
         (p10, 10, "sum of the order-5 and order-2 points"),
@@ -280,7 +278,7 @@ def e10_new(field: Field, u, verify: bool = True) -> FamilyInstance:
     return FamilyInstance("e10", {"u": u}, curve, witnesses)
 
 
-def e12_new(field: Field, T, verify: bool = True) -> FamilyInstance:
+def e12_new(field: Field, T) -> FamilyInstance:
     """The order-12 family: order-3 points over x = 0, order-4 over x = -4T^2/(T^2-1).
 
     Valid iff T is outside {0, 1, -1}, T^2+1 != 0, 3T^2+1 != 0, 3T^2-1 != 0,
@@ -313,7 +311,7 @@ def e12_new(field: Field, T, verify: bool = True) -> FamilyInstance:
     y4 = 8 * T2 * T * (3 * T2 + 1) / (d2 * den)
     p4 = Point(x4, y4)
     p12 = curve.add(p3, p4)
-    witnesses = _witnesses(curve, verify, (
+    witnesses = _witnesses(curve, (
         (w2, 2),
         (p3, 3),
         (Point(zero, -y3), 3),
@@ -324,21 +322,21 @@ def e12_new(field: Field, T, verify: bool = True) -> FamilyInstance:
     return FamilyInstance("e12", {"T": T}, curve, witnesses)
 
 
-def e4char2_new(field: Field, gamma, verify: bool = True) -> FamilyInstance:
+def e4char2_new(field: Field, gamma) -> FamilyInstance:
     """y^2 + xy = x^3 + gamma^4 over GF(2^k): (gamma, gamma^2) has order 4."""
     if not isinstance(field, BinaryField):
         raise InvalidParams("e4char2 lives over GF(2^k)")
     gamma = _nonzero(field, gamma, "gamma", "e4char2")
     g2 = gamma * gamma
     curve = Char2Curve(field, 0, g2 * g2)
-    witnesses = _witnesses(curve, verify, (
+    witnesses = _witnesses(curve, (
         (Point(field.zero, g2), 2),
         (Point(gamma, g2), 4),
     ))
     return FamilyInstance("e4char2", {"gamma": gamma}, curve, witnesses)
 
 
-def e8char2_new(field: Field, t, verify: bool = True) -> FamilyInstance:
+def e8char2_new(field: Field, t) -> FamilyInstance:
     """y^2 + xy = x^3 + (t/(t^2+1))^8 over GF(2^k): an order-8 point in closed form."""
     t = _e8char2_param(field, t)
     gamma = (t / (t * t + 1)) ** 2
@@ -348,7 +346,7 @@ def e8char2_new(field: Field, t, verify: bool = True) -> FamilyInstance:
     s4 = (s * s) * (s * s)
     x8 = t ** 3 / s4
     y8 = (t ** 6 + t ** 5 + t ** 3) / (s4 * s4)
-    witnesses = _witnesses(curve, verify, (
+    witnesses = _witnesses(curve, (
         (Point(field.zero, g2), 2),
         (Point(gamma, g2), 4),
         (Point(x8, y8), 8),

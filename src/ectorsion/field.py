@@ -441,10 +441,13 @@ class BinaryField(Field):
     __slots__ = ("k", "modulus", "_gf")
 
     def __init__(self, k: int, modulus: Optional[int] = None):
-        if not isinstance(k, int) or not 1 <= k <= 20:
+        if not isinstance(k, int) or isinstance(k, bool) or not 1 <= k <= 20:
             raise InvalidParams(f"binary field degree must be in 1..20, got {k!r}")
         if modulus is None:
             modulus = default_modulus(k)
+        if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 0:
+            # A negative int has a bit_length too, and its field would loop in gf2_mul.
+            raise InvalidParams(f"binary field modulus must be a non-negative int, got {modulus!r}")
         if modulus.bit_length() != k + 1:
             raise InvalidParams(f"modulus {modulus:#x} does not have degree {k}")
         if not _gf2_irreducible(modulus):

@@ -37,14 +37,19 @@ __all__ = [
 ]
 
 
+def require_odd_characteristic(field: Field) -> None:
+    """InvalidParams unless ``field`` has characteristic != 2, as this module needs."""
+    if field.characteristic == 2:
+        raise InvalidParams("quadratic-extension machinery requires characteristic != 2")
+
+
 class QuadraticPoly:
     """g(x) = x^2 + p*x + q over a field of characteristic != 2, square-free."""
 
     __slots__ = ("field", "p", "q", "_roots")
 
     def __init__(self, field: Field, p, q):
-        if field.characteristic == 2:
-            raise InvalidParams("quadratic-extension machinery requires characteristic != 2")
+        require_odd_characteristic(field)
         self.field = field
         self.p = field.element(p)
         self.q = field.element(q)

@@ -324,7 +324,7 @@ def test_criterion_7_isomorphism_vs_scan():
                     assert u.value in scan
                 pairs4 += 1
         valid8 = [t for t in range(2, p - 1) if (2 * t * t - 1) % p not in sq]
-        coeff = {t: e8_new(F, t, verify=False).curve.g.p.value for t in valid8}
+        coeff = {t: e8_new(F, t).curve.g.p.value for t in valid8}
         for s in valid8:
             for t in valid8:
                 scan = oracles.iso_scan_alpha0(p, coeff[s], 1, coeff[t], 1)
@@ -358,7 +358,7 @@ def test_criterion_8_converse_classification():
 
         for N in (4, 6, 8, 10, 12):
             orbit_union = set()
-            for inst in family_sweep(F, N, verify=False):
+            for inst in family_sweep(F, N):
                 E = inst.curve
                 if len(E.two_torsion()) != 1:
                     continue  # three rational 2-torsion points: out of scope

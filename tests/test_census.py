@@ -5,6 +5,7 @@ import pytest
 from ectorsion import (
     BinaryField,
     Char2Curve,
+    CubicCurve,
     FieldTooLarge,
     InvalidParams,
     PrimeField,
@@ -62,26 +63,58 @@ def test_has_point_of_order_matches_oracle_orders(k):
     mod, q = F.modulus, 1 << k
     for a6 in range(1, q):
         for a2 in range(q):
-            curve = Char2Curve(F, a2, a6)
-            pts = kernel.c2_points((kernel._gf2k(k, mod), a2, a6))
+            c = (kernel._gf2k(k, mod), a2, a6)
+            pts = kernel.c2_points(c)
             orders = {oracles.char2_order(k, mod, a2, a6, P) for P in pts}
             for n in (2, 4, 8, 16):
-                assert census._has_point_of_order(curve, pts, n) == (n in orders), (a2, a6, n)
+                assert census._has_point_of_order(c, pts, n) == (n in orders), (a2, a6, n)
 
 
 @pytest.mark.parametrize("n", [0, 1, 3, 6, 12])
 def test_has_point_of_order_takes_powers_of_two(n):
-    curve = Char2Curve(BinaryField(2), 0, 1)
+    c = (BinaryField(2)._kernel(), 0, 1)
     with pytest.raises(InvalidParams):
-        census._has_point_of_order(curve, kernel.c2_points(curve._kp), n)
+        census._has_point_of_order(c, kernel.c2_points(c), n)
 
 
 def test_sigma_char2_class_disagreement_is_a_verification_error(monkeypatch):
     # y^2 + xy = x^3 + a6 and y^2 + xy = x^3 + x^2 + a6 share a class over GF(4).
-    monkeypatch.setattr(census, "_has_point_of_order", lambda curve, points, n: not curve.a2)
+    monkeypatch.setattr(census, "_has_point_of_order", lambda c, points, n: not c[1])
     with pytest.raises(VerificationError):
         sigma_char2(BinaryField(2), 4)
     assert cli.main(["census", "--field", "F2k:2:7", "--order", "4"]) == 3
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("N", [4, 8])
+def test_sigma_char2_checks_the_family_witnesses(monkeypatch, k, N):
+    """The family side runs the witness check, whose order search adds points;
+    the brute side adds none (it doubles x-coordinates)."""
+    calls = []
+
+    def counting(*args, fn=kernel.c2_add):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(kernel, "c2_add", counting)  # before any curve is built
+    rep = sigma_char2(BinaryField(k), N)
+    assert rep.agree
+    assert len(calls) == (N - 1) * rep.family_count > 0
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("N", [4, 8])
+def test_sigma_char2_brute_side_builds_no_curve(monkeypatch, k, N):
+    """Only the family side builds Char2Curve objects, one per instance."""
+    built = []
+
+    def counting(self, *args, fn=Char2Curve.__init__):
+        built.append(args)
+        fn(self, *args)
+
+    monkeypatch.setattr(Char2Curve, "__init__", counting)
+    rep = sigma_char2(BinaryField(k), N)
+    assert len(built) == rep.family_count
 
 
 def test_sigma_char2_brute_side_independently():
@@ -182,7 +215,7 @@ def _e4_sweep_reference(F):
             if not a or not b:
                 continue
             try:
-                inst = e4_new(F, a, b, verify=False)
+                inst = e4_new(F, a, b)
             except InvalidParams:
                 continue
             key = b / (a * a)
@@ -199,10 +232,21 @@ def test_family_sweep_e4_matches_the_full_scan(p):
         [inst.params for inst in _e4_sweep_reference(F)]
 
 
+def _break_witness_checks(monkeypatch):
+    """Make every order search report each witness as G itself, so that a
+    witness claiming an order below N fails its check."""
+    monkeypatch.setattr(CubicCurve, "multiple_indices",
+                        lambda self, G, points, cap: (cap, [1] * len(points)))
+
+
 @pytest.mark.parametrize("p", [3, 5, 13, 31, 97])
-@pytest.mark.parametrize("verify", [True, False])
-def test_family_sweep_e4_builds_one_curve_per_class(monkeypatch, p, verify):
-    """At most one e4_new call per nonzero class b/a^2, not one per (a, b)."""
+@pytest.mark.parametrize("broken_check", [True, False])
+def test_family_sweep_e4_builds_one_curve_per_class(monkeypatch, p, broken_check):
+    """At most one e4_new call per nonzero class b/a^2, not one per (a, b).
+
+    A failed witness check is not skipped like an invalid parameter: it
+    stops the sweep at its first instance.
+    """
     calls = []
 
     def counting_e4_new(*args, **kwargs):
@@ -210,8 +254,16 @@ def test_family_sweep_e4_builds_one_curve_per_class(monkeypatch, p, verify):
         return e4_new(*args, **kwargs)
 
     monkeypatch.setattr(census, "e4_new", counting_e4_new)
-    family_sweep(PrimeField(p), 4, verify=verify)
-    assert len(calls) <= p - 1
+    first = family_sweep(PrimeField(p), 4)[0].params["b"]
+    calls.clear()
+    if broken_check:
+        _break_witness_checks(monkeypatch)
+        with pytest.raises(VerificationError, match="claims order 2 but has order 4"):
+            family_sweep(PrimeField(p), 4)
+        assert [args[2].value for args in calls] == list(range(1, first.value + 1))
+    else:
+        family_sweep(PrimeField(p), 4)
+        assert len(calls) <= p - 1
 
 
 @pytest.mark.parametrize("p", oracles.small_primes(3, 31))
@@ -227,7 +279,7 @@ def test_family_sweep_e4_counts_and_verifies_every_class(p):
 def test_family_sweep_e4_represents_every_class_once(p):
     """Pairwise non-isomorphic representatives, and every valid (a, b) isomorphic to exactly one."""
     reps = [(inst.params["a"].value, inst.params["b"].value)
-            for inst in family_sweep(PrimeField(p), 4, verify=False)]
+            for inst in family_sweep(PrimeField(p), 4)]
     for i, (a, b) in enumerate(reps):
         for j, (c, d) in enumerate(reps):
             assert bool(oracles.iso_scan_e4(p, a, b, c, d)) == (i == j), ((a, b), (c, d))
@@ -244,7 +296,7 @@ def _e8_valid(F):
     valid = []
     for t in F.elements():
         try:
-            valid.append(e8_new(F, t, verify=False).params["t"])
+            valid.append(e8_new(F, t).params["t"])
         except InvalidParams:
             continue
     return valid
@@ -295,13 +347,14 @@ def _e8_oracle_classes(p):
 def test_family_sweep_e8_matches_the_pairwise_scan(p):
     """One instance per oracle class, in order, each the first valid t of its class."""
     reps = [cls[0][0] for cls in _e8_oracle_classes(p)]
-    assert [inst.params["t"].value for inst in family_sweep(PrimeField(p), 8, verify=False)] == reps
+    assert [inst.params["t"].value for inst in family_sweep(PrimeField(p), 8)] == reps
 
 
 @pytest.mark.parametrize("p", [5, 13, 31, 97])
-@pytest.mark.parametrize("verify", [True, False])
-def test_family_sweep_e8_builds_one_curve_per_class(monkeypatch, p, verify):
-    """One successful e8_new call per returned class, not one per valid t."""
+@pytest.mark.parametrize("broken_check", [True, False])
+def test_family_sweep_e8_builds_one_curve_per_class(monkeypatch, p, broken_check):
+    """One successful e8_new call per returned class, not one per valid t,
+    and none at all once the witness check fails."""
     built = []
 
     def counting_e8_new(*args, **kwargs):
@@ -310,9 +363,15 @@ def test_family_sweep_e8_builds_one_curve_per_class(monkeypatch, p, verify):
         return inst
 
     monkeypatch.setattr(census, "e8_new", counting_e8_new)
-    insts = family_sweep(PrimeField(p), 8, verify=verify)
-    assert built == insts
-    assert all(w.verified == verify for inst in insts for w in inst.witnesses)
+    if broken_check:
+        _break_witness_checks(monkeypatch)
+        with pytest.raises(VerificationError, match="claims order 2 but has order 8"):
+            family_sweep(PrimeField(p), 8)
+        assert built == []
+    else:
+        insts = family_sweep(PrimeField(p), 8)
+        assert built == insts
+        assert all(w.verified for inst in insts for w in inst.witnesses)
 
 
 @pytest.mark.parametrize("p,N", [(7, 8), (11, 10), (13, 12), (11, 6)])

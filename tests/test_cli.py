@@ -76,9 +76,11 @@ def test_family_parameter_mistakes(capsys):
 
 
 def test_family_no_verify_flag(capsys):
-    js = run_json(capsys, "family", "--field", "Fp:7", "--family", "e8", "--t", "3",
-                  "--no-verify")
-    assert all(w["verified"] is False for w in js["witnesses"])
+    """Witnesses are always checked: there is no flag to skip it."""
+    code = cli.main(["family", "--field", "Fp:7", "--family", "e8", "--t", "3", "--no-verify"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""  # usage error
+    assert "unrecognized arguments: --no-verify" in captured.err
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +479,9 @@ def test_shared_parser_answers_as_a_fresh_one(capsys):
         shared = answers(fresh=False)
     finally:
         cli._build_parser.cache_clear()
-    assert [code for code, _ in expected] == [1, 0, 0, 0, 0, 0, 0, 0]
+    assert [code for code, _ in expected] == [1, 0, 1, 0, 0, 0, 0, 0]
     assert shared == expected
-    assert "--no-verify" in expected[1][1]
+    assert "--family" in expected[1][1] and "--no-verify" not in expected[1][1]
     assert all(w["verified"] for w in json.loads(expected[3][1])["witnesses"])
     assert json.loads(expected[4][1]) == {"point": {"x": "5", "y": "2"}, "order": None, "cap": 5}
     assert json.loads(expected[5][1]) == {"point": {"x": "5", "y": "2"}, "order": 8}
@@ -545,6 +547,22 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["ok"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["census", "--field", "F2k:3:-b", "--order", "4"],
+    ["family", "--field", "F2k:3:-b", "--family", "e4char2", "--gamma", "1"],
+])
+def test_negative_binary_modulus_exits_2_at_once(argv):
+    """Such a field would loop forever in its first product; it is refused instead.
+    A separate process, so that a hang fails the test rather than stalling the run."""
+    t = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "ectorsion", *argv],
+                          capture_output=True, text=True, env=tree_env(), timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == "" and "Traceback" not in proc.stderr
+    assert "modulus must be a non-negative int, got -11" in proc.stderr
+    assert time.perf_counter() - t < 5  # process start included; the refusal itself is instant
 
 
 def test_optimized_interpreter_runs_the_cli():

@@ -18,7 +18,8 @@ import oracles
 CALL_BOUND_S = 2.0
 
 FIELDS = ["Q", "Fp:3", "Fp:5", "Fp:7", "Fp:13", "Fp:101", "F2k:1:3", "F2k:2:7", "F2k:3:b"]
-BAD_FIELDS = ["", "Fp:6", "Fp:1", "Fp:-7", "Fp:x", "Zp:7", "F2k:2:6", "F2k:99:3", "F2k:3", "Q:1"]
+BAD_FIELDS = ["", "Fp:6", "Fp:1", "Fp:-7", "Fp:x", "Zp:7", "F2k:2:6", "F2k:99:3", "F2k:3", "Q:1",
+              "F2k:3:-b", "F2k:2:-7", "F2k:1:-3"]
 BAD_LITERALS = ["", "-", "0.5", "1e400", "1/0", "3/-4", "1//2", "abc", "0x3", " 3", "--", "-3/"]
 FAMILY_PARAMS = {"e4": "ab", "e6": "t", "e8": "t", "e10": "u", "e12": "T", "e4char2": ["gamma"],
                  "e8char2": "t"}
@@ -73,7 +74,7 @@ def family(draw):
     if draw(st.booleans()):  # any subset of the flags, right or wrong
         params = draw(st.lists(st.sampled_from(["a", "b", "t", "u", "T", "gamma"]), unique=True))
     return ["family", *draw(field_opt), "--family", name, *sum(draw(flags(params)), []),
-            *draw(sometimes("--no-verify")), *draw(output)]
+            *draw(output)]
 
 
 @st.composite

@@ -98,6 +98,19 @@ def test_from_weierstrass():
     assert E2.coefficients() == (F(1), F(3), F(2))
 
 
+def test_from_weierstrass_refuses_characteristic_2_before_any_root_search(monkeypatch):
+    def no_sweep(self):
+        raise AssertionError("the root search swept the field")
+
+    monkeypatch.setattr(BinaryField, "elements", no_sweep)
+    msg = "quadratic-extension machinery requires characteristic != 2"
+    for k in (3, 16, 20):
+        with pytest.raises(InvalidParams, match=re.escape(msg)):
+            CubicCurve.from_weierstrass(BinaryField(k), 0, 1, 1)
+    with pytest.raises(InvalidParams, match=re.escape(msg)):
+        CubicCurve(BinaryField(3), 0, 1, 1)  # QuadraticPoly's refusal, the same words
+
+
 def test_from_weierstrass_over_q_matches_the_divisor_oracle():
     Q = Rationals()
     grid = range(-6, 7)
@@ -327,7 +340,7 @@ def test_small_orders_over_fp_take_one_kernel_call(monkeypatch):
         F = PrimeField(p)
         for T in range(2, p):
             try:
-                inst = e12_new(F, T, verify=False)
+                inst = e12_new(F, T)
                 break
             except InvalidParams:
                 continue
@@ -352,7 +365,7 @@ def test_char2_witness_orders_take_one_kernel_call(monkeypatch):
     monkeypatch.setattr(kernel, "c2_order", counting)
     monkeypatch.setattr(BinaryField, "_mul", counting_mul)
     for k in (3, 8, 20):
-        inst = e8char2_new(BinaryField(k), 3, verify=False)
+        inst = e8char2_new(BinaryField(k), 3)
         for w in inst.witnesses:
             calls.clear()
             assert inst.curve.order_of(w.point) == w.claimed_order
@@ -380,7 +393,7 @@ def test_binary_field_builds_its_kernel_context_on_first_arithmetic():
 
 def test_char2_group_law_looks_up_no_kernel_context():
     """The curve's constants carry its field's context: an order search fetches none."""
-    inst = e8char2_new(BinaryField(3), 3, verify=False)
+    inst = e8char2_new(BinaryField(3), 3)
     P = next(w.point for w in inst.witnesses if w.claimed_order == 8)
     before = kernel._gf2k.cache_info()
     assert inst.curve.order_of(P) == 8
@@ -514,6 +527,17 @@ def test_w3_self_addition_is_infinity():
     E = CubicCurve(F, 2, 1, 5)
     assert E.add(E.w3, E.w3).is_infinity
     assert E.order_of(E.w3) == 2
+
+
+def test_char2_full_group_above_the_table_bound():
+    F = BinaryField(11)
+    assert F._kernel().log is None  # the bit-vector loop of kernel.c2_points
+    pts = Char2Curve(F, 1, 3).full_group()
+    assert pts[0].is_infinity
+    affine = [(P.x.value, P.y.value) for P in pts[1:]]
+    assert len(set(affine)) == len(affine)
+    assert all(oracles.char2_on(11, F.modulus, 1, 3, P) for P in affine)
+    assert abs(len(pts) - (2**11 + 1)) <= 2 * isqrt(2**11) + 1  # Hasse
 
 
 def test_full_group_limits():

@@ -302,11 +302,10 @@ def test_family_instance_json_shape():
 # witness checks from one order search
 # ---------------------------------------------------------------------------
 
-# Kernel additions per verified instance: N - 1 for the order-N witness G,
-# whose multiples settle every other witness, plus the one curve.add that
-# e10 and e12 make for their sum point with or without verify.
+# Kernel additions per instance: N - 1 for the order-N witness G, whose
+# multiples settle every other witness, plus the one curve.add that e10 and
+# e12 make for their sum point.
 _ADDS = {"e4": 3, "e6": 5, "e8": 7, "e10": 10, "e12": 12, "e4char2": 3, "e8char2": 7}
-_SUM_POINT = {"e10", "e12"}
 _CTORS = {"e4": e4_new, "e6": e6_new, "e8": e8_new, "e10": e10_new, "e12": e12_new,
           "e4char2": e4char2_new, "e8char2": e8char2_new}
 
@@ -320,7 +319,7 @@ def _instances_to_count():
             for v in range(1, p):
                 params = (1, v) if fam == "e4" else (v,)
                 try:
-                    _CTORS[fam](F, *params, verify=False)
+                    _CTORS[fam](F, *params)
                 except InvalidParams:
                     continue
                 yield fam, F, params
@@ -344,11 +343,10 @@ def test_witness_checks_add_only_in_the_one_order_search(monkeypatch):
         monkeypatch.setattr(kernel, name, counting)  # before any curve is built
     seen = set()
     for fam, F, params in _instances_to_count():
-        for verify in (True, False):
-            calls.clear()
-            inst = _CTORS[fam](F, *params, verify=verify)
-            assert calls["add"] == (_ADDS[fam] if verify else int(fam in _SUM_POINT)), (fam, F, params)
-            assert all(w.verified is verify for w in inst.witnesses)
+        calls.clear()
+        inst = _CTORS[fam](F, *params)
+        assert calls["add"] == _ADDS[fam], (fam, F, params)
+        assert all(w.verified is True for w in inst.witnesses)
         seen.add(fam)
     assert seen == set(_ADDS)
 
@@ -364,21 +362,21 @@ def test_a_witness_of_largest_order_that_has_another_order_is_refused():
     E = inst.curve
     w2, w4 = specs[0][0], specs[1][0]
     with pytest.raises(VerificationError, match=re.escape(f"witness {w4!r} claims order 8 but has order 4")):
-        _witnesses(E, True, [(w2, 2), (w4, 8)])
+        _witnesses(E, [(w2, 2), (w4, 8)])
     w8 = specs[3][0]  # its order exceeds the claim, so the search stops at the cap
     with pytest.raises(VerificationError, match=re.escape(f"witness {w8!r} claims order 4 but has order 8")):
-        _witnesses(E, True, [(w2, 2), (w8, 4)])
+        _witnesses(E, [(w2, 2), (w8, 4)])
 
 
 def test_a_multiple_with_a_wrong_claim_is_refused():
     F, inst, specs = _e8_at_97()
-    assert _witnesses(inst.curve, True, specs) == inst.witnesses
+    assert _witnesses(inst.curve, specs) == inst.witnesses
     for i, (P, order) in enumerate(specs[:-1]):
         for wrong in {2, 4, 8} - {order}:
             bad = specs[:i] + [(P, wrong)] + specs[i + 1:]
             with pytest.raises(VerificationError,
                                match=re.escape(f"witness {P!r} claims order {wrong} but has order {order}")):
-                _witnesses(inst.curve, True, bad)
+                _witnesses(inst.curve, bad)
 
 
 def test_a_witness_off_the_curve_is_refused():
@@ -386,16 +384,16 @@ def test_a_witness_off_the_curve_is_refused():
     off = Point(F(1), F(1))
     assert not inst.curve.contains(off)
     with pytest.raises(OffCurve):
-        _witnesses(inst.curve, True, specs + [(off, 4)])
+        _witnesses(inst.curve, specs + [(off, 4)])
     with pytest.raises(OffCurve):
-        _witnesses(inst.curve, True, [(off, 8)] + specs[:3])
+        _witnesses(inst.curve, [(off, 8)] + specs[:3])
     with pytest.raises(OffCurve):  # a point over another field
-        _witnesses(inst.curve, True, specs + [(Point(PrimeField(7)(0), PrimeField(7)(0)), 2)])
+        _witnesses(inst.curve, specs + [(Point(PrimeField(7)(0), PrimeField(7)(0)), 2)])
     # Off the curve, y = 0 still "doubles" to infinity: only the check on G refuses it.
     flat = Point(F(1), F(0))
     assert not inst.curve.contains(flat)
     with pytest.raises(OffCurve):
-        _witnesses(inst.curve, True, [(flat, 2)])
+        _witnesses(inst.curve, [(flat, 2)])
 
 
 def test_a_witness_outside_the_largest_ones_multiples_is_checked_on_its_own(monkeypatch):
@@ -418,19 +416,19 @@ def test_a_witness_outside_the_largest_ones_multiples_is_checked_on_its_own(monk
     monkeypatch.setattr(CubicCurve, "order_of", counting)
     for T in outside:
         calls.clear()
-        got = _witnesses(E, True, [(G, 6), (half, 2), (T, 2, "outside <G>")])
+        got = _witnesses(E, [(G, 6), (half, 2), (T, 2, "outside <G>")])
         assert [(w.point, w.claimed_order, w.verified, w.note) for w in got] == [
             (G, 6, True, ""), (half, 2, True, ""), (T, 2, True, "outside <G>")]
         assert calls == {T: 1}
         for wrong in (3, 6):
             with pytest.raises(VerificationError,
                                match=re.escape(f"witness {T!r} claims order {wrong} but has order 2")):
-                _witnesses(E, True, [(G, 6), (T, wrong)])
+                _witnesses(E, [(G, 6), (T, wrong)])
 
 
 def _invalid(ctor, F, *params):
     try:
-        ctor(F, *params, verify=False)
+        ctor(F, *params)
     except InvalidParams:
         return True
     return False
@@ -489,7 +487,7 @@ def test_iso_e8_agrees_with_curve_isomorphism(p):
     F = PrimeField(p)
     sq = oracles.fp_squares(p)
     valid = [t for t in range(2, p - 1) if (2 * t * t - 1) % p not in sq]
-    insts = {t: e8_new(F, t, verify=False) for t in valid}
+    insts = {t: e8_new(F, t) for t in valid}
     for s in valid:
         ps = insts[s].curve.g.p.value
         for t in valid:
@@ -529,7 +527,7 @@ def test_iso_e8char2_matches_curve_equality():
         valid = [F(v) for v in range(2, 2**k)]
         for s in valid:
             for t in valid:
-                same = e8char2_new(F, s, verify=False).curve == e8char2_new(F, t, verify=False).curve
+                same = e8char2_new(F, s).curve == e8char2_new(F, t).curve
                 assert iso_e8char2(F, s, t) == same
                 assert same == (s == t or s * t == F.one)
 
@@ -560,7 +558,7 @@ def test_isomorphism_tests_refuse_with_the_constructors_messages():
     for iso, ctor, F, values, good in cases:
         for v in values:
             try:
-                ctor(F, v, verify=False)
+                ctor(F, v)
                 continue
             except InvalidParams as e:
                 msg = re.escape(str(e))
@@ -573,7 +571,7 @@ def test_isomorphism_tests_refuse_with_the_constructors_messages():
         for a in range(F.order):
             for b in range(F.order):
                 try:
-                    e4_new(F, a, b, verify=False)
+                    e4_new(F, a, b)
                     continue
                 except InvalidParams as e:
                     msg = re.escape(str(e))
@@ -612,7 +610,7 @@ def test_kubert_to_e4_matches_j():
     for field, tv in [(Q, Fraction(1)), (Q, Fraction(-2, 5)), (PrimeField(13), 2)]:
         a, b = kubert_to_e4(field, tv)
         assert (a, b) == (field.one / 2, field.element(tv))
-        inst = e4_new(field, a, b, verify=False)
+        inst = e4_new(field, a, b)
         t = field.element(tv)
         assert inst.curve.j_invariant() == kubert_j(field, t, field.zero)
 
@@ -624,7 +622,7 @@ def test_kubert_to_e8_matches_j():
         t = kubert_to_e8(field, dv)
         d = field.element(dv)
         assert t == 2 * d - 1
-        inst = e8_new(field, t, verify=False)
+        inst = e8_new(field, t)
         b = (2 * d - 1) * (d - 1)
         c = b / d
         assert inst.curve.j_invariant() == kubert_j(field, b, c)
@@ -635,7 +633,7 @@ def test_kubert_to_e6_matches_j():
         t = kubert_to_e6(field, cv)
         c = field.element(cv)
         assert t == (c + 1) / (2 * c)
-        inst = e6_new(field, t, verify=False)
+        inst = e6_new(field, t)
         b = c * (c + 1)
         assert inst.curve.j_invariant() == kubert_j(field, b, c)
 

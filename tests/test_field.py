@@ -38,13 +38,28 @@ def test_prime_field_accepts_large_prime_below_cap():
 
 
 def test_binary_field_rejects_bad_degrees_and_moduli():
-    for bad_k in (0, 21, -1, "3"):
+    for bad_k in (0, 21, -1, "3", True):  # BinaryField(True) would be named "F2k:True:3"
         with pytest.raises(InvalidParams):
             BinaryField(bad_k)
     with pytest.raises(InvalidParams):
         BinaryField(3, modulus=0b1111)  # x^3+x^2+x+1 = (x+1)(x^2+1), reducible
     with pytest.raises(InvalidParams):
         BinaryField(3, modulus=0b101)  # degree 2, not 3
+
+
+@pytest.mark.parametrize("modulus", [-11, -3, -1, True, False, 11.0, "b"])
+def test_binary_field_refuses_a_modulus_that_is_no_non_negative_int(modulus):
+    # -11 has bit_length 4 and passes the trial division; its field would
+    # loop forever in its first product.
+    k = 1 if isinstance(modulus, bool) else 3
+    with pytest.raises(InvalidParams, match="modulus must be a non-negative int"):
+        BinaryField(k, modulus)
+
+
+def test_negative_modulus_in_a_descriptor_is_refused():
+    for desc in ("F2k:3:-b", "F2k:2:-7", "F2k:1:-3"):
+        with pytest.raises(InvalidParams, match="non-negative int"):
+            field_from_descriptor(desc)
 
 
 def test_default_modulus_is_lowest_odd_irreducible():

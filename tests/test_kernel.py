@@ -271,6 +271,18 @@ def test_c2_kernel_without_tables(k):
     _check_c2_group_law(k, m, a2, a6, sample, rng, 20, 1)
 
 
+@pytest.mark.parametrize("k,m", [(k, m) for k, m in MODULI if k <= 4])
+def test_c2_points_bit_vector_loop_matches_the_table_loop(monkeypatch, k, m):
+    """The loop that runs above _TABLE_MAX_K gives the table loop's list on every curve."""
+    tables = kernel._gf2k(k, m)  # fetched first: the cache must not keep a table-less one
+    monkeypatch.setattr(kernel, "_TABLE_MAX_K", 0)
+    bare = kernel._GF2k(k, m)
+    assert bare.log is None and tables.log is not None
+    for a6 in range(1, 1 << k):
+        for a2 in range(1 << k):
+            assert kernel.c2_points((bare, a2, a6)) == kernel.c2_points((tables, a2, a6))
+
+
 def test_c2_kernel_edge_cases():
     k, m, a2, a6 = 2, 0b111, 0, 1  # y^2 + xy = x^3 + 1 over GF(4): (0, 1) has order 2
     c = (kernel._gf2k(k, m), a2, a6)
