@@ -10,8 +10,9 @@ shell reports for a writer stopped by SIGPIPE.
 Time budgets, for the slowest accepted input of each kind, in-process: ``census``
 at k = 6 (``--field F2k:6:43``) answers within 5 s per order; ``family``
 (e10, e12, e8char2), ``halve`` (auto, rT) and ``iso`` (e4, e8, e8char2) at
-p = 2^31 - 1 and over GF(2^20) within 1 s a call (``tests/test_budgets.py``);
-``order`` there within 1 s a call (``tests/test_cli.py``).
+p = 2^31 - 1 and over GF(2^20), and ``halve`` (auto, rT) over Q at a point
+with parts of about 3,700 digits, within 1 s a call (``tests/test_budgets.py``);
+``order`` at p = 2^31 - 1 and over GF(2^20) within 1 s a call (``tests/test_cli.py``).
 
 An option value may be a negative literal: ``--T -3/4`` reads as ``--T=-3/4``.
 """

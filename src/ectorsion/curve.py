@@ -18,7 +18,7 @@ over Q); this module checks points, converts them and converts back.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Callable, ClassVar, List, Optional, Tuple
@@ -50,6 +50,27 @@ __all__ = [
 _ENUM_LIMIT = 1 << 16  # largest field we will sweep exhaustively
 
 
+def _refuse_set(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_del(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _frozen(cls):
+    """Refuse every assignment and deletion with FrozenInstanceError.
+
+    ``dataclass(frozen=True, slots=True)`` does so only for its fields: on
+    Python 3.11, any other name raises TypeError from the class that
+    ``slots=True`` replaced.  ``__init__`` sets fields through
+    ``object.__setattr__`` and is untouched.
+    """
+    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
+    return cls
+
+
+@_frozen
 @dataclass(frozen=True, slots=True)
 class Point:
     """An affine point (x, y) or the point at infinity (x = y = None)."""
@@ -75,6 +96,7 @@ class Point:
         return f"({self.x.field.format_element(self.x)}, {self.y.field.format_element(self.y)})"
 
 
+@_frozen
 @dataclass(frozen=True, slots=True)
 class TorsionWitness:
     """A point with a claimed order, built only once the group law confirms it."""

@@ -14,6 +14,11 @@ deterministic: mod p the root in [0, p/2] is returned, over Q the
 nonnegative one, and in GF(2^k) squaring is a bijection so the root is
 already unique (x -> x**(2**(k-1))).
 
+F_p and Q also expose the raw helpers that code working on raw values
+(ints mod p, ``Fraction``s) needs between its boundary check and its
+answer: ``_red`` (the canonical value), ``_inv`` and ``_sqrt``.  Each
+field's element-level ``sqrt`` is a thin wrapper over its ``_sqrt``.
+
 A field instance doubles as an element factory: ``F = PrimeField(7); F(3)``.
 F_p elements (each field's ``_elt`` class) have their own ``+ - *``, unary
 ``-`` and ``==``: one call against the same field object or an int (products
@@ -199,6 +204,18 @@ class Field:
     def _neg(self, a):
         raise NotImplementedError
 
+    def _red(self, a):
+        """The canonical raw value equal to ``a``, an unreduced raw result."""
+        raise NotImplementedError
+
+    def _inv(self, a):
+        """The raw inverse of ``a``; ZeroDivisionError for 0, as ``_div`` refuses it."""
+        raise NotImplementedError
+
+    def _sqrt(self, a):
+        """The canonical raw square root of ``a``, or None when there is none."""
+        raise NotImplementedError
+
     def _pow(self, a, n: int):
         # Generic square-and-multiply; subclasses may shortcut.
         if n < 0:
@@ -362,6 +379,18 @@ class PrimeField(Field):
     def _neg(self, a):
         return -a % self.p
 
+    def _red(self, a):
+        return a % self.p
+
+    def _inv(self, a):
+        if a % self.p == 0:
+            raise ZeroDivisionError(f"division by zero in {self.descriptor}")
+        return pow(a, self.p - 2, self.p)
+
+    def _sqrt(self, a):
+        r = kernel.fp_sqrt(a, self.p)
+        return None if r < 0 else r
+
     def _pow(self, a, n):
         if n < 0 and a == 0:
             raise ZeroDivisionError(f"0**{n} in {self.descriptor}")
@@ -388,8 +417,8 @@ class PrimeField(Field):
         return kernel.fp_is_square(a.value, self.p)
 
     def sqrt(self, a):
-        r = kernel.fp_sqrt(a.value, self.p)
-        return None if r < 0 else _PrimeElement(self, r)
+        r = self._sqrt(a.value)
+        return None if r is None else _PrimeElement(self, r)
 
     @property
     def descriptor(self):
@@ -586,6 +615,26 @@ class Rationals(Field):
     def _neg(self, a):
         return -a
 
+    def _red(self, a):
+        return a  # a Fraction is always in lowest terms
+
+    def _inv(self, a):
+        if a == 0:
+            raise ZeroDivisionError("division by zero in Q")
+        return Fraction(a.denominator, a.numerator)
+
+    def _sqrt(self, a):
+        if a < 0:
+            return None
+        n, d = a.numerator, a.denominator
+        rn = isqrt(n)
+        if rn * rn != n:
+            return None
+        rd = isqrt(d)
+        if rd * rd != d:
+            return None
+        return Fraction(rn, rd)
+
     def _pow(self, a, n):
         if n < 0 and a == 0:
             raise ZeroDivisionError(f"0**{n} in Q")
@@ -601,17 +650,11 @@ class Rationals(Field):
         return 0
 
     def is_square(self, a):
-        v: Fraction = a.value
-        if v < 0:
-            return False
-        n, d = v.numerator, v.denominator
-        return isqrt(n) ** 2 == n and isqrt(d) ** 2 == d
+        return self._sqrt(a.value) is not None
 
     def sqrt(self, a):
-        if not self.is_square(a):
-            return None
-        v: Fraction = a.value
-        return FieldElement(self, Fraction(isqrt(v.numerator), isqrt(v.denominator)))
+        r = self._sqrt(a.value)
+        return None if r is None else FieldElement(self, r)
 
     @property
     def descriptor(self):

@@ -11,10 +11,18 @@ Four routes, all returning the same point sets on their common domains:
 * ``halve_char2``    — binary fields: r = sqrt(x0) plus an Artin-Schreier
   solve of l^2 + l = x0 + a2.
 
-Every candidate half is re-verified against the group law (2Q = P) before
-being returned; a formula slip therefore raises VerificationError instead of
-propagating silently.  The tangent slope at each half is reported alongside
-it: the line y = slope*(x - x0) - y0 through -P touches the curve at Q.
+The three criteria for characteristic != 2 check the curve model and the
+point once, at their boundary (``curve._check``), then compute on the raw
+field values of its coordinates: ints mod p over F_p, ``Fraction``s over Q,
+with the field's raw helpers (``_red``, ``_inv``, ``_sqrt``), in one code
+path for both fields.  Only the answer's points, slopes and witness strings
+are built as field elements.
+
+Every candidate half is replayed on raw coordinates through the curve's
+kernel group law (on the curve, and 2Q = P) before being returned; a
+formula slip therefore raises VerificationError instead of propagating
+silently.  The tangent slope at each half is reported alongside it: the
+line y = slope*(x - x0) - y0 through -P touches the curve at Q.
 """
 
 from __future__ import annotations
@@ -22,7 +30,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
-from .curve import Char2Curve, CubicCurve, Point, element_to_json, point_to_json
+from .curve import (
+    Char2Curve,
+    CubicCurve,
+    Point,
+    _pt_from_ints,
+    _pt_ints,
+    element_to_json,
+    point_to_json,
+)
 from .errors import (
     InvalidParams,
     NotHalvable,
@@ -84,16 +100,32 @@ def _require_affine(P: Point) -> None:
         raise InvalidParams("halving is defined here for affine points only")
 
 
-def _verify_half(curve, P: Point, Q: Point) -> None:
-    if not curve.contains(Q):
-        raise VerificationError(f"computed half {Q!r} is not on the curve")
-    if curve._add(Q, Q) != P:
-        raise VerificationError(f"computed half {Q!r} does not double to {P!r}")
+def _verify_half(curve, pt: tuple, q: tuple) -> None:
+    """Replay a half q of pt, both raw (x, y), through the curve's kernel model."""
+    if not curve._k.contains(curve._kp, q):
+        raise VerificationError(f"computed half {_pt_from_ints(curve.field, q)!r} is not on the curve")
+    if curve._k.add(curve._kp, q, q) != pt:
+        raise VerificationError(f"computed half {_pt_from_ints(curve.field, q)!r} does not double "
+                                f"to {_pt_from_ints(curve.field, pt)!r}")
 
 
-def _same_slope(Q: Point, seen: FieldElement, slope: FieldElement) -> None:
+def _same_slope(curve, q: tuple, seen, slope) -> None:
     if seen != slope:
-        raise VerificationError(f"two sign choices give {Q!r} different tangent slopes")
+        raise VerificationError(
+            f"two sign choices give {_pt_from_ints(curve.field, q)!r} different tangent slopes")
+
+
+def _answer(F, criterion: str, halves, witness: dict) -> HalvingResult:
+    """The result of raw, reduced ((x, y), slope) halves as points and elements."""
+    elt = F._elt
+    out = []
+    for (x, y), slope in halves:
+        out.append((Point(elt(F, x), elt(F, y)), elt(F, slope)))
+    return HalvingResult(criterion, tuple(out), witness)
+
+
+def _to_json(F, v) -> str:
+    return element_to_json(F._elt(F, v))
 
 
 def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
@@ -108,39 +140,42 @@ def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
     roots = curve.g.roots()
     if roots is None:
         raise WrongCase("g is irreducible over K; use halve_quadext")
-    alphas = (curve.alpha, roots[0], roots[1])
-    x0, y0 = P.x, P.y
+    F = curve.field
+    sqrt = F._sqrt
+    x0, y0 = P.x.value, P.y.value
     signed = []
-    for a in alphas:
-        r = (x0 - a).sqrt()
+    for a in (curve.alpha.value, roots[0].value, roots[1].value):
+        r = sqrt(x0 - a)
         if r is None:
             return HalvingResult("split", (), {})
         signed.append((r, -r))
-    neg_y0 = -y0
+    red, pt = F._red, (x0, y0)
     seen = {}
     halves = []
     for r1 in signed[0]:
         for r2 in signed[1]:
             r12 = r1 * r2
             for r3 in signed[2]:
-                if r12 * r3 != neg_y0:
+                if red(r12 * r3 + y0):  # r1*r2*r3 != -y0
                     continue
                 s1 = r1 + r2 + r3
                 s2 = r12 + (r1 + r2) * r3
-                Q = Point(x0 + s2, neg_y0 - s1 * s2)
-                slope = -s1
-                if Q in seen:
-                    _same_slope(Q, seen[Q], slope)
+                q = (red(x0 + s2), red(-y0 - s1 * s2))
+                slope = red(-s1)
+                if q in seen:
+                    _same_slope(curve, q, seen[q], slope)
                     continue
-                seen[Q] = slope
-                _verify_half(curve, P, Q)
-                halves.append((Q, slope))
+                seen[q] = slope
+                _verify_half(curve, pt, q)
+                halves.append((q, slope))
+    if not halves:  # (r1*r2*r3)^2 = y0^2, so one sign triple has product -y0
+        raise VerificationError("no sign triple gives r1*r2*r3 = -y0")
     witness = {
-        "r1": element_to_json(signed[0][0]),
-        "r2": element_to_json(signed[1][0]),
-        "r3": element_to_json(signed[2][0]),
+        "r1": _to_json(F, signed[0][0]),
+        "r2": _to_json(F, signed[1][0]),
+        "r3": _to_json(F, signed[2][0]),
     }
-    return HalvingResult("split", tuple(halves), witness)
+    return _answer(F, "split", halves, witness)
 
 
 def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
@@ -153,33 +188,37 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
     _require_model(curve, CubicCurve)
     curve._check(P)
     _require_affine(P)
-    if curve.g.roots() is not None:
+    g = curve.g
+    if g.roots() is not None:
         raise WrongCase("g splits over K; use halve_split")
-    z = QuadExtElement(curve.g, P.x, -1)  # x0 - X
-    rho = ext_sqrt(z)
+    F = curve.field
+    rho = ext_sqrt(QuadExtElement(g, P.x, -1))  # x0 - X
     if rho is None:
         return HalvingResult("quadext", (), {})
-    nrho = rho.norm()  # nonzero: z != 0 since its X-coefficient is -1
-    r = -P.y / nrho
+    red = F._red
+    x0, y0, alpha, gp, gq = P.x.value, P.y.value, curve.alpha.value, g.p.value, g.q.value
+    c0, c1 = rho.c0.value, rho.c1.value
+    nrho = c0 * c0 - c0 * c1 * gp + c1 * c1 * gq  # nonzero: rho != 0 as x0 - X != 0
+    r = red(-y0 * F._inv(nrho))
     r2 = r * r
-    if r2 != P.x - curve.alpha:
+    if red(r2 - x0 + alpha):
         raise VerificationError("r^2 != x0 - alpha")
-    tr = rho.trace()
+    tr = 2 * c0 - c1 * gp
     mid = r2 + nrho
+    pt = (x0, y0)
     halves = []
     for t in (tr, -tr):  # t = +-trace(rho): norm(r +- rho) = r^2 + r*t + norm(rho)
         n = mid + r * t
-        Q = Point(curve.alpha + n, -t * n)
-        slope = -(r + t)
-        _verify_half(curve, P, Q)
-        halves.append((Q, slope))
+        q = (red(alpha + n), red(-t * n))
+        _verify_half(curve, pt, q)
+        halves.append((q, red(-(r + t))))
     if halves[0][0] == halves[1][0]:
         raise VerificationError("the two halves coincide")
     witness = {
         "rho": {"c0": element_to_json(rho.c0), "c1": element_to_json(rho.c1)},
-        "r": element_to_json(r),
+        "r": _to_json(F, r),
     }
-    return HalvingResult("quadext", tuple(halves), witness)
+    return _answer(F, "quadext", halves, witness)
 
 
 def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
@@ -192,44 +231,44 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
     _require_model(curve, CubicCurve)
     curve._check(P)
     _require_affine(P)
-    x0, y0 = P.x, P.y
-    if x0 == curve.alpha:
+    F = curve.field
+    x0, y0, alpha = P.x.value, P.y.value, curve.alpha.value
+    if x0 == alpha:
         raise PointIsW3("P = (alpha, 0) is excluded; halve it in its own case")
-    t = x0 - curve.alpha
-    r0 = t.sqrt()
+    t = x0 - alpha
+    r0 = F._sqrt(t)
     if r0 is None:
         raise NotHalvable("x0 - alpha is not a square in K")
-    u, y2 = (2 * x0 + curve.g.p) * t, 2 * y0  # D = u - y2*r
-    branches = []
-    seen = {}
-    halves = []
-    for r in (r0, -r0):
-        s = (u - y2 * r).sqrt()  # sqrt(D), None when D is not a square
+    u, y2 = (2 * x0 + curve.g.p.value) * t, 2 * y0  # D = u - y2*r
+    branches = []  # (r, T, s = r*T, w = y0/r)
+    for r in (r0, F._red(-r0)):
+        s = F._sqrt(u - y2 * r)  # sqrt(D), None when D is not a square
         if s is None:
             continue
         if not s:
             raise VerificationError("discriminant cannot vanish on a nonsingular curve")
-        T = s / r
-        w, rT = y0 / r, r * T
-        branches.append((r, T))
-        for sg_rT, sg_T in ((rT, T), (-rT, -T)):
-            xq = x0 + sg_rT - w
-            slope = -(r + sg_T)
-            Q = Point(xq, slope * (xq - x0) - y0)
-            if Q in seen:
-                _same_slope(Q, seen[Q], slope)
-                continue
-            seen[Q] = slope
-            _verify_half(curve, P, Q)
-            halves.append((Q, slope))
-    if not halves:
+        ir = F._inv(r)
+        branches.append((r, F._red(s * ir), s, y0 * ir))
+    if not branches:
         raise NotHalvable("no sign of r makes the discriminant a square")
-    witness = {
-        "branches": [
-            {"r": element_to_json(r), "T": element_to_json(T)} for r, T in branches
-        ]
-    }
-    return HalvingResult("rT", tuple(halves), witness)
+    red, pt = F._red, (x0, y0)
+    seen = {}
+    halves = []
+    for r, T, s, w in branches:
+        for sg_rT, sg_T in ((s, T), (-s, -T)):
+            xq = red(x0 + sg_rT - w)
+            slope = red(-(r + sg_T))
+            q = (xq, red(slope * (xq - x0) - y0))
+            if q in seen:
+                _same_slope(curve, q, seen[q], slope)
+                continue
+            seen[q] = slope
+            _verify_half(curve, pt, q)
+            halves.append((q, slope))
+    witness = {"branches": []}
+    for r, T, _, _ in branches:
+        witness["branches"].append({"r": _to_json(F, r), "T": _to_json(F, T)})
+    return _answer(F, "rT", halves, witness)
 
 
 def halvability_criterion_origin(
@@ -250,12 +289,13 @@ def halvability_criterion_origin(
     P = Point(field.zero, y0)
     if not curve.contains(P):
         raise VerificationError(f"{P!r} is not on the curve built for it")
+    pt = _pt_ints(P)
     halves = []
     for sg in (1, -1):
         xq = sg * r * T - w
         slope = -(r + sg * T)
         Q = Point(xq, slope * xq - y0)
-        _verify_half(curve, P, Q)
+        _verify_half(curve, pt, _pt_ints(Q))
         halves.append((Q, slope))
     return curve, tuple(halves)
 
@@ -277,19 +317,20 @@ def halve_char2(curve: Char2Curve, P: Point) -> HalvingResult:
         return HalvingResult("char2", (), {})
     beta = curve.a6.sqrt()
     r = x0.sqrt()
+    pt = _pt_ints(P)
     halves = []
     if not x0:
         x1 = beta.sqrt()  # fourth root of a6
         for li in (l, l + 1):
             Q = Point(x1, li * x1 + beta)
-            _verify_half(curve, P, Q)
+            _verify_half(curve, pt, _pt_ints(Q))
             halves.append((Q, li))
     else:
         for li in (l, l + 1):
             m = y0 + (li + 1) * x0
             x1 = (beta + m) / r
             Q = Point(x1, li * x1 + m)
-            _verify_half(curve, P, Q)
+            _verify_half(curve, pt, _pt_ints(Q))
             halves.append((Q, li))
     witness = {"l": element_to_json(l), "r": element_to_json(r)}
     return HalvingResult("char2", tuple(halves), witness)

@@ -16,6 +16,11 @@ squares this scan misses have s = 0, i.e. rho = b*(X + p/2); those satisfy
 z = b^2*(p^2-4q)/4, which forces z into K, and are recovered from
 gamma = sqrt(z/(p^2-4q)) as rho = gamma*(2X + p).
 
+``ext_sqrt`` takes and returns elements of K_g but works in between on the
+raw values of their coordinates (ints mod p, ``Fraction``s over Q) with the
+base field's raw helpers, one code path for both fields; the root it found
+is checked, rho^2 = z, on those raw values before it is built as an element.
+
 For r in K and eps = +-1, norm(r + eps*rho) = r^2 + eps*r*trace(rho) +
 norm(rho), so the halving formulas take their norms in K, never in K_g.
 """
@@ -272,9 +277,17 @@ def ext_norm(z: QuadExtElement) -> FieldElement:
     return z.norm()
 
 
-def _check_root(rho: QuadExtElement, z: QuadExtElement) -> None:
-    if rho * rho != z:
+def _root(z: QuadExtElement, c0, c1) -> QuadExtElement:
+    """rho = c0 + c1*X from raw values, once rho^2 = z is checked on them."""
+    g = z.g
+    F = g.field
+    red = F._red
+    c0, c1 = red(c0), red(c1)
+    rho = _elt(g, F._elt(F, c0), F._elt(F, c1))
+    cc = c1 * c1  # rho^2 = (c0^2 - c1^2*q) + (2*c0*c1 - c1^2*p)*X
+    if red(c0 * c0 - cc * g.q.value - z.c0.value) or red(2 * c0 * c1 - cc * g.p.value - z.c1.value):
         raise VerificationError(f"ext_sqrt: {rho!r} does not square to {z!r}")
+    return rho
 
 
 def ext_sqrt(z: QuadExtElement) -> Optional[QuadExtElement]:
@@ -283,27 +296,29 @@ def ext_sqrt(z: QuadExtElement) -> Optional[QuadExtElement]:
     Requires g irreducible (so K_g is a field).  Deterministic: candidate
     norms are scanned in the order +sqrt(norm(z)), -sqrt(norm(z)).
     """
-    if not z.g.irreducible():
+    g = z.g
+    if not g.irreducible():
         raise InvalidParams("ext_sqrt needs an irreducible modulus")
     if not z:
-        return QuadExtElement(z.g, 0, 0)
-    n0 = z.norm().sqrt()
+        return QuadExtElement(g, 0, 0)
+    F, gp, gq = g.field, g.p.value, g.q.value
+    sqrt, inv = F._sqrt, F._inv
+    c0, c1 = z.c0.value, z.c1.value
+    n0 = sqrt(c0 * c0 - c0 * c1 * gp + c1 * c1 * gq)
     if n0 is None:
         # norm is multiplicative, so a square z would have square norm.
         return None
-    tr = z.trace()
-    for n in (n0, -n0) if n0 else (n0,):
-        s = (tr + 2 * n).sqrt()
-        if s is not None and s:
-            rho = _elt(z.g, (z.c0 + n) / s, z.c1 / s)
-            _check_root(rho, z)
-            return rho
+    # n0 != 0: a nonzero z has a nonzero norm when g is irreducible.
+    tr = 2 * c0 - c1 * gp
+    for n in (n0, -n0):
+        s = sqrt(tr + 2 * n)
+        if s:  # neither None nor 0
+            i = inv(s)
+            return _root(z, (c0 + n) * i, c1 * i)
     # Trace-zero roots rho = b*(X + p/2) square to base-field values
     # b^2*(p^2-4q)/4; recover b/2 as gamma below.  Only z in K qualifies.
-    if z.in_base_field():
-        gamma = (z.c0 / z.g.disc()).sqrt()
+    if not c1:
+        gamma = sqrt(c0 * inv(gp * gp - 4 * gq))
         if gamma is not None:
-            rho = _elt(z.g, gamma * z.g.p, 2 * gamma)
-            _check_root(rho, z)
-            return rho
+            return _root(z, gamma * gp, 2 * gamma)
     return None

@@ -10,6 +10,7 @@ budget is listed in the README beside the CLI's.  Every answer is checked agains
 
 import json
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -19,7 +20,7 @@ from ectorsion.field import BinaryField
 import oracles
 
 CENSUS_BUDGET_S = 5.0
-CALL_BUDGET_S = 1.0  # family, halve and iso over the largest fields accepted
+CALL_BUDGET_S = 1.0  # family, halve and iso over the largest fields (and Q values) accepted
 SWEEP_BUDGET_S = 1.0  # family_sweep over F_97 and GF(2^6), per order
 
 P31 = 2**31 - 1  # the largest prime modulus accepted; p = 3 mod 4
@@ -140,6 +141,31 @@ def test_largest_prime_field_halving_fits_its_budget(capsys, method, g0, roots):
     assert js["halvable"] is True and Q in halves
     assert len(halves) == len(js["halves"]) == 1 + roots  # one half per 2-torsion point
     assert all(oracles.fp_cubic_add(P31, A, B, C, H, H) == P for H in halves)
+
+
+@pytest.mark.parametrize("method,g1,g0,G,n,roots", [
+    # y^2 = x(x^2 - 5x + 5): g irreducible over Q, the quadratic-extension route
+    ("auto", -5, 5, (1, 1), 69, 1),
+    # y^2 = x(x^2 - 36): g splits, four halves
+    ("rT", 0, -36, (-3, 9), 40, 3),
+])
+def test_rational_halving_near_the_digit_cap_fits_its_budget(capsys, method, g1, g0, G, n, roots):
+    """P = 2nG, G of infinite order, has parts of about 3,700 digits; the cap is 4,300."""
+    A, B, C = g1, g0, 0  # alpha = 0
+    G = tuple(map(Fraction, G))
+    Q = G
+    for _ in range(n - 1):
+        Q = oracles.qq_cubic_add(A, B, C, Q, G)
+    P = oracles.qq_cubic_add(A, B, C, Q, Q)
+    assert 3600 < max(len(str(abs(v))) for c in P for v in (c.numerator, c.denominator)) <= 4300
+    js = _within_budget(capsys, "halve", "--field", "Q",
+                        "--curve", json.dumps({"alpha": "0", "p": str(g1), "q": str(g0)}),
+                        "--point", json.dumps({"x": str(P[0]), "y": str(P[1])}),
+                        "--method", method)
+    halves = {tuple(Fraction(h["point"][c]) for c in ("x", "y")) for h in js["halves"]}
+    assert js["halvable"] is True and Q in halves
+    assert len(halves) == len(js["halves"]) == 1 + roots  # one half per 2-torsion point
+    assert all(oracles.qq_cubic_add(A, B, C, H, H) == P for H in halves)
 
 
 def test_largest_binary_field_halving_fits_its_budget(capsys):

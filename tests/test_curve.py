@@ -1,5 +1,6 @@
 """Curve models: construction, the group law, enumeration, serialization."""
 
+import dataclasses
 import random
 import re
 import time
@@ -703,3 +704,22 @@ def test_curves_carry_no_instance_dict():
         assert not hasattr(E, "__dict__")
         with pytest.raises(AttributeError):
             E.stray = 1
+
+
+def test_records_refuse_every_assignment_and_deletion():
+    """Fields or not, a frozen record answers FrozenInstanceError, never TypeError."""
+    F = PrimeField(7)
+    P = Point(F(1), F(3))
+    inst = e12_new(Rationals(), Rationals()(3))
+    records = [P, Point.infinity(), inst.witnesses[0], halve(inst.curve, inst.witnesses[0].point),
+               inst]
+    for rec in records:
+        fields = [f.name for f in dataclasses.fields(rec)]
+        for name in fields + ["verified", "z", "__dict__"]:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, name, 1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(rec, name)
+    assert repr(P) == "(1, 3)" and P == Point(F(1), F(3)) and P.x == F(1)
+    assert hash(P) == hash(Point(F(1), F(3)))
+    assert inst.witnesses[0].verified is True

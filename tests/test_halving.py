@@ -15,9 +15,11 @@ from ectorsion import (
     PointIsW3,
     PrimeField,
     QuadExtElement,
+    QuadraticPoly,
     Rationals,
     SingularCurve,
     TwoTorsionHalf,
+    VerificationError,
     WrongCase,
     e4_new,
     e4char2_new,
@@ -35,6 +37,7 @@ from ectorsion import (
     halve_split,
     half_to_roots,
 )
+from ectorsion import kernel
 
 import oracles
 
@@ -422,3 +425,112 @@ def test_quadext_witness_of_even_order_witnesses_over_q():
             if w.claimed_order % 2 == 0:
                 halved += _check_quadext_witness(inst.curve, w.point)
     assert halved == 10  # W3 on the six e4, e8, e12 curves; both order-4 witnesses of each e8
+
+
+# ---------------------------------------------------------------------------
+# split and rT over Q
+# ---------------------------------------------------------------------------
+
+def _q_cases():
+    """(curve, P, known half or None): doubles and other multiples on a split and an
+    irreducible curve of positive rank, then the even-order family witnesses."""
+    Q = Rationals()
+    out = []
+    # y^2 = x(x^2 - 36) splits; y^2 = x(x^2 - 5x + 5) does not.  Both G have infinite order.
+    for g1, g0, G in ((0, -36, (-3, 9)), (-5, 5, (1, 1))):
+        E = CubicCurve(Q, 0, g1, g0)
+        G = Point(Q(G[0]), Q(G[1]))
+        R = G
+        for _ in range(3):
+            for T in E.two_torsion() + [Point.infinity()]:
+                S = E.add(R, T)
+                out.append((E, S, None))
+                out.append((E, E.double(S), S))
+            R = E.add(R, G)
+    insts = [e4_new(Q, Q(a), Q(b)) for a, b in ((-6, -6), (1, 1))]
+    for ctor in (e6_new, e8_new, e10_new, e12_new):
+        insts += [ctor(Q, Q(t)) for t in (Fraction(-3), Fraction(5, 2))]
+    out += [(inst.curve, w.point, None) for inst in insts for w in inst.witnesses
+            if w.claimed_order % 2 == 0]
+    return out
+
+
+def test_halving_over_q_checked_by_the_oracle():
+    split = rT_runs = 0
+    for E, P, half in _q_cases():
+        A, B, C = (c.value for c in E.coefficients())
+        want = (P.x.value, P.y.value)
+        res = halve(E, P)
+        assert res.criterion == ("split" if E.g.roots() is not None else "quadext")
+        split += res.criterion == "split"
+        got = {(Q.x.value, Q.y.value) for Q in res.points()}
+        assert len(got) == len(res.halves) in (0, len(E.two_torsion()) + 1)
+        for H in got:
+            assert oracles.qq_cubic_on(A, B, C, H)
+            assert oracles.qq_cubic_add(A, B, C, H, H) == want
+        if half is not None:
+            assert (half.x.value, half.y.value) in got
+        if P == E.w3:
+            continue
+        try:
+            rT = halve_rT(E, P)
+        except NotHalvable:
+            assert got == set()
+            continue
+        rT_runs += 1
+        assert set(rT.points()) == set(res.points())
+    assert split > 0 and rT_runs > 0
+
+
+# ---------------------------------------------------------------------------
+# a formula slip is refused
+# ---------------------------------------------------------------------------
+
+def _halvable_doubles(p):
+    """(curve, P = 2Q) pairs over F_p with both shapes of g, P affine and not W3."""
+    out = []
+    for E in small_cubic_curves([p]):
+        E.g.roots()  # found and kept now, before any test patches the square root
+        doubles = [E.double(Q) for Q in E.full_group()]
+        out += [(E, P) for P in doubles[:6] if not P.is_infinity and P != E.w3]
+    assert {E.g.roots() is None for E, _ in out} == {True, False}
+    return out
+
+
+def test_a_square_root_slip_never_returns_a_half(monkeypatch):
+    cases = _halvable_doubles(13)
+    F = PrimeField(13)
+    g = QuadraticPoly(F, 0, 2)  # x^2 + 2 is irreducible mod 13
+    g.roots()
+    squares = [z * z for z in (QuadExtElement(g, F(c0), F(c1)) for c0 in range(3) for c1 in (1, 5))]
+    real = PrimeField._sqrt
+
+    def slipped(self, a):
+        """Never a root of a: r + 2 for a canonical root r <= p/2, else 1."""
+        r = real(self, a)
+        return 1 if r is None else (r + 2) % self.p
+
+    monkeypatch.setattr(PrimeField, "_sqrt", slipped)
+    for E, P in cases:
+        for criterion in (halve_split if E.g.roots() is not None else halve_quadext, halve_rT):
+            with pytest.raises(VerificationError):
+                criterion(E, P)
+    for z in squares:
+        with pytest.raises(VerificationError):
+            ext_sqrt(z)
+
+
+def test_a_doubling_slip_never_returns_a_half(monkeypatch):
+    cases = _halvable_doubles(11)
+    real = kernel.cubic_add
+
+    def slipped(c, pt1, pt2):
+        out = real(c, pt1, pt2)
+        return out if pt1 != pt2 or out is None else (out[0], (out[1] + 1) % c[0])
+
+    monkeypatch.setattr(kernel, "cubic_add", slipped)
+    for E, P in cases:
+        E = CubicCurve(E.field, E.alpha, E.g.p, E.g.q)  # built now, so it reads the slip
+        for criterion in (halve, halve_rT):
+            with pytest.raises(VerificationError):
+                criterion(E, P)
