@@ -26,13 +26,9 @@ from .field import (
     FieldElement,
     PrimeField,
     Rationals,
-    char2_sqrt,
     field_from_descriptor,
-    is_square,
-    solve_artin_schreier,
-    sqrt,
 )
-from .quadratic import QuadExt, QuadExtElement, QuadraticPoly, ext_norm, ext_sqrt, ext_trace
+from .quadratic import QuadExtElement, QuadraticPoly, ext_sqrt
 from .curve import (
     Char2Curve,
     CubicCurve,
@@ -93,7 +89,6 @@ __all__ = [
     "Point",
     "PointIsW3",
     "PrimeField",
-    "QuadExt",
     "QuadExtElement",
     "QuadraticPoly",
     "Rationals",
@@ -103,7 +98,6 @@ __all__ = [
     "TwoTorsionHalf",
     "VerificationError",
     "WrongCase",
-    "char2_sqrt",
     "curve_from_json",
     "e10_new",
     "e12_new",
@@ -114,9 +108,7 @@ __all__ = [
     "e6_new",
     "e8_new",
     "e8char2_new",
-    "ext_norm",
     "ext_sqrt",
-    "ext_trace",
     "family_sweep",
     "field_from_descriptor",
     "half_to_roots",
@@ -126,7 +118,6 @@ __all__ = [
     "halve_quadext",
     "halve_rT",
     "halve_split",
-    "is_square",
     "iso_e4",
     "iso_e8",
     "iso_e8char2",
@@ -137,8 +128,6 @@ __all__ = [
     "point_from_json",
     "point_to_json",
     "sigma_char2",
-    "solve_artin_schreier",
-    "sqrt",
     "verify_f3_example",
     "verify_f4_example",
 ]

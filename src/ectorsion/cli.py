@@ -29,7 +29,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .census import sigma_char2, verify_f3_example, verify_f4_example
 from .curve import curve_from_json, point_from_json, point_to_json
-from .errors import Error, InvalidParams, NotHalvable, VerificationError
+from .errors import Error, InvalidParams, VerificationError
 from .families import (
     FAMILY_NAMES,
     e4_new,
@@ -192,11 +192,7 @@ def _cmd_family(args) -> dict:
 def _cmd_halve(args) -> dict:
     curve, field = _load_curve_and_field(args)
     P = point_from_json(field, json.loads(args.point))
-    try:
-        result = _HALVERS[args.method](curve, P)
-    except NotHalvable:
-        return {"halvable": False, "criterion": "rT", "halves": [], "witness": {}}
-    return result.to_json_dict()
+    return _HALVERS[args.method](curve, P).to_json_dict()
 
 
 def _cmd_order(args) -> dict:

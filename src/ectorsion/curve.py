@@ -273,10 +273,6 @@ class CubicCurve(_CurveBase):
                                              kernel.qq_smul, kernel.qq_order, None))
 
     @classmethod
-    def from_g(cls, field: Field, alpha, g: QuadraticPoly) -> "CubicCurve":
-        return cls(field, alpha, g.p, g.q)
-
-    @classmethod
     def from_weierstrass(cls, field: Field, A, B, C) -> "CubicCurve":
         """Factor y^2 = x^3 + A x^2 + B x + C through a rational root.
 

@@ -44,7 +44,13 @@ class TwoTorsionHalf(Error):
 
 
 class NotHalvable(Error):
-    """No square root r of x0 - alpha makes the halving discriminant square."""
+    """Raised nowhere: every halving criterion answers a point without halves
+    with an empty ``HalvingResult``.
+
+    Kept only because the benchmark's task checker (``perfbench/workloads.py``)
+    reads this name whenever a ``halve_rT`` task raised; without it, a failed
+    task would crash the benchmark run instead of being counted.
+    """
 
 
 class VerificationError(Error):

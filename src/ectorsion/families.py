@@ -44,7 +44,6 @@ from .curve import (
 )
 from .errors import InvalidParams, VerificationError
 from .field import BinaryField, Field, FieldElement
-from .quadratic import QuadraticPoly
 
 __all__ = [
     "FamilyInstance",

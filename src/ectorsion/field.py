@@ -28,9 +28,10 @@ via ``PrimeField._mul``), the generic path otherwise, as Q and GF(2^k) use.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Optional, Union
+from typing import Iterator, Optional
 
 from . import kernel
 from .errors import FieldTooLarge, InvalidParams, VerificationError
@@ -42,10 +43,6 @@ __all__ = [
     "BinaryField",
     "Rationals",
     "field_from_descriptor",
-    "is_square",
-    "sqrt",
-    "char2_sqrt",
-    "solve_artin_schreier",
 ]
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -672,7 +669,11 @@ class Rationals(Field):
         return FieldElement(self, Fraction(int(num), int(den)))
 
     def format_element(self, a):
-        return str(a.value)
+        # Decimal prints an int of any length; str(int) stops at the interpreter's
+        # digit limit (4300 by default), and an output may have several times
+        # the digits of the literals it came from.
+        n, d = Decimal(a.value.numerator), a.value.denominator
+        return str(n) if d == 1 else f"{n}/{Decimal(d)}"
 
 
 def field_from_descriptor(text: str) -> Field:
@@ -687,30 +688,3 @@ def field_from_descriptor(text: str) -> Field:
     if parts[0] == "F2k" and len(parts) == 3:
         return BinaryField(int(parts[1]), int(parts[2], 16))
     raise ValueError(f"unrecognised field descriptor {text!r}")
-
-
-# Functional aliases for the core field queries.
-
-
-def is_square(a: FieldElement) -> bool:
-    """True when ``a`` has a square root in its own field (0 is a square)."""
-    return a.field.is_square(a)
-
-
-def sqrt(a: FieldElement) -> Optional[FieldElement]:
-    """Canonical square root of ``a`` in its field, or None."""
-    return a.field.sqrt(a)
-
-
-def char2_sqrt(a: FieldElement) -> FieldElement:
-    """The unique square root in a binary field."""
-    if a.field.characteristic != 2 or not isinstance(a.field, BinaryField):
-        raise InvalidParams("char2_sqrt needs a GF(2^k) element")
-    return a.field.sqrt(a)
-
-
-def solve_artin_schreier(c: FieldElement) -> Optional[FieldElement]:
-    """Deterministic root of l^2 + l = c in GF(2^k), or None if unsolvable."""
-    if not isinstance(c.field, BinaryField):
-        raise InvalidParams("solve_artin_schreier needs a GF(2^k) element")
-    return c.field.solve_artin_schreier(c)

@@ -28,7 +28,7 @@ line y = slope*(x - x0) - y0 through -P touches the curve at Q.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Tuple
 
 from .curve import (
     Char2Curve,
@@ -41,14 +41,13 @@ from .curve import (
 )
 from .errors import (
     InvalidParams,
-    NotHalvable,
     PointIsW3,
     TwoTorsionHalf,
     VerificationError,
     WrongCase,
 )
 from .field import FieldElement
-from .quadratic import QuadExt, QuadExtElement, ext_sqrt
+from .quadratic import QuadExtElement, ext_sqrt
 
 __all__ = [
     "HalvingResult",
@@ -225,8 +224,9 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
     """Halving by the (r, T) criterion, uniform in the factorization of g.
 
     Raises PointIsW3 for P = (alpha, 0) (that case belongs to halve_split /
-    halve_quadext) and NotHalvable when neither sign of r admits a square
-    discriminant D = (2*x0 + p)*(x0 - alpha) - 2*y0*r.
+    halve_quadext).  P has no halves, and the result is empty, when x0 - alpha
+    is not a square or neither sign of r admits a square discriminant
+    D = (2*x0 + p)*(x0 - alpha) - 2*y0*r.
     """
     _require_model(curve, CubicCurve)
     curve._check(P)
@@ -238,7 +238,7 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
     t = x0 - alpha
     r0 = F._sqrt(t)
     if r0 is None:
-        raise NotHalvable("x0 - alpha is not a square in K")
+        return HalvingResult("rT", (), {})
     u, y2 = (2 * x0 + curve.g.p.value) * t, 2 * y0  # D = u - y2*r
     branches = []  # (r, T, s = r*T, w = y0/r)
     for r in (r0, F._red(-r0)):
@@ -250,7 +250,7 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
         ir = F._inv(r)
         branches.append((r, F._red(s * ir), s, y0 * ir))
     if not branches:
-        raise NotHalvable("no sign of r makes the discriminant a square")
+        return HalvingResult("rT", (), {})
     red, pt = F._red, (x0, y0)
     seen = {}
     halves = []
@@ -385,7 +385,7 @@ def _to_base(v) -> FieldElement:
     return v
 
 
-def half_to_roots(curve: CubicCurve, Q: Point, P: Optional[Point] = None) -> RootTriple:
+def half_to_roots(curve: CubicCurve, Q: Point) -> RootTriple:
     """The unique root triple mapping Q back onto the halves of P = 2Q.
 
     Each r_i = -(y1/2) * (-1/(x1 - alpha_i) + 1/(x1 - alpha_j) + 1/(x1 - alpha_k)),
@@ -397,13 +397,9 @@ def half_to_roots(curve: CubicCurve, Q: Point, P: Optional[Point] = None) -> Roo
     _require_affine(Q)
     if not Q.y:
         raise TwoTorsionHalf("y(Q) = 0: Q is 2-torsion and 2Q is infinity")
-    if P is None:
-        P = curve._add(Q, Q)
-    else:
-        curve._check(P)
-        if curve._add(Q, Q) != P:
-            raise InvalidParams("P is not 2Q")
-    groots = curve.g.roots()
+    P = curve._add(Q, Q)
+    g = curve.g
+    groots = g.roots()
     if groots is not None:
         alphas = (curve.alpha, groots[0], groots[1])
 
@@ -411,10 +407,12 @@ def half_to_roots(curve: CubicCurve, Q: Point, P: Optional[Point] = None) -> Roo
             return e
 
     else:
-        ext = QuadExt(curve.g)
-        X = ext.x
-        alphas = (ext.embed(curve.alpha), X, X.conj())
-        lift = ext.embed
+        X = QuadExtElement(g, 0, 1)
+        alphas = (QuadExtElement(g, curve.alpha), X, X.conj())
+
+        def lift(e):
+            return QuadExtElement(g, e)
+
     x1, y1 = lift(Q.x), lift(Q.y)
     rs = []
     for i in range(3):

@@ -34,10 +34,7 @@ from .field import Field, FieldElement
 
 __all__ = [
     "QuadraticPoly",
-    "QuadExt",
     "QuadExtElement",
-    "ext_trace",
-    "ext_norm",
     "ext_sqrt",
 ]
 
@@ -226,55 +223,6 @@ def _elt(g: QuadraticPoly, c0: FieldElement, c1: FieldElement) -> QuadExtElement
     z = object.__new__(QuadExtElement)
     z.g, z.c0, z.c1 = g, c0, c1
     return z
-
-
-class QuadExt:
-    """Convenience handle on K_g for an irreducible g: factory plus X itself."""
-
-    __slots__ = ("g", "field")
-
-    def __init__(self, g: QuadraticPoly):
-        if not g.irreducible():
-            raise InvalidParams("K[x]/(g) is only a field for irreducible g")
-        self.g = g
-        self.field = g.field
-
-    def element(self, c0, c1=0) -> QuadExtElement:
-        return QuadExtElement(self.g, c0, c1)
-
-    def embed(self, a) -> QuadExtElement:
-        return QuadExtElement(self.g, a, 0)
-
-    @property
-    def x(self) -> QuadExtElement:
-        return QuadExtElement(self.g, 0, 1)
-
-    @property
-    def zero(self) -> QuadExtElement:
-        return QuadExtElement(self.g, 0, 0)
-
-    @property
-    def one(self) -> QuadExtElement:
-        return QuadExtElement(self.g, 1, 0)
-
-    def __eq__(self, other):
-        return isinstance(other, QuadExt) and other.g == self.g
-
-    def __hash__(self):
-        return hash(("ext", self.g))
-
-    def __repr__(self):
-        return f"K[x]/({self.g!r})"
-
-
-def ext_trace(z: QuadExtElement) -> FieldElement:
-    """trace(c0 + c1*X) = 2*c0 - c1*p, an element of the base field."""
-    return z.trace()
-
-
-def ext_norm(z: QuadExtElement) -> FieldElement:
-    """norm(c0 + c1*X) = c0^2 - c0*c1*p + c1^2*q, an element of the base field."""
-    return z.norm()
 
 
 def _root(z: QuadExtElement, c0, c1) -> QuadExtElement:

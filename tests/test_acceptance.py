@@ -16,7 +16,6 @@ from ectorsion import (
     Char2Curve,
     CubicCurve,
     InvalidParams,
-    NotHalvable,
     Point,
     PointIsW3,
     PrimeField,
@@ -173,12 +172,11 @@ def test_criterion_2_halving_equivalence():
                 got = {(h.x.value, h.y.value) for h in res.points()}
                 assert got == want, (p, E, (x, y))
                 if (x, y) != w3:
-                    try:
-                        got_rt = {(h.x.value, h.y.value)
-                                  for h in halve_rT(E, P).points()}
-                    except NotHalvable:
-                        got_rt = set()
+                    rt = halve_rT(E, P)
+                    got_rt = {(h.x.value, h.y.value) for h in rt.points()}
                     assert got_rt == want, (p, E, (x, y))
+                    if not want:
+                        assert rt.halvable is False and rt.witness == {}
                 else:
                     with pytest.raises(PointIsW3):
                         halve_rT(E, P)

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -55,6 +56,26 @@ def test_family_over_q_and_binary(capsys):
     js2 = run_json(capsys, "family", "--field", "F2k:2:7", "--family", "e4char2",
                    "--gamma", "1")
     assert js2["curve"] == {"field": "F2k:2:7", "model": "char2", "a2": "0", "a6": "1"}
+
+
+def test_family_over_q_prints_past_the_int_to_str_digit_limit(capsys):
+    """An output has several times the digits of its input: e12 at T = n/d with
+    600-digit parts prints numbers past CPython's 4300-digit str(int) limit."""
+    n, d = 10**600 // 7, 10**599 // 3 + 1
+    js = run_json(capsys, "family", "--field", "Q", "--family", "e12", f"--T={n}/{d}")
+    curve, witnesses = js["curve"], js["witnesses"]
+    assert max(len(curve[k]) for k in ("alpha", "p", "q")) > 4300
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # Fraction() parses through int(str)
+    try:
+        alpha, p, q = (Fraction(curve[k]) for k in ("alpha", "p", "q"))
+        points = [(Fraction(w["point"]["x"]), Fraction(w["point"]["y"])) for w in witnesses]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    A, B, C = p - alpha, q - alpha * p, -alpha * q  # (x - alpha)(x^2 + p*x + q)
+    for P, w in zip(points, witnesses):
+        assert oracles.qq_cubic_on(A, B, C, P)
+        assert oracles.qq_cubic_order(A, B, C, P, cap=w["order"]) == w["order"]
 
 
 def test_family_parameter_mistakes(capsys):

@@ -83,7 +83,7 @@ def test_cubic_accessors():
     assert E.rhs(F(1)) == F(2 * 6)  # (1+1)(1+2+3) = 12 = 1
     assert E.contains(Point.infinity())
     g = QuadraticPoly(F, F(2), F(3))
-    assert CubicCurve.from_g(F, F(-1), g) == E
+    assert E.g == g and CubicCurve(F, F(-1), g.p, g.q) == E
 
 
 def test_from_weierstrass():

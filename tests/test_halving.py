@@ -9,8 +9,8 @@ from ectorsion import (
     BinaryField,
     Char2Curve,
     CubicCurve,
+    HalvingResult,
     InvalidParams,
-    NotHalvable,
     Point,
     PointIsW3,
     PrimeField,
@@ -78,6 +78,10 @@ def small_cubic_curves(primes, per_prime=6):
 def test_split_and_quadext_match_brute_force(p):
     for E in small_cubic_curves([p]):
         split = E.g.roots() is not None
+        A, B, C = (c.value for c in E.coefficients())
+        scan = oracles.halves_by_scan(
+            oracles.fp_cubic_points(p, A, B, C) + [oracles.INF],
+            lambda T: oracles.fp_cubic_add(p, A, B, C, T, T))
         doubles = {}
         for Q in E.full_group():
             doubles.setdefault(E.double(Q), set()).add(Q)
@@ -94,6 +98,16 @@ def test_split_and_quadext_match_brute_force(p):
                 assert slope == tangent_slope(E, Q)
             with pytest.raises(WrongCase):
                 (halve_quadext if split else halve_split)(E, P)
+            # No criterion raises for a point without halves: each answers it.
+            results = [res, halve(E, P)]
+            if P == E.w3:
+                with pytest.raises(PointIsW3):
+                    halve_rT(E, P)
+            else:
+                results.append(halve_rT(E, P))
+            assert all(isinstance(r, HalvingResult) for r in results)
+            if not scan.get((P.x.value, P.y.value)):
+                assert all(r.halves == () and r.witness == {} for r in results)
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
@@ -110,12 +124,11 @@ def test_rT_matches_brute_force(p):
                 with pytest.raises(PointIsW3):
                     halve_rT(E, P)
                 continue
-            try:
-                res = halve_rT(E, P)
-            except NotHalvable:
-                assert want == set()
+            res = halve_rT(E, P)
+            assert set(res.points()) == want
+            if not want:
+                assert res.halvable is False and res.witness == {}
                 continue
-            assert set(res.points()) == want != set()
             for Q, slope in res.halves:
                 assert slope == tangent_slope(E, Q)
             for br in res.witness["branches"]:
@@ -248,9 +261,9 @@ def test_rT_witness_reproduces_halves():
         for P in E.full_group():
             if P.is_infinity or P == E.w3:
                 continue
-            try:
-                res = halve_rT(E, P)
-            except NotHalvable:
+            res = halve_rT(E, P)
+            if not res.halves:
+                assert res.halvable is False and res.witness == {}
                 continue
             x0, y0 = P.x, P.y
             a = E.alpha
@@ -346,18 +359,6 @@ def test_half_to_roots_roundtrip(p):
             assert got_Q == Q
             assert triple.doubled() == P
             assert slope == tangent_slope(E, Q)
-            # passing P explicitly must agree
-            assert half_to_roots(E, Q, P).roots == triple.roots
-
-
-def test_half_to_roots_rejects_wrong_double():
-    Q_ = Rationals()
-    E = e4_new(Q_, Q_(1), Q_(1)).curve
-    Q = Point(Q_(-1), Q_(1))  # order 4, doubles to (0,0)
-    triple = half_to_roots(E, Q)
-    assert triple.doubled() == Point(Q_(0), Q_(0))
-    with pytest.raises(InvalidParams):
-        half_to_roots(E, Q, Point(Q_(-1), Q_(-1)))  # that's -Q, not 2Q
 
 
 def test_half_to_roots_specialization_at_x1_zero():
@@ -382,6 +383,9 @@ def test_half_to_roots_rational_case():
     reb, _ = triple.rebuild_half()
     assert reb == P6
     assert triple.doubled() == E.double(P6)
+    E4 = e4_new(Q_, Q_(1), Q_(1)).curve
+    Q4 = Point(Q_(-1), Q_(1))  # order 4, doubles to (0, 0)
+    assert half_to_roots(E4, Q4).doubled() == Point(Q_(0), Q_(0))
 
 
 def _check_quadext_witness(E, P):
@@ -470,15 +474,19 @@ def test_halving_over_q_checked_by_the_oracle():
             assert oracles.qq_cubic_add(A, B, C, H, H) == want
         if half is not None:
             assert (half.x.value, half.y.value) in got
+        # No criterion raises for a point without halves: each answers it.
+        results = [res, (halve_split if res.criterion == "split" else halve_quadext)(E, P)]
         if P == E.w3:
-            continue
-        try:
+            with pytest.raises(PointIsW3):
+                halve_rT(E, P)
+        else:
             rT = halve_rT(E, P)
-        except NotHalvable:
-            assert got == set()
-            continue
-        rT_runs += 1
-        assert set(rT.points()) == set(res.points())
+            results.append(rT)
+            assert set(rT.points()) == set(res.points())
+            rT_runs += rT.halvable
+        assert all(isinstance(r, HalvingResult) for r in results)
+        if not got:
+            assert all(r.halves == () and r.witness == {} for r in results)
     assert split > 0 and rT_runs > 0
 
 

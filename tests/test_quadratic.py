@@ -9,13 +9,10 @@ from ectorsion import (
     BinaryField,
     InvalidParams,
     PrimeField,
-    QuadExt,
     QuadExtElement,
     QuadraticPoly,
     Rationals,
-    ext_norm,
     ext_sqrt,
-    ext_trace,
 )
 
 import oracles
@@ -78,16 +75,16 @@ def test_trace_and_norm_known_values():
     F7 = PrimeField(7)
     g = QuadraticPoly(F7, 0, 1)  # x^2 + 1
     X = _gen(g)
-    assert ext_trace(X) == F7(0)
-    assert ext_norm(X) == F7(1)
+    assert X.trace() == F7(0)
+    assert X.norm() == F7(1)
 
     F5 = PrimeField(5)
     h = QuadraticPoly(F5, 1, 1)  # x^2 + x + 1
     z = QuadExtElement(h, F5(2), F5(3))
-    assert ext_trace(z) == F5(1)  # 2*2 - 3*1
-    assert ext_norm(z) == F5(2)  # 4 - 6 + 9
-    assert z + z.conj() == ext_trace(z)
-    assert z * z.conj() == ext_norm(z)
+    assert z.trace() == F5(1)  # 2*2 - 3*1
+    assert z.norm() == F5(2)  # 4 - 6 + 9
+    assert z + z.conj() == z.trace()
+    assert z * z.conj() == z.norm()
     assert (z * z.conj()).in_base_field()
 
 
@@ -117,8 +114,8 @@ def test_norm_is_multiplicative_and_trace_additive(p, coeffs):
     )
     z = QuadExtElement(g, F(coeffs[0]), F(coeffs[1]))
     w = QuadExtElement(g, F(coeffs[2]), F(coeffs[3]))
-    assert ext_norm(z * w) == ext_norm(z) * ext_norm(w)
-    assert ext_trace(z + w) == ext_trace(z) + ext_trace(w)
+    assert (z * w).norm() == z.norm() * w.norm()
+    assert (z + w).trace() == z.trace() + w.trace()
     assert (z + w).conj() == z.conj() + w.conj()
     assert (z * w).conj() == z.conj() * w.conj()
     if w != 0:
@@ -134,15 +131,13 @@ def test_division_by_zero_raises():
         X / QuadExtElement(g, F(0), F(0))
 
 
-def test_quad_ext_field_wrapper():
+def test_quad_ext_element_embeds_the_base_field():
     F = PrimeField(7)
     g = QuadraticPoly(F, 0, 1)
-    K = QuadExt(g)
-    assert K.x == _gen(g)
-    assert K.embed(F(3)).in_base_field()
-    assert K.element(F(2), F(5)) == QuadExtElement(g, F(2), F(5))
-    with pytest.raises(InvalidParams):
-        QuadExt(QuadraticPoly(F, 0, -1))  # x^2 - 1 splits
+    assert QuadExtElement(g, 0, 1) == _gen(g)
+    assert QuadExtElement(g, F(3)).in_base_field()
+    assert QuadExtElement(g, F(3)) == F(3)
+    assert QuadExtElement(g, 2, 5) == QuadExtElement(g, F(2), F(5))
 
 
 # ---------------------------------------------------------------------------
