@@ -338,13 +338,15 @@ def e4char2_new(field: Field, gamma) -> FamilyInstance:
 def e8char2_new(field: Field, t) -> FamilyInstance:
     """y^2 + xy = x^3 + (t/(t^2+1))^8 over GF(2^k): an order-8 point in closed form."""
     t = _e8char2_param(field, t)
-    gamma = (t / (t * t + 1)) ** 2
+    t2 = t * t
+    t3 = t2 * t
+    s2 = t2 + 1  # (t + 1)^2 in characteristic 2
+    s4 = s2 * s2
+    gamma = t2 / s4  # (t/(t^2+1))^2
     g2 = gamma * gamma
     curve = Char2Curve(field, 0, g2 * g2)
-    s = t + 1
-    s4 = (s * s) * (s * s)
-    x8 = t ** 3 / s4
-    y8 = (t ** 6 + t ** 5 + t ** 3) / (s4 * s4)
+    x8 = t3 / s4
+    y8 = t3 * (t3 + t2 + 1) / (s4 * s4)  # (t^6 + t^5 + t^3)/(t + 1)^8
     witnesses = _witnesses(curve, (
         (Point(field.zero, g2), 2),
         (Point(gamma, g2), 4),

@@ -5,8 +5,10 @@ package.  The supported fields are
 
 * ``PrimeField(p)``   — residues mod a prime p < 2**31,
 * ``BinaryField(k)``  — GF(2^k) for k <= 20, elements stored as polynomial
-  bit-vectors reduced by an irreducible modulus; its arithmetic is the
-  kernel's context for (k, modulus), built on the first arithmetic call,
+  bit-vectors reduced by a modulus that Rabin's test finds irreducible; its
+  arithmetic is the kernel's context for (k, modulus), built on the first
+  arithmetic call: log/antilog tables up to k = 10, limb-table products
+  above, and tabulated squares and square roots at every k,
 * ``Rationals()``     — arbitrary-precision reduced fractions.
 
 Square roots are canonicalised so that every algorithm downstream is
@@ -439,17 +441,27 @@ def _gf2_polymod(a: int, m: int) -> int:
     return a
 
 
+def _gf2_gcd(a: int, b: int) -> int:
+    while b:
+        a, b = b, _gf2_polymod(a, b)
+    return a
+
+
 def _gf2_irreducible(m: int) -> bool:
-    """Trial division by every polynomial of degree 1 .. deg(m)//2."""
+    """Rabin's test: m of degree k is irreducible iff x^(2^k) = x mod m and
+    gcd(x^(2^(k/r)) - x, m) = 1 for every prime r dividing k."""
     deg = m.bit_length() - 1
     if deg < 1 or not m & 1:
         # A zero constant term means x divides m.
         return deg == 1 and m == 2  # the polynomial "x" itself, never used
-    for d in range(1, deg // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if _gf2_polymod(m, q) == 0:
-                return False
-    return True
+    if deg == 1:
+        return True
+    frob = [2]  # x^(2^i) mod m
+    for _ in range(deg):
+        frob.append(kernel.gf2_mul(frob[-1], frob[-1], m, deg))
+    return frob[deg] == 2 and all(
+        _gf2_gcd(m, frob[deg // r] ^ 2) == 1 for r in kernel._prime_factors(deg)
+    )
 
 
 def default_modulus(k: int) -> int:
@@ -556,7 +568,7 @@ class BinaryField(Field):
         l = gf.solve(c.value)
         if l < 0:
             return None
-        if gf.mul(l, l) ^ l != c.value:
+        if gf.sq(l) ^ l != c.value:
             raise VerificationError(f"{l:#x} does not solve l^2 + l = {c.value:#x}")
         return FieldElement(self, l)
 

@@ -18,7 +18,7 @@ re-checks it.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import isqrt
 
@@ -357,8 +357,8 @@ def gf2_inv(a: int, modulus: int) -> int:
     return t0
 
 
-# Log/antilog tables up to GF(2^10), bit-vector arithmetic above: the tables
-# grow as 2^k, and at k = 20 would take about 1.3 s and 12 MiB to build.
+# Log/antilog tables up to GF(2^10), limb-table products above: the log
+# tables grow as 2^k, and at k = 20 would take about 1.3 s and 12 MiB to build.
 _TABLE_MAX_K = 10
 
 
@@ -371,28 +371,74 @@ def _span(images) -> tuple:
     return lo, hi
 
 
+@cache
+def _limb_products() -> list:
+    """T[a << 7 | b], the carry-less product of 7-bit limbs a and b: 16,384
+    entries, built by the first context above _TABLE_MAX_K and shared by all."""
+    T = []
+    for a in range(128):
+        row = [0]
+        for j in range(7):
+            row += [u ^ a << j for u in row]
+        T += row
+    return T
+
+
 class _GF2k:
     """Int arithmetic of one GF(2^k): ``mul(a, b)``, ``div(a, b)`` for b != 0,
-    ``sqrt(c)``, ``trace(c)`` and ``solve(c)``, the root of z^2 + z = c with
-    bit 0 clear or -1.  The package has no other.
+    ``sq(c)``, ``sqrt(c)``, ``trace(c)`` and ``solve(c)``, the root of
+    z^2 + z = c with bit 0 clear or -1.  The package has no other.
 
     Up to k = _TABLE_MAX_K mul and div go through log/antilog tables to the base
     of a primitive element g: ``log[g^i] = i`` and ``exp[i] = g^i``, with
     ``exp`` stored twice over so that neither needs a modulo (Lidl and
-    Niederreiter, Finite Fields, ch. 9).  Above that, the bit-vector
-    multiply and the Euclid inverse.  sqrt and c -> solve(c) + Tr(c)*2^k are
-    F_2-linear, so each is read from ``_span`` tables (at most 2048 + 512
-    entries), which the constructor checks on a basis.
+    Niederreiter, Finite Fields, ch. 9).  Above that, mul splits each operand
+    into three 7-bit limbs, XORs the nine limb products of ``_limb_products()``
+    into the unreduced product, and reduces its bits k and up, an F_2-linear
+    map, through ``_span`` tables of x^(k+j) mod the modulus (Hankerson,
+    Menezes and Vanstone, Guide to Elliptic Curve Cryptography, 2.3); div is
+    mul by the Euclid inverse.  sq, sqrt and c -> solve(c) + Tr(c)*2^k are
+    F_2-linear too, so each is read from ``_span`` tables (at most 2048 + 512
+    entries).  The constructor checks every table on a basis.
     """
 
-    __slots__ = ("k", "log", "exp", "mul", "div", "sqrt", "trace", "solve", "as_lo", "as_hi")
+    __slots__ = ("k", "log", "exp", "mul", "div", "sq", "sqrt", "trace", "solve", "as_lo", "as_hi")
 
     def __init__(self, k: int, modulus: int):
         self.k = k
         self.log = self.exp = None
+        xp = [1]  # x^i mod the modulus, i <= 2k - 2, by shifts
+        for _ in range(2 * k - 2):
+            v = xp[-1] << 1
+            xp.append(v ^ modulus if v >> k else v)
         if k > _TABLE_MAX_K:
-            self.mul = lambda a, b: gf2_mul(a, b, modulus, k)
-            self.div = lambda a, b: gf2_mul(a, gf2_inv(b, modulus), modulus, k)
+            T, mask = _limb_products(), (1 << k) - 1
+            rl, rh = _span(xp[k:])
+            for j in range(k - 1):
+                r = rl[1 << j & 2047] ^ rh[1 << j >> 11]
+                v = 1 << k + j ^ r  # a multiple of the modulus iff r = x^(k+j) mod it
+                while v >> k:
+                    v ^= modulus << v.bit_length() - k - 1
+                if r >> k or v:
+                    raise VerificationError(
+                        f"GF(2^{k}) mod {modulus:#x}: wrong reduction of x^{k + j}"
+                    )
+
+            def mul(a, b):
+                a0, a1, a2 = (a & 127) << 7, (a >> 7 & 127) << 7, a >> 14 << 7
+                b0, b1, b2 = b & 127, b >> 7 & 127, b >> 14
+                p = (
+                    T[a0 | b0]
+                    ^ (T[a0 | b1] ^ T[a1 | b0]) << 7
+                    ^ (T[a0 | b2] ^ T[a1 | b1] ^ T[a2 | b0]) << 14
+                    ^ (T[a1 | b2] ^ T[a2 | b1]) << 21
+                    ^ T[a2 | b2] << 28
+                )
+                h = p >> k
+                return p & mask ^ rl[h & 2047] ^ rh[h >> 11]
+
+            self.mul = mul
+            self.div = lambda a, b: mul(a, gf2_inv(b, modulus))
         else:
             n = (1 << k) - 1
             for g in range(1, n + 1):  # x itself is not always primitive
@@ -410,9 +456,14 @@ class _GF2k:
             self.mul = lambda a, b: exp[log[a] + log[b]] if a and b else 0
             self.div = lambda a, b: exp[log[a] - log[b] + n] if a else 0
         mul = self.mul
+        ql, qh = _span(xp[::2])
+        sq = self.sq = lambda c: ql[c & 2047] ^ qh[c >> 11]
+        for j in range(k):
+            if sq(1 << j) != mul(1 << j, 1 << j):
+                raise VerificationError(f"GF(2^{k}) mod {modulus:#x}: wrong square of x^{j}")
         s = 2  # sqrt(x) = x^(2^(k-1)), and sqrt(x^j) = s^j
         for _ in range(k - 1):
-            s = mul(s, s)
+            s = sq(s)
         sl, sh = _span(list(accumulate([s] * (k - 1), mul, initial=1)))
         self.sqrt = lambda c: sl[c & 2047] ^ sh[c >> 11]
 
@@ -429,7 +480,7 @@ class _GF2k:
             return cur, pre
 
         for e in (1 << j for j in range(1, k)):  # 1 is in the kernel: z has bit 0 clear
-            cur, pre = eliminate(mul(e, e) ^ e, e)
+            cur, pre = eliminate(sq(e) ^ e, e)
             pivots[cur.bit_length() - 1] = (cur, pre)
         b = min(set(range(k)) - set(pivots))
         pivots[b] = (1 << b, 1 << k)
@@ -439,22 +490,22 @@ class _GF2k:
 
         for c in (1 << j for j in range(k)):
             r, z, t = self.sqrt(c), (lo[c & 2047] ^ hi[c >> 11]) & ~(1 << k), self.trace(c)
-            if mul(r, r) != c or mul(z, z) ^ z != c ^ t << b or z & 1:
+            if sq(r) != c or sq(z) ^ z != c ^ t << b or z & 1:
                 raise VerificationError(
                     f"GF(2^{k}) mod {modulus:#x}: wrong square root or root of {c:#x}"
                 )
         # Each c + trace(c)*2^b is now some z^2 + z, of trace 0, so Tr(c) =
         # trace(c) * Tr(2^b) for every c: the traces are right iff Tr(2^b) = 1.
-        sq = tr = 1 << b
+        v = tr = 1 << b
         for _ in range(k - 1):
-            sq = mul(sq, sq)
-            tr ^= sq
+            v = sq(v)
+            tr ^= v
         if tr != 1:
             raise VerificationError(f"GF(2^{k}) mod {modulus:#x}: Tr(2^{b}) = {tr:#x}, not 1")
 
 
 # Built by a field's first curve or arithmetic call; the 32 most recently
-# used are kept, as a context holds up to about 0.2 MB (k = 20).
+# used are kept, as a context holds up to about 0.4 MB (k = 20).
 _gf2k = lru_cache(maxsize=32)(_GF2k)
 
 
@@ -471,16 +522,16 @@ def c2_add(c, pt1, pt2):
     F, a2, _ = c
     x1, y1 = pt1
     x2, y2 = pt2
-    mul, div = F.mul, F.div
+    div = F.div
     if x1 == x2:
         if y2 == x1 ^ y1 or not x1:  # pt2 = -pt1, or the 2-torsion point doubled
             return None
         lam = x1 ^ div(y1, x1)
-        x3 = mul(lam, lam) ^ lam ^ a2
+        x3 = F.sq(lam) ^ lam ^ a2
     else:
         lam = div(y1 ^ y2, x1 ^ x2)
-        x3 = mul(lam, lam) ^ lam ^ x1 ^ x2 ^ a2
-    return (x3, mul(lam, x1 ^ x3) ^ x3 ^ y1)
+        x3 = F.sq(lam) ^ lam ^ x1 ^ x2 ^ a2
+    return (x3, F.mul(lam, x1 ^ x3) ^ x3 ^ y1)
 
 
 def c2_smul(c, n, pt):
@@ -497,7 +548,7 @@ def c2_contains(c, pt) -> bool:
         return True
     F, a2, a6 = c
     x, y = pt
-    return F.mul(y, y ^ x) == F.mul(F.mul(x, x), x ^ a2) ^ a6
+    return F.mul(y, y ^ x) == F.mul(F.sq(x), x ^ a2) ^ a6
 
 
 def c2_double_x(c, xs) -> list:
@@ -509,11 +560,11 @@ def c2_double_x(c, xs) -> list:
     right-hand side.
     """
     F, _, a6 = c
-    mul, div = F.mul, F.div
+    sq, div = F.sq, F.div
     out = []
     for x in xs:
         if x:
-            s = mul(x, x)
+            s = sq(x)
             out.append(s ^ div(a6, s))
     return out
 
@@ -529,9 +580,9 @@ def c2_points(c):
     k, lo, hi = F.k, F.as_lo, F.as_hi
     pts = [(0, F.sqrt(a6))]
     if F.log is None:
-        mul, div = F.mul, F.div
+        mul, sq, div = F.mul, F.sq, F.div
         for x in range(1, 1 << k):
-            c = x ^ a2 ^ div(a6, mul(x, x))
+            c = x ^ a2 ^ div(a6, sq(x))
             z = lo[c & 2047] ^ hi[c >> 11]  # F.solve(c), inline
             if not z >> k:
                 y = mul(x, z)

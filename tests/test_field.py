@@ -13,7 +13,7 @@ from ectorsion import (
     Rationals,
     field_from_descriptor,
 )
-from ectorsion.field import default_modulus
+from ectorsion.field import _gf2_irreducible, default_modulus
 
 import oracles
 
@@ -62,9 +62,15 @@ def test_negative_modulus_in_a_descriptor_is_refused():
             field_from_descriptor(desc)
 
 
+def test_irreducibility_test_agrees_with_the_oracle():
+    """Rabin's test against trial division, on every polynomial of degree 1..12."""
+    for m in range(2, 1 << 13):
+        assert _gf2_irreducible(m) == oracles.gf2_poly_irreducible(m, m.bit_length() - 1), m
+
+
 def test_default_modulus_is_lowest_odd_irreducible():
     known = {1: 0b11, 2: 0b111, 3: 0b1011, 4: 0b10011}
-    for k in range(1, 13):
+    for k in range(1, 21):
         m = default_modulus(k)
         assert m & 1, "constant term must be 1"
         assert oracles.gf2_poly_irreducible(m, k)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from ectorsion import VerificationError, kernel
+from ectorsion.field import default_modulus
 
 import oracles
 
@@ -166,8 +167,60 @@ def test_gf2_bit_vector_arithmetic_matches_oracle():
                 assert kernel.gf2_inv(a, m) == oracles.gf2_inv(a, m, k)
 
 
+def test_limb_product_table_matches_oracle():
+    """Entry a << 7 | b is the carry-less product of two 7-bit limbs: below
+    degree 13, so the oracle at k = 14 never reduces it."""
+    T = kernel._limb_products()
+    assert len(T) == 1 << 14
+    for a in range(128):
+        for b in range(128):
+            assert T[a << 7 | b] == oracles.gf2_mul(a, b, 0, 14)
+
+
+def _largest_irreducible(k):
+    return next(m for m in range((2 << k) - 1, 1 << k, -2) if oracles.gf2_poly_irreducible(m, k))
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for k in range(11, 21)
+                                 for m in (default_modulus(k), _largest_irreducible(k))])
+def test_limb_products_match_oracle(k, m):
+    """mul, div and sq above _TABLE_MAX_K, on random values and on the limb
+    and degree boundaries."""
+    F = kernel._gf2k(k, m)
+    assert F.log is None
+    q, rng = 1 << k, random.Random(k * m)
+    edges = [0, 1, 2, 127, 128, (1 << 14) - 1, 1 << 14, q // 2, q - 1]
+    xs = [v for v in edges if v < q] + [rng.randrange(q) for _ in range(60)]
+    for a in xs:
+        assert F.sq(a) == oracles.gf2_mul(a, a, m, k)
+        for b in rng.sample(xs, 8) + [q - 1]:
+            assert F.mul(a, b) == oracles.gf2_mul(a, b, m, k)
+        b = rng.randrange(1, q)
+        assert F.div(a, b) == oracles.gf2_mul(a, oracles.gf2_inv(b, m, k), m, k)
+
+
+@pytest.mark.parametrize("k,m", [(k, m) for k, m in MODULI if k <= 4])
+def test_limb_products_exhaustive_on_small_fields(monkeypatch, k, m):
+    """The arithmetic that runs above _TABLE_MAX_K, on every pair of a small field."""
+    monkeypatch.setattr(kernel, "_TABLE_MAX_K", 0)
+    F = kernel._GF2k(k, m)
+    assert F.log is None
+    for a in range(1 << k):
+        assert F.sq(a) == oracles.gf2_mul(a, a, m, k)
+        for b in range(1 << k):
+            assert F.mul(a, b) == oracles.gf2_mul(a, b, m, k)
+            if b:
+                assert F.div(a, b) == oracles.gf2_mul(a, oracles.gf2_inv(b, m, k), m, k)
+
+
+@pytest.mark.parametrize("k,m", MODULI)
+def test_squares_on_the_log_tables_match_oracle(k, m):
+    F = kernel._gf2k(k, m)
+    assert [F.sq(a) for a in range(1 << k)] == [oracles.gf2_mul(a, a, m, k) for a in range(1 << k)]
+
+
 def test_gf2k_contexts_are_bounded():
-    """A 34th field evicts a context: at k = 20 each one takes about 0.2 MB."""
+    """A 34th field evicts a context: at k = 20 each one takes about 0.4 MB."""
     moduli = [m for m in range(1 << 10, 1 << 11) if oracles.gf2_poly_irreducible(m, 10)]
     kernel._gf2k.cache_clear()
     for m in moduli[:33]:
@@ -186,19 +239,30 @@ def test_log_tables_are_permutations(k, m):
         assert F.log[v] == i
 
 
+# The tables as the cases below number them, and the order in which a
+# context above _TABLE_MAX_K builds them through _span.
+_TABLES = ("sqrt", "root", "reduction", "square")
+_BUILT = ("reduction", "square", "sqrt", "root")
+
+
 @pytest.mark.parametrize("table,j,flip", [
     (0, 1, 0b100), (0, 11, 1),  # sqrt, in the low and the high table
     (1, 1, 0b100), (1, 11, 0b10),  # Artin-Schreier root
     (1, 2, 1),  # the other root, with bit 0 set
     (1, 3, 1 << 12), (1, 11, 1 << 12),  # trace
+    (2, 1, 0b100), (2, 10, 1),  # reduction of x^(12+j)
+    (2, 3, 1 << 12),  # an image of degree 12, which no reduced value has
+    (3, 1, 0b100), (3, 11, 1),  # square, in the low and the high table
 ])
 def test_gf2k_context_refuses_a_wrong_table(monkeypatch, table, j, flip):
-    """Flip one bit of one basis image, in the sqrt table or the root-and-trace one."""
-    span, calls = kernel._span, []
+    """Flip one bit of one basis image, in the sqrt, root-and-trace,
+    reduction or square table.  The reduction and square tables, which the
+    later ones are built from, are checked as soon as they are built."""
+    span, calls, at = kernel._span, [], _BUILT.index(_TABLES[table])
 
     def corrupt(images):
         images = list(images)
-        if len(calls) == table:
+        if len(calls) == at:
             images[j] ^= flip
         calls.append(images)
         return span(images)
@@ -206,7 +270,7 @@ def test_gf2k_context_refuses_a_wrong_table(monkeypatch, table, j, flip):
     monkeypatch.setattr(kernel, "_span", corrupt)
     with pytest.raises(VerificationError):
         kernel._GF2k(12, 0x1053)  # x^12 + x^6 + x^4 + x + 1
-    assert len(calls) == 2  # both tables were built, the flipped one among them
+    assert len(calls) == (at + 1 if at < 2 else 4)  # the flipped table among them
 
 
 def _check_c2_group_law(k, m, a2, a6, pts, rng, samples, per_point):
