@@ -10,9 +10,11 @@ shell reports for a writer stopped by SIGPIPE.
 Time budgets, for the slowest accepted input of each kind, in-process: ``census``
 at k = 6 (``--field F2k:6:43``) answers within 5 s per order; ``family``
 (e10, e12, e8char2), ``halve`` (auto, rT) and ``iso`` (e4, e8, e8char2) at
-p = 2^31 - 1 and over GF(2^20), and ``halve`` (auto, rT) over Q at a point
-with parts of about 3,700 digits, within 1 s a call (``tests/test_budgets.py``);
-``order`` at p = 2^31 - 1 and over GF(2^20) within 1 s a call (``tests/test_cli.py``).
+p = 2^31 - 1 and over GF(2^20), ``halve`` (auto, rT) over Q at a point with
+parts of about 3,700 digits, and ``order`` over Q at a point of infinite
+order with parts of about 300 digits, within 1 s a call
+(``tests/test_budgets.py``); ``order`` at p = 2^31 - 1 and over GF(2^20)
+within 1 s a call (``tests/test_cli.py``).
 
 An option value may be a negative literal: ``--T -3/4`` reads as ``--T=-3/4``.
 """
@@ -174,19 +176,26 @@ def _load_curve_and_field(args) -> Tuple[object, Field]:
     return curve, curve.field
 
 
-def _cmd_family(args) -> dict:
-    field = field_from_descriptor(args.field)
-    wanted = _FAMILY_PARAMS[args.family]
-    supplied = {k: v for k in _FAMILY_FLAGS if (v := getattr(args, k)) is not None}
-    extra = set(supplied) - set(wanted)
+def _params(field: Field, what: str, wanted: Tuple[str, ...], flags: Tuple[str, ...], args) -> list:
+    """The values of the ``wanted`` flags, parsed in ``field``.
+
+    InvalidParams, naming the call as ``what``, when a flag of ``flags`` outside
+    ``wanted`` is given, or else when one of ``wanted`` is missing.
+    """
+    supplied = {k: v for k in flags if (v := getattr(args, k)) is not None}
+    extra = [k for k in supplied if k not in wanted]
     if extra:
-        raise InvalidParams(f"family {args.family} does not take {sorted(extra)}")
+        raise InvalidParams(f"{what} does not take --{' --'.join(extra)}")
     missing = [k for k in wanted if k not in supplied]
     if missing:
-        raise InvalidParams(f"family {args.family} needs --{' --'.join(missing)}")
-    params = [field.parse_element(supplied[k]) for k in wanted]
-    inst = _FAMILY_CTORS[args.family](field, *params)
-    return inst.to_json_dict()
+        raise InvalidParams(f"{what} needs --{' --'.join(missing)}")
+    return [field.parse_element(supplied[k]) for k in wanted]
+
+
+def _cmd_family(args) -> dict:
+    field = field_from_descriptor(args.field)
+    params = _params(field, f"family {args.family}", _FAMILY_PARAMS[args.family], _FAMILY_FLAGS, args)
+    return _FAMILY_CTORS[args.family](field, *params).to_json_dict()
 
 
 def _cmd_halve(args) -> dict:
@@ -205,23 +214,9 @@ def _cmd_order(args) -> dict:
     return out
 
 
-def _require_iso_args(args) -> List[str]:
-    names = _ISO_PARAMS[args.kind]
-    vals = []
-    for n in names:
-        v = getattr(args, n)
-        if v is None:
-            raise InvalidParams(f"iso --kind {args.kind} needs --{n}")
-        vals.append(v)
-    for n in _ISO_FLAGS:
-        if n not in names and getattr(args, n) is not None:
-            raise InvalidParams(f"iso --kind {args.kind} does not take --{n}")
-    return vals
-
-
 def _cmd_iso(args) -> dict:
     field = field_from_descriptor(args.field)
-    params = [field.parse_element(v) for v in _require_iso_args(args)]
+    params = _params(field, f"iso --kind {args.kind}", _ISO_PARAMS[args.kind], _ISO_FLAGS, args)
     if args.kind == "e4":
         u = iso_e4(field, *params)
         return {
@@ -254,6 +249,16 @@ def _cmd_verify_examples(args) -> dict:
     if not (f3["ok"] and f4["ok"]):
         raise VerificationError("a worked example failed to replay")
     return {"f3": f3, "f4": f4, "ok": True}
+
+
+_COMMANDS = {
+    "family": _cmd_family,
+    "halve": _cmd_halve,
+    "order": _cmd_order,
+    "iso": _cmd_iso,
+    "census": _cmd_census,
+    "verify-examples": _cmd_verify_examples,
+}
 
 
 def _render_text(obj, prefix: str = "") -> List[str]:
@@ -291,18 +296,7 @@ def _main(argv: Sequence[str]) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        if args.command == "family":
-            out = _cmd_family(args)
-        elif args.command == "halve":
-            out = _cmd_halve(args)
-        elif args.command == "order":
-            out = _cmd_order(args)
-        elif args.command == "iso":
-            out = _cmd_iso(args)
-        elif args.command == "census":
-            out = _cmd_census(args)
-        else:
-            out = _cmd_verify_examples(args)
+        out = _COMMANDS[args.command](args)
     except VerificationError as e:
         sys.stderr.write(f"verification failure: {e}\n")
         return 3

@@ -11,18 +11,15 @@ Four routes, all returning the same point sets on their common domains:
 * ``halve_char2``    — binary fields: r = sqrt(x0) plus an Artin-Schreier
   solve of l^2 + l = x0 + a2.
 
-The three criteria for characteristic != 2 check the curve model and the
-point once, at their boundary (``curve._check``), then compute on the raw
-field values of its coordinates: ints mod p over F_p, ``Fraction``s over Q,
-with the field's raw helpers (``_red``, ``_inv``, ``_sqrt``), in one code
-path for both fields.  Only the answer's points, slopes and witness strings
-are built as field elements.
-
-Every candidate half is replayed on raw coordinates through the curve's
-kernel group law (on the curve, and 2Q = P) before being returned; a
-formula slip therefore raises VerificationError instead of propagating
-silently.  The tangent slope at each half is reported alongside it: the
-line y = slope*(x - x0) - y0 through -P touches the curve at Q.
+Each criterion checks the curve model and the point once, at its boundary
+(``_affine``), then computes on raw field values: ints mod p over F_p,
+``Fraction``s over Q, bit-vectors over GF(2^k).  It hands its candidate
+halves, each with the tangent slope of the line y = slope*(x - x0) - y0
+through -P that touches the curve there, to one collector, ``_answer``,
+which checks what they share: the halves of P are a coset of E(K)[2], each
+on the curve and doubling to P.  A formula slip therefore raises
+VerificationError instead of propagating silently.  Only the answer's
+points, slopes and witness strings are built as field elements.
 """
 
 from __future__ import annotations
@@ -89,14 +86,14 @@ class HalvingResult:
         }
 
 
-def _require_model(curve, model: type) -> None:
+def _affine(curve, model: type, P: Point) -> tuple:
+    """The raw (x, y) of P, once P is checked as an affine point of a ``model`` curve."""
     if not isinstance(curve, model):
         raise WrongCase(f"this halving criterion needs a {model.__name__}, got {curve!r}")
-
-
-def _require_affine(P: Point) -> None:
+    curve._check(P)
     if P.is_infinity:
         raise InvalidParams("halving is defined here for affine points only")
+    return P.x.value, P.y.value
 
 
 def _verify_half(curve, pt: tuple, q: tuple) -> None:
@@ -108,17 +105,31 @@ def _verify_half(curve, pt: tuple, q: tuple) -> None:
                                 f"to {_pt_from_ints(curve.field, pt)!r}")
 
 
-def _same_slope(curve, q: tuple, seen, slope) -> None:
-    if seen != slope:
+def _answer(curve, criterion: str, pt: tuple, candidates: list, witness: dict) -> HalvingResult:
+    """The halves of a halvable pt among raw, reduced ((x, y), slope) candidates.
+
+    The halves form a coset of E(K)[2]: each distinct one is replayed through
+    ``_verify_half``, a repeated one must repeat its slope, and there must be
+    #E(K)[2] of them (4 when g splits, else 2; 2 over GF(2^k)).  They are
+    returned as points and elements in the order first seen.
+    """
+    F = curve.field
+    halves = {}
+    for q, slope in candidates:
+        if q not in halves:
+            _verify_half(curve, pt, q)
+            halves[q] = slope
+        elif halves[q] != slope:
+            raise VerificationError(
+                f"two sign choices give {_pt_from_ints(F, q)!r} different tangent slopes")
+    n2 = 4 if isinstance(curve, CubicCurve) and curve.g.roots() is not None else 2
+    if len(halves) != n2:
         raise VerificationError(
-            f"two sign choices give {_pt_from_ints(curve.field, q)!r} different tangent slopes")
-
-
-def _answer(F, criterion: str, halves, witness: dict) -> HalvingResult:
-    """The result of raw, reduced ((x, y), slope) halves as points and elements."""
+            f"{len(halves)} halves found, but the halves of a point are a coset of E(K)[2], "
+            f"of {n2} points")
     elt = F._elt
     out = []
-    for (x, y), slope in halves:
+    for (x, y), slope in halves.items():
         out.append((Point(elt(F, x), elt(F, y)), elt(F, slope)))
     return HalvingResult(criterion, tuple(out), witness)
 
@@ -133,24 +144,20 @@ def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
     P is halvable iff all three x0 - alpha_i are squares; the four halves
     come from the sign triples whose product matches -y0.
     """
-    _require_model(curve, CubicCurve)
-    curve._check(P)
-    _require_affine(P)
+    x0, y0 = _affine(curve, CubicCurve, P)
     roots = curve.g.roots()
     if roots is None:
         raise WrongCase("g is irreducible over K; use halve_quadext")
     F = curve.field
     sqrt = F._sqrt
-    x0, y0 = P.x.value, P.y.value
     signed = []
     for a in (curve.alpha.value, roots[0].value, roots[1].value):
         r = sqrt(x0 - a)
         if r is None:
             return HalvingResult("split", (), {})
         signed.append((r, -r))
-    red, pt = F._red, (x0, y0)
-    seen = {}
-    halves = []
+    red = F._red
+    candidates = []
     for r1 in signed[0]:
         for r2 in signed[1]:
             r12 = r1 * r2
@@ -159,22 +166,13 @@ def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
                     continue
                 s1 = r1 + r2 + r3
                 s2 = r12 + (r1 + r2) * r3
-                q = (red(x0 + s2), red(-y0 - s1 * s2))
-                slope = red(-s1)
-                if q in seen:
-                    _same_slope(curve, q, seen[q], slope)
-                    continue
-                seen[q] = slope
-                _verify_half(curve, pt, q)
-                halves.append((q, slope))
-    if not halves:  # (r1*r2*r3)^2 = y0^2, so one sign triple has product -y0
-        raise VerificationError("no sign triple gives r1*r2*r3 = -y0")
+                candidates.append(((red(x0 + s2), red(-y0 - s1 * s2)), red(-s1)))
     witness = {
         "r1": _to_json(F, signed[0][0]),
         "r2": _to_json(F, signed[1][0]),
         "r3": _to_json(F, signed[2][0]),
     }
-    return _answer(F, "split", halves, witness)
+    return _answer(curve, "split", (x0, y0), candidates, witness)
 
 
 def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
@@ -184,9 +182,7 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
     r^2 = x0 - alpha, r*norm(rho) = -y0, the halves are
     (alpha + norm(r +- rho), -+ trace(rho) * norm(r +- rho)).
     """
-    _require_model(curve, CubicCurve)
-    curve._check(P)
-    _require_affine(P)
+    x0, y0 = _affine(curve, CubicCurve, P)
     g = curve.g
     if g.roots() is not None:
         raise WrongCase("g splits over K; use halve_split")
@@ -195,7 +191,7 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
     if rho is None:
         return HalvingResult("quadext", (), {})
     red = F._red
-    x0, y0, alpha, gp, gq = P.x.value, P.y.value, curve.alpha.value, g.p.value, g.q.value
+    alpha, gp, gq = curve.alpha.value, g.p.value, g.q.value
     c0, c1 = rho.c0.value, rho.c1.value
     nrho = c0 * c0 - c0 * c1 * gp + c1 * c1 * gq  # nonzero: rho != 0 as x0 - X != 0
     r = red(-y0 * F._inv(nrho))
@@ -204,20 +200,15 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
         raise VerificationError("r^2 != x0 - alpha")
     tr = 2 * c0 - c1 * gp
     mid = r2 + nrho
-    pt = (x0, y0)
-    halves = []
+    candidates = []
     for t in (tr, -tr):  # t = +-trace(rho): norm(r +- rho) = r^2 + r*t + norm(rho)
         n = mid + r * t
-        q = (red(alpha + n), red(-t * n))
-        _verify_half(curve, pt, q)
-        halves.append((q, red(-(r + t))))
-    if halves[0][0] == halves[1][0]:
-        raise VerificationError("the two halves coincide")
+        candidates.append(((red(alpha + n), red(-t * n)), red(-(r + t))))
     witness = {
         "rho": {"c0": element_to_json(rho.c0), "c1": element_to_json(rho.c1)},
         "r": _to_json(F, r),
     }
-    return _answer(F, "quadext", halves, witness)
+    return _answer(curve, "quadext", (x0, y0), candidates, witness)
 
 
 def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
@@ -228,47 +219,35 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
     is not a square or neither sign of r admits a square discriminant
     D = (2*x0 + p)*(x0 - alpha) - 2*y0*r.
     """
-    _require_model(curve, CubicCurve)
-    curve._check(P)
-    _require_affine(P)
+    x0, y0 = _affine(curve, CubicCurve, P)
     F = curve.field
-    x0, y0, alpha = P.x.value, P.y.value, curve.alpha.value
+    alpha = curve.alpha.value
     if x0 == alpha:
         raise PointIsW3("P = (alpha, 0) is excluded; halve it in its own case")
     t = x0 - alpha
     r0 = F._sqrt(t)
     if r0 is None:
         return HalvingResult("rT", (), {})
+    red = F._red
     u, y2 = (2 * x0 + curve.g.p.value) * t, 2 * y0  # D = u - y2*r
-    branches = []  # (r, T, s = r*T, w = y0/r)
-    for r in (r0, F._red(-r0)):
-        s = F._sqrt(u - y2 * r)  # sqrt(D), None when D is not a square
+    candidates = []
+    branches = []
+    for r in (r0, red(-r0)):
+        s = F._sqrt(u - y2 * r)  # sqrt(D) = r*T, None when D is not a square
         if s is None:
             continue
         if not s:
             raise VerificationError("discriminant cannot vanish on a nonsingular curve")
         ir = F._inv(r)
-        branches.append((r, F._red(s * ir), s, y0 * ir))
-    if not branches:
-        return HalvingResult("rT", (), {})
-    red, pt = F._red, (x0, y0)
-    seen = {}
-    halves = []
-    for r, T, s, w in branches:
+        T, w = red(s * ir), y0 * ir
         for sg_rT, sg_T in ((s, T), (-s, -T)):
             xq = red(x0 + sg_rT - w)
             slope = red(-(r + sg_T))
-            q = (xq, red(slope * (xq - x0) - y0))
-            if q in seen:
-                _same_slope(curve, q, seen[q], slope)
-                continue
-            seen[q] = slope
-            _verify_half(curve, pt, q)
-            halves.append((q, slope))
-    witness = {"branches": []}
-    for r, T, _, _ in branches:
-        witness["branches"].append({"r": _to_json(F, r), "T": _to_json(F, T)})
-    return _answer(F, "rT", halves, witness)
+            candidates.append(((xq, red(slope * (xq - x0) - y0)), slope))
+        branches.append({"r": _to_json(F, r), "T": _to_json(F, T)})
+    if not branches:
+        return HalvingResult("rT", (), {})
+    return _answer(curve, "rT", (x0, y0), candidates, {"branches": branches})
 
 
 def halvability_criterion_origin(
@@ -307,33 +286,23 @@ def halve_char2(curve: Char2Curve, P: Point) -> HalvingResult:
     and fourth roots always exist in a finite binary field); l and l + 1
     yield the two halves, which differ by W3 = (0, sqrt(a6)).
     """
-    _require_model(curve, Char2Curve)
-    curve._check(P)
-    _require_affine(P)
-    x0, y0 = P.x, P.y
-    field = curve.field
-    l = field.solve_artin_schreier(x0 + curve.a2)
+    x0, y0 = _affine(curve, Char2Curve, P)
+    F = curve.field
+    gf, a2, a6 = curve._kp
+    l = F.solve_artin_schreier(F._elt(F, x0 ^ a2))
     if l is None:
         return HalvingResult("char2", (), {})
-    beta = curve.a6.sqrt()
-    r = x0.sqrt()
-    pt = _pt_ints(P)
-    halves = []
-    if not x0:
-        x1 = beta.sqrt()  # fourth root of a6
-        for li in (l, l + 1):
-            Q = Point(x1, li * x1 + beta)
-            _verify_half(curve, pt, _pt_ints(Q))
-            halves.append((Q, li))
-    else:
-        for li in (l, l + 1):
-            m = y0 + (li + 1) * x0
-            x1 = (beta + m) / r
-            Q = Point(x1, li * x1 + m)
-            _verify_half(curve, pt, _pt_ints(Q))
-            halves.append((Q, li))
-    witness = {"l": element_to_json(l), "r": element_to_json(r)}
-    return HalvingResult("char2", tuple(halves), witness)
+    l = l.value
+    beta, r = gf.sqrt(a6), gf.sqrt(x0)
+    mul = gf.mul
+    candidates = []
+    for li in (l, l ^ 1):
+        m = y0 ^ mul(li ^ 1, x0)
+        # x0 = 0 makes P = W3 and m = y0 = beta: x1 is then the fourth root of a6.
+        x1 = gf.div(beta ^ m, r) if x0 else gf.sqrt(beta)
+        candidates.append(((x1, mul(li, x1) ^ m), li))
+    witness = {"l": _to_json(F, l), "r": _to_json(F, r)}
+    return _answer(curve, "char2", (x0, y0), candidates, witness)
 
 
 def halve(curve, P: Point) -> HalvingResult:
@@ -392,9 +361,7 @@ def half_to_roots(curve: CubicCurve, Q: Point) -> RootTriple:
     computed in K when g splits, in K_g otherwise.  Raises TwoTorsionHalf for
     y(Q) = 0 (then 2Q is the point at infinity and no triple exists).
     """
-    _require_model(curve, CubicCurve)
-    curve._check(Q)
-    _require_affine(Q)
+    _affine(curve, CubicCurve, Q)
     if not Q.y:
         raise TwoTorsionHalf("y(Q) = 0: Q is 2-torsion and 2Q is infinity")
     P = curve._add(Q, Q)

@@ -10,8 +10,10 @@ An affine point is an ``(x, y)`` tuple and the point at infinity is
 
 A model codes only ``contains``, ``add`` and ``neg``; its ``*_smul`` and
 ``*_order`` pass the last two, read from this module when called, to the
-loops all models share.  ``_multiples``, the one iterated addition, also
-hands a point's multiples to ``curve``.  ``*_contains`` is the package's
+loops all models share; ``qq_order`` alone runs its own, which stops at
+the first multiple that Nagell-Lutz rules out of the torsion.
+``_multiples``, the shared iterated addition, also hands a point's
+multiples to ``curve``.  ``*_contains`` is the package's
 one point check, which callers run at their boundary; nothing else here
 re-checks it.
 """
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from functools import cache, lru_cache
 from itertools import accumulate
-from math import isqrt
+from math import isqrt, lcm
 
 from .errors import VerificationError
 
@@ -146,13 +148,10 @@ def _prime_factors(n: int) -> list:
 def _order(add, neg, c, pt, cap, q) -> int:
     """Exact order of ``pt`` on a curve over a field of q elements; 0 if it exceeds ``cap``.
 
-    Over a finite field, orders up to m = max(isqrt(hi - lo) + 1, 12) come
-    from iterated addition, and a larger one from ``_order_bsgs`` in
-    O(q^(1/4)) additions, whatever the cap.  Over Q (q None) iterated
-    addition runs up to the cap.
+    Orders up to m = max(isqrt(hi - lo) + 1, 12) come from iterated
+    addition, and a larger one from ``_order_bsgs`` in O(q^(1/4)) additions,
+    whatever the cap.
     """
-    if q is None:
-        return _order_by_addition(add, c, pt, cap)
     lo, hi = _hasse_interval(q)
     m = max(isqrt(hi - lo) + 1, 12)
     n = _order_by_addition(add, c, pt, min(cap, m))
@@ -315,7 +314,31 @@ def qq_smul(c, n, pt):
 
 
 def qq_order(c, pt, cap) -> int:
-    return _order(qq_add, qq_neg, c, pt, cap, None)
+    """Exact order of ``pt`` by iterated addition; 0 if it is infinite or exceeds ``cap``.
+
+    (x, y) -> (u^2 x, u^3 y), u the lcm of the denominators of A, B and C,
+    maps the curve onto y^2 = x^3 + a x^2 + b x + c with integer a, b, c and
+    discriminant D.  There a point of finite order has integer coordinates,
+    and y = 0 or y | D (Nagell-Lutz; Silverman and Tate, Rational Points on
+    Elliptic Curves, ch. II), so the loop stops at the first multiple that
+    breaks this, before any number in it outgrows D.
+    """
+    A, B, C = c
+    u = lcm(A.denominator, B.denominator, C.denominator)
+    u2 = u * u
+    u3 = u2 * u
+    a, b, c0 = int(A * u2), int(B * u2 * u2), int(C * u2 * u2 * u2)
+    D = a * a * b * b - 4 * b**3 - 4 * a**3 * c0 - 27 * c0 * c0 + 18 * a * b * c0
+    n, acc = 1, pt
+    while acc is not None:
+        x, y = acc
+        if n >= cap or u2 % x.denominator or u3 % y.denominator:
+            return 0
+        if y and D % (y.numerator * (u3 // y.denominator)):
+            return 0
+        acc = qq_add(c, acc, pt)
+        n += 1
+    return n
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from ectorsion.field import BinaryField
 import oracles
 
 CENSUS_BUDGET_S = 5.0
-CALL_BUDGET_S = 1.0  # family, halve and iso over the largest fields (and Q values) accepted
+CALL_BUDGET_S = 1.0  # family, halve, iso and order over the largest fields (and Q values) accepted
 SWEEP_BUDGET_S = 1.0  # family_sweep over F_97 and GF(2^6), per order
 
 P31 = 2**31 - 1  # the largest prime modulus accepted; p = 3 mod 4
@@ -179,6 +179,26 @@ def test_largest_binary_field_halving_fits_its_budget(capsys):
     assert js["halvable"] is True and Q in halves
     assert len(halves) == len(js["halves"]) == 2  # E[2] = {O, (0, sqrt(a6))}
     assert all(oracles.char2_add(K20, MOD20, a2, a6, H, H) == P for H in halves)
+
+
+# ---------------------------------------------------------------------------
+# order
+# ---------------------------------------------------------------------------
+
+def test_rational_order_of_a_tall_point_fits_its_budget(capsys):
+    """nG, G = (2, 2) of infinite order on y^2 = x^3 - 2x, has parts of about
+    300 digits; on the model x -> x / 7^2, y -> y / 7^3 the coefficients are
+    not integers either.  Its order is infinite: null."""
+    G = (Fraction(2), Fraction(2))
+    assert oracles.qq_cubic_order(0, -2, 0, G, cap=12) == 0  # so G, and each nG, has infinite order
+    P = G
+    while max(len(str(abs(v))) for c in P for v in (c.numerator, c.denominator)) < 300:
+        P = oracles.qq_cubic_add(0, -2, 0, P, G)
+    v = 7
+    js = _within_budget(capsys, "order", "--field", "Q",
+                        "--curve", json.dumps({"alpha": "0", "p": "0", "q": str(Fraction(-2, v**4))}),
+                        "--point", json.dumps({"x": str(P[0] / v**2), "y": str(P[1] / v**3)}))
+    assert js["order"] is None
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from ectorsion import (
     halve_split,
     half_to_roots,
 )
-from ectorsion import kernel
+from ectorsion import halving, kernel
 
 import oracles
 
@@ -542,3 +542,60 @@ def test_a_doubling_slip_never_returns_a_half(monkeypatch):
         for criterion in (halve, halve_rT):
             with pytest.raises(VerificationError):
                 criterion(E, P)
+
+
+def test_a_char2_doubling_slip_never_returns_a_half(monkeypatch):
+    cases = []
+    for k, a2, a6 in ((3, 1, 5), (4, 0, 3), (4, 6, 11)):
+        E = Char2Curve(BinaryField(k), a2, a6)
+        doubles = {E.double(Q) for Q in E.full_group()}
+        cases += [(E, P) for P in doubles if not P.is_infinity]
+    assert len(cases) > 6 and any(not P.x for _, P in cases)  # W3 = (0, sqrt(a6)) among them
+    real = kernel.c2_add
+
+    def slipped(c, pt1, pt2):
+        out = real(c, pt1, pt2)
+        return out if pt1 != pt2 or out is None else (out[0], out[1] ^ 1)
+
+    monkeypatch.setattr(kernel, "c2_add", slipped)
+    for E, P in cases:
+        E = Char2Curve(E.field, E.a2, E.a6)  # built now, so it reads the slip
+        with pytest.raises(VerificationError):
+            halve_char2(E, P)
+
+
+# ---------------------------------------------------------------------------
+# the collector: the halves of P are a coset of E(K)[2]
+# ---------------------------------------------------------------------------
+
+def _raw_halves(E, P):
+    """(raw P, [((x, y), slope) of each half]) by the library's own criterion."""
+    res = halve(E, P)
+    assert res.halvable
+    return (P.x.value, P.y.value), [((Q.x.value, Q.y.value), s.value) for Q, s in res.halves]
+
+
+def test_collector_refuses_one_half_with_two_slopes():
+    for E, P in _halvable_doubles(11):
+        pt, halves = _raw_halves(E, P)
+        q, s = halves[0]
+        with pytest.raises(VerificationError, match="different tangent slopes"):
+            halving._answer(E, "rT", pt, [(q, s), (q, (s + 1) % 11)] + halves[1:], {})
+
+
+def test_collector_refuses_a_partial_coset():
+    split = irreducible = 0
+    for E, P in _halvable_doubles(11):
+        pt, halves = _raw_halves(E, P)
+        if E.g.roots() is not None:  # three of the four halves
+            assert len(halves) == 4
+            candidates = halves[:3]
+            split += 1
+        else:  # one half twice, with its own slope
+            assert len(halves) == 2
+            candidates = [halves[0], halves[0]]
+            irreducible += 1
+        with pytest.raises(VerificationError, match="coset"):
+            halving._answer(E, "rT", pt, candidates, {})
+        assert halving._answer(E, "rT", pt, halves, {}).halves == halve(E, P).halves
+    assert split and irreducible

@@ -5,7 +5,16 @@ from fractions import Fraction
 
 import pytest
 
-from ectorsion import VerificationError, kernel
+from ectorsion import (
+    Rationals,
+    VerificationError,
+    e4_new,
+    e6_new,
+    e8_new,
+    e10_new,
+    e12_new,
+    kernel,
+)
 from ectorsion.field import default_modulus
 
 import oracles
@@ -110,6 +119,73 @@ def test_qq_kernel_group_law_matches_oracle(coeffs, G, count):
             for _ in range(abs(n) - 1):
                 want = oracles.qq_cubic_add(A, B, C, want, base)
         assert kernel.qq_smul(c, n, P) == want
+
+
+def _scaled(c, pt, v):
+    """The model x -> x / v^2, y -> y / v^3 of the curve c, and pt on it."""
+    A, B, C = c
+    return (A / v**2, B / v**4, C / v**6), (None if pt is None else (pt[0] / v**2, pt[1] / v**3))
+
+
+def test_qq_order_of_torsion_points_matches_oracle():
+    """Every multiple of every family witness over Q, on its own model and on
+    models with other denominators: the order search's integrality test
+    (Nagell-Lutz) never cuts a point of finite order short."""
+    Q = Rationals()
+    insts = [e4_new(Q, Q(a), Q(b)) for a, b in ((-6, -6), (1, 1), (Fraction(2, 3), Fraction(-5, 7)))]
+    for ctor in (e6_new, e8_new, e10_new, e12_new):
+        insts += [ctor(Q, Q(t)) for t in (Fraction(-3), Fraction(5, 2), Fraction(-7, 11))]
+    checked = set()
+    for inst in insts:
+        c = tuple(v.value for v in inst.curve.coefficients())
+        for w in inst.witnesses:
+            G = (w.point.x.value, w.point.y.value)
+            for v in (1, Fraction(1, 6), Fraction(5), Fraction(3, 2)):
+                cv, Gv = _scaled(c, G, v)
+                P = Gv
+                while P is not None:
+                    n = oracles.qq_cubic_order(*cv, P, cap=12)
+                    assert 1 < n <= 12 and kernel.qq_order(cv, P, 12) == n, (inst, P)
+                    assert kernel.qq_order(cv, P, n - 1) == 0  # past the cap
+                    checked.add((cv, P))
+                    P = oracles.qq_cubic_add(*cv, P, Gv)
+    assert len(checked) >= 400
+    # Points of infinite order, integral and not, on integral and scaled models.
+    for c, G in (((0, -2, 0), (2, 2)), ((0, 0, -2), (3, 5)), ((0, -36, 0), (-3, 9))):
+        c, G = tuple(map(Fraction, c)), tuple(map(Fraction, G))
+        assert oracles.qq_cubic_order(*c, G, cap=12) == 0
+        for v in (1, Fraction(1, 6), Fraction(5)):
+            cv, Gv = _scaled(c, G, v)
+            assert kernel.qq_order(cv, Gv, 12) == 0
+            assert kernel.qq_order(cv, kernel.qq_add(cv, Gv, Gv), 12) == 0
+
+
+def test_qq_order_adds_no_multiple_that_nagell_lutz_rules_out(monkeypatch):
+    """A multiple that is not integral on the integral model, or has y != 0
+    not dividing D there, ends the search: the point has infinite order."""
+    real, calls = kernel.qq_add, []
+
+    def counted(c, pt1, pt2):
+        calls.append(pt1)
+        return real(c, pt1, pt2)
+
+    monkeypatch.setattr(kernel, "qq_add", counted)
+    c17 = (Fraction(0), Fraction(0), Fraction(17))  # D = -27 * 17^2
+    cases = [
+        (c17, (5234, 378661), 0, 0),  # integral, y does not divide D
+        (c17, (Fraction(137, 64), Fraction(-2651, 512)), 0, 0),  # 2(-2, 3): not integral
+        # (-2, 3) on the model x -> x / 9, y -> y / 27: integral on the integral
+        # model (u = 3^6) and y | D there, but 2P is not integral
+        _scaled(c17, (Fraction(-2), Fraction(3)), 3) + (0, 1),
+        ((Fraction(0), Fraction(0), Fraction(1)), (2, 3), 6, 5),  # y = 3 divides D = -27
+        ((Fraction(46, 9), Fraction(1), Fraction(0)), (-3, -4), 8, 7),  # e8 at t = 2: u = 9
+    ]
+    for c, pt, n, additions in cases:
+        pt = tuple(map(Fraction, pt))
+        assert oracles.qq_cubic_order(*c, pt, cap=12) == n
+        del calls[:]
+        assert kernel.qq_order(c, pt, 12) == n
+        assert len(calls) == additions
 
 
 def test_kernel_edge_cases():
