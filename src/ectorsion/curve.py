@@ -258,10 +258,11 @@ class CubicCurve(_CurveBase):
     def __init__(self, field: Field, alpha, p, q):
         self.field = field
         g = self.g = QuadraticPoly(field, p, q)  # InvalidParams in char 2, SingularCurve if p^2 = 4q
-        self.alpha = a = field.element(alpha)
-        if not g(a):
+        self.alpha = field.element(alpha)
+        red, a, p, q = field._red, self.alpha.value, g.p.value, g.q.value
+        if not red((a + p) * a + q):
             raise SingularCurve("repeated root: g(alpha) = 0")
-        A, B, C = (g.p - a).value, (g.q - a * g.p).value, (-a * g.q).value
+        A, B, C = red(p - a), red(q - a * p), red(-a * q)
         if isinstance(field, PrimeField):
             self._kp = (field.p, A, B, C)
             self._k = tuple.__new__(_Model, (kernel.cubic_contains, kernel.cubic_add,
@@ -281,15 +282,16 @@ class CubicCurve(_CurveBase):
         characteristic 2 before any root is looked for.
         """
         require_odd_characteristic(field)
-        A, B, C = field.element(A), field.element(B), field.element(C)
+        A, B, C = field.element(A).value, field.element(B).value, field.element(C).value
         alpha = _cubic_rational_root(field, A, B, C)
         if alpha is None:
             raise InvalidParams("cubic has no root in K: no rational 2-torsion")
-        return cls(field, alpha, A + alpha, B + alpha * (A + alpha))
+        p = field._red(A + alpha)
+        return cls(field, alpha, p, field._red(B + alpha * p))
 
     def coefficients(self) -> Tuple[FieldElement, FieldElement, FieldElement]:
         """(A, B, C) of the expanded form y^2 = x^3 + A x^2 + B x + C."""
-        return tuple(self.field._elt(self.field, v) for v in self._kp[-3:])
+        return tuple(FieldElement(self.field, v) for v in self._kp[-3:])
 
     def rhs(self, x: FieldElement) -> FieldElement:
         return (x - self.alpha) * self.g(x)
@@ -369,23 +371,22 @@ def _pt_ints(P: Point):
 def _pt_from_ints(field: Field, t) -> Point:
     if t is None:
         return Point.infinity()
-    return Point(field._elt(field, t[0]), field._elt(field, t[1]))
+    return Point(FieldElement(field, t[0]), FieldElement(field, t[1]))
 
 
-def _cubic_rational_root(field: Field, A, B, C) -> Optional[FieldElement]:
-    """Smallest root of x^3 + A x^2 + B x + C in K, or None."""
+def _cubic_rational_root(field: Field, A, B, C):
+    """Smallest root of x^3 + A x^2 + B x + C in K, or None; all raw values."""
     if isinstance(field, Rationals):
         # x = X/d with d the common denominator turns the cubic into the monic
         # integer X^3 + a X^2 + b X + c, whose rational roots are integers.
-        d = lcm(A.value.denominator, B.value.denominator, C.value.denominator)
-        a, b, c = int(A.value * d), int(B.value * d**2), int(C.value * d**3)
+        d = lcm(A.denominator, B.denominator, C.denominator)
+        a, b, c = int(A * d), int(B * d**2), int(C * d**3)
         roots = _integer_roots(a, b, c)
-        return field.element(Fraction(roots[0], d)) if roots else None
-    q = field.order
-    if q is None or q > _ENUM_LIMIT:
+        return Fraction(roots[0], d) if roots else None
+    p = field.order
+    if p > _ENUM_LIMIT:
         raise FieldTooLarge("root search sweeps the field; needs at most 2^16 elements")
-    roots = [x for x in field.elements() if not ((x + A) * x + B) * x + C]
-    return min(roots, key=lambda e: e.value) if roots else None
+    return next((x for x in range(p) if not (((x + A) * x + B) * x + C) % p), None)
 
 
 def _integer_roots(a: int, b: int, c: int) -> List[int]:

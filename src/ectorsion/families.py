@@ -10,6 +10,14 @@ checked by iterated addition, which keeps its multiples, and every other
 witness equal to some jG has order N / gcd(j, N).  A witness outside them
 gets its own ``order_of``, so nothing assumes the group is cyclic.
 
+Like the halving criteria, a constructor checks its parameters once, at
+the boundary, and then computes on raw values: the curve's constants and
+the witnesses' coordinates are ints mod p or ``Fraction``s, through the
+field's ``_red`` and ``_inv`` with one formula for both fields, or ints
+through the GF(2^k) context's ``sq``, ``mul`` and ``div``.  Over Q every
+literal enters through ``_from_int``, so every raw value is a ``Fraction``.
+The witnesses' points are built in ``_witnesses`` only.
+
 The validity predicates are exactly the nonsingularity conditions: for each
 family the discriminant data factors as
 
@@ -94,14 +102,18 @@ class FamilyInstance:
 
 
 def _witnesses(curve, specs) -> Tuple[TorsionWitness, ...]:
-    """The witnesses of ``specs``, each (point, claimed order[, note]), in order.
+    """The witnesses of ``specs``, each ((x, y), claimed order[, note]), in order.
 
-    The point G of largest claimed order N has its order checked by iterated
-    addition, which keeps its multiples: a witness equal to jG has order
-    N / gcd(j, N).  A witness found among none of them, or every witness when
-    G's order is not N, has its order checked on its own by
+    Each (x, y) is a pair of raw, canonical values of ``curve.field``, and
+    the witnesses' points are built here, the one place a constructor makes
+    them.  The point G of largest claimed order N has its order checked by
+    iterated addition, which keeps its multiples: a witness equal to jG has
+    order N / gcd(j, N).  A witness found among none of them, or every
+    witness when G's order is not N, has its order checked on its own by
     ``curve.order_of``; the first wrong claim raises VerificationError.
     """
+    F = curve.field
+    specs = [(Point(FieldElement(F, x), FieldElement(F, y)), *rest) for (x, y), *rest in specs]
     G, N = max(specs, key=itemgetter(1))[:2]
     n, js = curve.multiple_indices(G, [s[0] for s in specs], N)
     for s, j in zip(specs, js):
@@ -121,8 +133,9 @@ def _odd_characteristic(field: Field, family: str) -> None:
         raise InvalidParams(f"{family} needs characteristic != 2")
 
 
-def _nonzero(field: Field, value, name: str, family: str) -> FieldElement:
-    v = field.element(value)
+def _nonzero(field: Field, value, name: str, family: str):
+    """``value``'s raw value in ``field``; InvalidParams when it is 0."""
+    v = field.element(value).value
     if not v:
         raise InvalidParams(f"{family} needs {name} != 0")
     return v
@@ -135,30 +148,32 @@ def e4_new(field: Field, a, b) -> FamilyInstance:
     (0,0) the only rational 2-torsion point and the curve nonsingular).
     """
     a, b = _e4_params(field, a, b)
-    curve = CubicCurve(field, 0, a * a + 2 * b, b * b)
-    zero = field.zero
+    red, zero = field._red, field._from_int(0)
+    curve = CubicCurve(field, zero, red(a * a + 2 * b), red(b * b))
+    x, y = red(-b), red(a * b)
     witnesses = _witnesses(curve, (
-        (Point(zero, zero), 2),
-        (Point(-b, a * b), 4),
-        (Point(-b, -(a * b)), 4),
+        ((zero, zero), 2),
+        ((x, y), 4),
+        ((x, red(-y)), 4),
     ))
-    return FamilyInstance("e4", {"a": a, "b": b}, curve, witnesses)
+    return FamilyInstance("e4", {"a": FieldElement(field, a), "b": FieldElement(field, b)},
+                          curve, witnesses)
 
 
-def _e4_params(field: Field, a, b) -> Tuple[FieldElement, FieldElement]:
-    """(a, b) as elements once valid for e4; InvalidParams naming the failed condition."""
+def _e4_params(field: Field, a, b):
+    """(a, b) as raw values once valid for e4; InvalidParams naming the failed condition."""
     _odd_characteristic(field, "e4")
     a = _nonzero(field, a, "a", "e4")
     b = _nonzero(field, b, "b", "e4")
-    if (a * a + 4 * b).is_square():
+    if field._sqrt(a * a + 4 * b) is not None:
         raise InvalidParams("e4 needs a^2 + 4b to be a non-square")
     return a, b
 
 
 def e4_normalize(field: Field, a, b) -> Tuple[Tuple[FieldElement, FieldElement], Callable[[Point], Point]]:
     """Scale (a, b) ~ (1, b/a^2) through (x, y) -> (x/a^2, y/a^3)."""
-    a = _nonzero(field, a, "a", "e4")
-    b = _nonzero(field, b, "b", "e4")
+    a = FieldElement(field, _nonzero(field, a, "a", "e4"))
+    b = FieldElement(field, _nonzero(field, b, "b", "e4"))
     a2 = a * a
     a3 = a2 * a
 
@@ -179,20 +194,22 @@ def e6_new(field: Field, t) -> FamilyInstance:
     """
     _odd_characteristic(field, "e6")
     t = _nonzero(field, t, "t", "e6")
-    if t + 4 == 0:
+    red = field._red
+    if not red(t + 4):
         raise InvalidParams("e6 needs t != -4")
-    if 2 * t - 1 == 0:
+    if not red(2 * t - 1):
         raise InvalidParams("e6 needs t != 1/2")
-    curve = CubicCurve(field, -field.one, t * t + 2 * t, t * t)
-    zero = field.zero
+    zero, m1 = field._from_int(0), field._from_int(-1)
+    curve = CubicCurve(field, m1, red(t * t + 2 * t), red(t * t))
+    x6, y6 = red(-2 * t), red(t - 2 * t * t)
     witnesses = _witnesses(curve, (
-        (Point(-field.one, zero), 2),
-        (Point(zero, t), 3),
-        (Point(zero, -t), 3),
-        (Point(-2 * t, t - 2 * t * t), 6),
-        (Point(-2 * t, 2 * t * t - t), 6),
+        ((m1, zero), 2),
+        ((zero, t), 3),
+        ((zero, red(-t)), 3),
+        ((x6, y6), 6),
+        ((x6, red(-y6)), 6),
     ))
-    return FamilyInstance("e6", {"t": t}, curve, witnesses)
+    return FamilyInstance("e6", {"t": FieldElement(field, t)}, curve, witnesses)
 
 
 def e6_exactly_one_2torsion(field: Field, t) -> bool:
@@ -208,41 +225,43 @@ def e8_new(field: Field, t) -> FamilyInstance:
     the e4 family at a = 2t^2/(1-t^2), b = -1.
     """
     t = _e8_param(field, t)
-    one = field.one
-    curve = CubicCurve(field, 0, _e8_p(t), 1)
-    zero = field.zero
-    y4 = 2 * t * t / (1 - t * t)
-    x8a = (1 + t) / (1 - t)
-    y8a = 2 * t / ((1 - t) * (1 - t))
-    x8b = (1 - t) / (1 + t)
-    y8b = 2 * t / ((1 + t) * (1 + t))
+    red = field._red
+    zero, one = field._from_int(0), field._from_int(1)
+    curve = CubicCurve(field, zero, _e8_p(field, t), one)
+    i = field._inv(1 - t * t)
+    im, ip = (1 + t) * i, (1 - t) * i  # 1/(1 - t) and 1/(1 + t)
+    y4 = red(2 * t * t * i)
+    x8a, y8a = red((1 + t) * im), red(2 * t * im * im)
+    x8b, y8b = red((1 - t) * ip), red(2 * t * ip * ip)
     witnesses = _witnesses(curve, (
-        (Point(zero, zero), 2),
-        (Point(one, y4), 4),
-        (Point(one, -y4), 4),
-        (Point(x8a, -y8a), 8),
-        (Point(x8a, y8a), 8),
-        (Point(x8b, y8b), 8),
-        (Point(x8b, -y8b), 8),
+        ((zero, zero), 2),
+        ((one, y4), 4),
+        ((one, red(-y4)), 4),
+        ((x8a, red(-y8a)), 8),
+        ((x8a, y8a), 8),
+        ((x8b, y8b), 8),
+        ((x8b, red(-y8b)), 8),
     ))
-    return FamilyInstance("e8", {"t": t}, curve, witnesses)
+    return FamilyInstance("e8", {"t": FieldElement(field, t)}, curve, witnesses)
 
 
-def _e8_param(field: Field, t) -> FieldElement:
-    """t as an element once valid for e8; InvalidParams naming the failed condition."""
+def _e8_param(field: Field, t):
+    """t as a raw value once valid for e8; InvalidParams naming the failed condition."""
     _odd_characteristic(field, "e8")
     t = _nonzero(field, t, "t", "e8")
-    if t * t == 1:
+    if not field._red(t * t - 1):
         raise InvalidParams("e8 needs t != 1 and t != -1")
-    if (2 * t * t - 1).is_square():
+    if field._sqrt(2 * t * t - 1) is not None:
         raise InvalidParams("e8 needs 2t^2 - 1 to be a non-square")
     return t
 
 
-def _e8_p(t: FieldElement) -> FieldElement:
-    """P(t) = 2(t^4 + 2t^2 - 1)/(t^2 - 1)^2, so that E8(t) is y^2 = x(x^2 + P(t)x + 1); t^2 != 1."""
-    den = t * t - 1
-    return 2 * (t ** 4 + 2 * t * t - 1) / (den * den)
+def _e8_p(field: Field, t):
+    """P(t) = 2(t^4 + 2t^2 - 1)/(t^2 - 1)^2 on the raw value t, so that E8(t) is
+    y^2 = x(x^2 + P(t)x + 1); t^2 != 1."""
+    t2 = t * t
+    i = field._inv(t2 - 1)
+    return field._red(2 * (t2 * t2 + 2 * t2 - 1) * i * i)
 
 
 def e10_new(field: Field, u) -> FamilyInstance:
@@ -253,28 +272,27 @@ def e10_new(field: Field, u) -> FamilyInstance:
     """
     _odd_characteristic(field, "e10")
     u = _nonzero(field, u, "u", "e10")
-    if u * u == 1:
+    red = field._red
+    u2 = u * u
+    if not red(u2 - 1):
         raise InvalidParams("e10 needs u != 1 and u != -1")
-    if u * u + u - 1 == 0:
+    if not red(u2 + u - 1):
         raise InvalidParams("e10 needs u^2 + u - 1 != 0")
-    if u * u - 4 * u - 1 == 0:
+    if not red(u2 - 4 * u - 1):
         raise InvalidParams("e10 needs u^2 - 4u - 1 != 0")
-    if (u * (u * u + u - 1)).is_square():
+    if field._sqrt(u * (u2 + u - 1)) is not None:
         raise InvalidParams("e10 needs u(u^2 + u - 1) to be a non-square")
-    D = (u - 1) * (u + 1) * (u + 1)
-    p = 8 * u * u * (u ** 3 + u * u - u + 1) / (D * D)
-    q = 16 * u ** 4 / (D * D)
-    curve = CubicCurve(field, -field.one, p, q)
-    zero = field.zero
-    w2 = Point(-field.one, zero)
-    p5 = Point(zero, 4 * u * u / D)
-    p10 = curve.add(p5, w2)
+    i = field._inv((u - 1) * (u + 1) * (u + 1))  # 1/D
+    ii = i * i
+    zero, m1 = field._from_int(0), field._from_int(-1)
+    curve = CubicCurve(field, m1, red(8 * u2 * (u2 * u + u2 - u + 1) * ii), red(16 * u2 * u2 * ii))
+    w2, p5 = (m1, zero), (zero, red(4 * u2 * i))
     witnesses = _witnesses(curve, (
         (w2, 2),
         (p5, 5),
-        (p10, 10, "sum of the order-5 and order-2 points"),
+        (curve._k.add(curve._kp, p5, w2), 10, "sum of the order-5 and order-2 points"),
     ))
-    return FamilyInstance("e10", {"u": u}, curve, witnesses)
+    return FamilyInstance("e10", {"u": FieldElement(field, u)}, curve, witnesses)
 
 
 def e12_new(field: Field, T) -> FamilyInstance:
@@ -285,40 +303,36 @@ def e12_new(field: Field, T) -> FamilyInstance:
     """
     _odd_characteristic(field, "e12")
     T = _nonzero(field, T, "T", "e12")
+    red = field._red
     T2 = T * T
-    if T2 == 1:
+    if not red(T2 - 1):
         raise InvalidParams("e12 needs T != 1 and T != -1")
-    if T2 + 1 == 0:
+    if not red(T2 + 1):
         raise InvalidParams("e12 needs T^2 + 1 != 0")
-    if 3 * T2 + 1 == 0:
+    if not red(3 * T2 + 1):
         raise InvalidParams("e12 needs 3T^2 + 1 != 0")
-    if 3 * T2 - 1 == 0:
+    if not red(3 * T2 - 1):
         raise InvalidParams("e12 needs 3T^2 - 1 != 0")
-    if ((T2 + 1) * (3 * T2 - 1)).is_square():
+    if field._sqrt((T2 + 1) * (3 * T2 - 1)) is not None:
         raise InvalidParams("e12 needs (T^2+1)(3T^2-1) to be a non-square")
-    den = T2 - 1
-    d2 = den * den
-    d4 = d2 * d2
-    p = 8 * T2 * (T2 + 1) * (T2 * T2 + 4 * T2 - 1) / d4
-    q = 16 * T2 * T2 * (T2 + 1) * (T2 + 1) / d4
-    curve = CubicCurve(field, -field.one, p, q)
-    zero = field.zero
-    w2 = Point(-field.one, zero)
-    y3 = 4 * T2 * (T2 + 1) / d2
-    p3 = Point(zero, y3)
-    x4 = -4 * T2 / den
-    y4 = 8 * T2 * T * (3 * T2 + 1) / (d2 * den)
-    p4 = Point(x4, y4)
-    p12 = curve.add(p3, p4)
+    i = field._inv(T2 - 1)
+    i2 = i * i
+    i4 = i2 * i2
+    zero, m1 = field._from_int(0), field._from_int(-1)
+    p = red(8 * T2 * (T2 + 1) * (T2 * T2 + 4 * T2 - 1) * i4)
+    curve = CubicCurve(field, m1, p, red(16 * T2 * T2 * (T2 + 1) * (T2 + 1) * i4))
+    y3 = red(4 * T2 * (T2 + 1) * i2)
+    x4, y4 = red(-4 * T2 * i), red(8 * T2 * T * (3 * T2 + 1) * i2 * i)
+    p3, p4 = (zero, y3), (x4, y4)
     witnesses = _witnesses(curve, (
-        (w2, 2),
+        ((m1, zero), 2),
         (p3, 3),
-        (Point(zero, -y3), 3),
+        ((zero, red(-y3)), 3),
         (p4, 4),
-        (Point(x4, -y4), 4),
-        (p12, 12, "sum of the order-3 and order-4 points"),
+        ((x4, red(-y4)), 4),
+        (curve._k.add(curve._kp, p3, p4), 12, "sum of the order-3 and order-4 points"),
     ))
-    return FamilyInstance("e12", {"T": T}, curve, witnesses)
+    return FamilyInstance("e12", {"T": FieldElement(field, T)}, curve, witnesses)
 
 
 def e4char2_new(field: Field, gamma) -> FamilyInstance:
@@ -326,41 +340,41 @@ def e4char2_new(field: Field, gamma) -> FamilyInstance:
     if not isinstance(field, BinaryField):
         raise InvalidParams("e4char2 lives over GF(2^k)")
     gamma = _nonzero(field, gamma, "gamma", "e4char2")
-    g2 = gamma * gamma
-    curve = Char2Curve(field, 0, g2 * g2)
+    sq = field._kernel().sq
+    g2 = sq(gamma)
+    curve = Char2Curve(field, 0, sq(g2))
     witnesses = _witnesses(curve, (
-        (Point(field.zero, g2), 2),
-        (Point(gamma, g2), 4),
+        ((0, g2), 2),
+        ((gamma, g2), 4),
     ))
-    return FamilyInstance("e4char2", {"gamma": gamma}, curve, witnesses)
+    return FamilyInstance("e4char2", {"gamma": FieldElement(field, gamma)}, curve, witnesses)
 
 
 def e8char2_new(field: Field, t) -> FamilyInstance:
     """y^2 + xy = x^3 + (t/(t^2+1))^8 over GF(2^k): an order-8 point in closed form."""
     t = _e8char2_param(field, t)
-    t2 = t * t
-    t3 = t2 * t
-    s2 = t2 + 1  # (t + 1)^2 in characteristic 2
-    s4 = s2 * s2
-    gamma = t2 / s4  # (t/(t^2+1))^2
-    g2 = gamma * gamma
-    curve = Char2Curve(field, 0, g2 * g2)
-    x8 = t3 / s4
-    y8 = t3 * (t3 + t2 + 1) / (s4 * s4)  # (t^6 + t^5 + t^3)/(t + 1)^8
+    gf = field._kernel()
+    sq, mul, div = gf.sq, gf.mul, gf.div
+    t2 = sq(t)
+    t3 = mul(t2, t)
+    s4 = sq(t2 ^ 1)  # (t + 1)^4 in characteristic 2
+    gamma = div(t2, s4)  # (t/(t^2+1))^2
+    g2 = sq(gamma)
+    curve = Char2Curve(field, 0, sq(g2))
     witnesses = _witnesses(curve, (
-        (Point(field.zero, g2), 2),
-        (Point(gamma, g2), 4),
-        (Point(x8, y8), 8),
+        ((0, g2), 2),
+        ((gamma, g2), 4),
+        ((div(t3, s4), div(mul(t3, t3 ^ t2 ^ 1), sq(s4))), 8),  # (t^6 + t^5 + t^3)/(t + 1)^8
     ))
-    return FamilyInstance("e8char2", {"t": t}, curve, witnesses)
+    return FamilyInstance("e8char2", {"t": FieldElement(field, t)}, curve, witnesses)
 
 
-def _e8char2_param(field: Field, t) -> FieldElement:
-    """t as an element once valid for e8char2; InvalidParams naming the failed condition."""
+def _e8char2_param(field: Field, t):
+    """t as a raw value once valid for e8char2; InvalidParams naming the failed condition."""
     if not isinstance(field, BinaryField):
         raise InvalidParams("e8char2 lives over GF(2^k)")
     t = _nonzero(field, t, "t", "e8char2")
-    if t == field.one:
+    if t == 1:
         raise InvalidParams("e8char2 needs t != 1 (t^2 + 1 would vanish)")
     return t
 
@@ -374,14 +388,16 @@ def iso_e4(field: Field, a, b, c, d) -> Optional[FieldElement]:
     a, b = _e4_params(field, a, b)
     c = _nonzero(field, c, "c", "iso_e4")
     d = _nonzero(field, d, "d", "iso_e4")
-    if c * c + 4 * d == 0:
+    red = field._red
+    if not red(c * c + 4 * d):
         raise InvalidParams("iso_e4 needs c^2 + 4d != 0")
-    if b * c * c != d * a * a:
+    if red(b * c * c - d * a * a):
         return None
-    u = c / a
-    if u * u * (a * a + 2 * b) != c * c + 2 * d or u ** 4 * b * b != d * d:
-        raise VerificationError(f"iso_e4: u = {u!r} fails the displayed conditions")
-    return u
+    u = red(c * field._inv(a))
+    u2 = u * u
+    if red(u2 * (a * a + 2 * b) - c * c - 2 * d) or red(u2 * u2 * b * b - d * d):
+        raise VerificationError(f"iso_e4: u = {FieldElement(field, u)!r} fails the displayed conditions")
+    return FieldElement(field, u)
 
 
 def iso_e8(field: Field, s, t) -> bool:
@@ -393,14 +409,14 @@ def iso_e8(field: Field, s, t) -> bool:
     """
     s = _e8_param(field, s)
     t = _e8_param(field, t)
-    return s == t or s == -t
+    return s == t or s == field._red(-t)
 
 
 def iso_e8char2(field: Field, s, t) -> bool:
     """E8char2(s) and E8char2(t) coincide exactly when s = t or s = 1/t."""
     s = _e8char2_param(field, s)
     t = _e8char2_param(field, t)
-    return s == t or s * t == field.one
+    return s == t or field._kernel().mul(s, t) == 1
 
 
 def j_fourth_power_criterion(field: Field, c) -> Optional[FieldElement]:
@@ -412,7 +428,7 @@ def j_fourth_power_criterion(field: Field, c) -> Optional[FieldElement]:
     """
     if not isinstance(field, BinaryField):
         raise InvalidParams("the fourth-power criterion applies over GF(2^k)")
-    c = _nonzero(field, c, "c", "j_fourth_power_criterion")
+    c = FieldElement(field, _nonzero(field, c, "c", "j_fourth_power_criterion"))
     gamma = c.inverse().sqrt().sqrt()
     if gamma ** 4 * c != field.one:
         raise VerificationError(f"gamma = {gamma!r} does not satisfy gamma^4 = 1/c")

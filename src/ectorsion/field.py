@@ -20,11 +20,13 @@ F_p and Q also expose the raw helpers that code working on raw values
 (ints mod p, ``Fraction``s) needs between its boundary check and its
 answer: ``_red`` (the canonical value), ``_inv`` and ``_sqrt``.  Each
 field's element-level ``sqrt`` is a thin wrapper over its ``_sqrt``.
+GF(2^k) code works on ints through the field's kernel context instead.
 
 A field instance doubles as an element factory: ``F = PrimeField(7); F(3)``.
-F_p elements (each field's ``_elt`` class) have their own ``+ - *``, unary
-``-`` and ``==``: one call against the same field object or an int (products
-via ``PrimeField._mul``), the generic path otherwise, as Q and GF(2^k) use.
+Every field's elements are ``FieldElement``s, one class whose operators
+defer to the field's raw arithmetic.  The hot paths (the group law, the
+halving criteria, the family constructors and curve set-up) compute on raw
+values and build elements only for their answers.
 """
 
 from __future__ import annotations
@@ -182,7 +184,6 @@ class Field:
     """Abstract base: element factory plus the field-specific arithmetic."""
 
     kind: str = "?"
-    _elt = FieldElement  # the class of this field's elements
 
     # -- raw-value arithmetic, implemented per subclass ---------------------
     def _from_int(self, n: int):
@@ -255,11 +256,11 @@ class Field:
 
     @property
     def zero(self) -> FieldElement:
-        return self._elt(self, self._from_int(0))
+        return FieldElement(self, self._from_int(0))
 
     @property
     def one(self) -> FieldElement:
-        return self._elt(self, self._from_int(1))
+        return FieldElement(self, self._from_int(1))
 
     @property
     def characteristic(self) -> int:
@@ -293,55 +294,11 @@ class Field:
         return self.descriptor
 
 
-class _PrimeElement(FieldElement):
-    """An F_p element, with the fast operators described in the module docstring."""
-
-    __slots__ = ()
-
-    def __add__(self, other):
-        if other.__class__ is _PrimeElement and other.field is self.field:
-            other = other.value
-        elif other.__class__ is not int:
-            return FieldElement.__add__(self, other)
-        return _PrimeElement(self.field, (self.value + other) % self.field.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if other.__class__ is _PrimeElement and other.field is self.field:
-            other = other.value
-        elif other.__class__ is not int:
-            return FieldElement.__sub__(self, other)
-        return _PrimeElement(self.field, (self.value - other) % self.field.p)
-
-    def __mul__(self, other):
-        if other.__class__ is _PrimeElement and other.field is self.field:
-            other = other.value
-        elif other.__class__ is not int:
-            return FieldElement.__mul__(self, other)
-        return _PrimeElement(self.field, self.field._mul(self.value, other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _PrimeElement(self.field, -self.value % self.field.p)
-
-    def __eq__(self, other):
-        if other.__class__ is _PrimeElement and other.field is self.field:
-            return self.value == other.value
-        if other.__class__ is int:
-            return self.value == other % self.field.p
-        return FieldElement.__eq__(self, other)
-
-    __hash__ = FieldElement.__hash__
-
-
 class PrimeField(Field):
     """F_p for a prime p < 2**31 (p = 2 is allowed, though curves reject it)."""
 
     kind = "prime"
     __slots__ = ("p",)
-    _elt = _PrimeElement
 
     def __init__(self, p: int):
         if not isinstance(p, int) or p < 2:
@@ -397,7 +354,7 @@ class PrimeField(Field):
 
     def _from_number(self, value):
         if isinstance(value, int):
-            return _PrimeElement(self, value % self.p)
+            return FieldElement(self, value % self.p)
         raise InvalidParams(f"cannot make an F_{self.p} element from {value!r}")
 
     @property
@@ -410,14 +367,14 @@ class PrimeField(Field):
 
     def elements(self):
         for i in range(self.p):
-            yield _PrimeElement(self, i)
+            yield FieldElement(self, i)
 
     def is_square(self, a):
         return kernel.fp_is_square(a.value, self.p)
 
     def sqrt(self, a):
         r = self._sqrt(a.value)
-        return None if r is None else _PrimeElement(self, r)
+        return None if r is None else FieldElement(self, r)
 
     @property
     def descriptor(self):
@@ -428,7 +385,7 @@ class PrimeField(Field):
         if "/" in text:
             num, den = text.split("/", 1)
             return self.element(int(num)) / self.element(int(den))
-        return _PrimeElement(self, int(text) % self.p)
+        return FieldElement(self, int(text) % self.p)
 
     def format_element(self, a):
         return str(a.value)

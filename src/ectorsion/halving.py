@@ -127,15 +127,14 @@ def _answer(curve, criterion: str, pt: tuple, candidates: list, witness: dict) -
         raise VerificationError(
             f"{len(halves)} halves found, but the halves of a point are a coset of E(K)[2], "
             f"of {n2} points")
-    elt = F._elt
     out = []
     for (x, y), slope in halves.items():
-        out.append((Point(elt(F, x), elt(F, y)), elt(F, slope)))
+        out.append((Point(FieldElement(F, x), FieldElement(F, y)), FieldElement(F, slope)))
     return HalvingResult(criterion, tuple(out), witness)
 
 
 def _to_json(F, v) -> str:
-    return element_to_json(F._elt(F, v))
+    return element_to_json(FieldElement(F, v))
 
 
 def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
@@ -289,7 +288,7 @@ def halve_char2(curve: Char2Curve, P: Point) -> HalvingResult:
     x0, y0 = _affine(curve, Char2Curve, P)
     F = curve.field
     gf, a2, a6 = curve._kp
-    l = F.solve_artin_schreier(F._elt(F, x0 ^ a2))
+    l = F.solve_artin_schreier(FieldElement(F, x0 ^ a2))
     if l is None:
         return HalvingResult("char2", (), {})
     l = l.value

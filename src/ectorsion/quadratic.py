@@ -60,7 +60,8 @@ class QuadraticPoly:
             raise SingularCurve("x^2 + p*x + q must be square-free (p^2 - 4q != 0)")
 
     def disc(self) -> FieldElement:
-        return self.p * self.p - 4 * self.q
+        p = self.p.value
+        return FieldElement(self.field, self.field._red(p * p - 4 * self.q.value))
 
     def __call__(self, x):
         """Evaluate g at x; works for base-field and extension elements alike."""
@@ -74,9 +75,13 @@ class QuadraticPoly:
     def roots(self) -> Optional[Tuple[FieldElement, FieldElement]]:
         """The two (distinct) roots in K, or None when g is irreducible; found on the first call."""
         if self._roots is False:
-            s = self.disc().sqrt()
-            two = self.field.element(2)
-            self._roots = None if s is None else ((-self.p + s) / two, (-self.p - s) / two)
+            F, p = self.field, self.p.value
+            s = F._sqrt(self.disc().value)
+            if s is None:
+                self._roots = None
+            else:
+                half = F._inv(F._from_int(2))
+                self._roots = tuple(FieldElement(F, F._red((r - p) * half)) for r in (s, -s))
         return self._roots
 
     def __eq__(self, other):
@@ -231,7 +236,7 @@ def _root(z: QuadExtElement, c0, c1) -> QuadExtElement:
     F = g.field
     red = F._red
     c0, c1 = red(c0), red(c1)
-    rho = _elt(g, F._elt(F, c0), F._elt(F, c1))
+    rho = _elt(g, FieldElement(F, c0), FieldElement(F, c1))
     cc = c1 * c1  # rho^2 = (c0^2 - c1^2*q) + (2*c0*c1 - c1^2*p)*X
     if red(c0 * c0 - cc * g.q.value - z.c0.value) or red(2 * c0 * c1 - cc * g.p.value - z.c1.value):
         raise VerificationError(f"ext_sqrt: {rho!r} does not square to {z!r}")

@@ -4,7 +4,9 @@ The CLI's budgets are listed in the README and in ``cli.py``'s docstring;
 those calls run in-process through ``cli.main``, so a budget covers the
 work, not interpreter start-up.  ``family_sweep`` at F_97 and GF(2^6), the
 largest fields it accepts, is called directly, one order at a time; its
-budget is listed in the README beside the CLI's.  Every answer is checked against
+budget is listed in the README beside the CLI's.  So is
+``CubicCurve.from_weierstrass`` at F_65521, the largest field whose
+rational roots it looks for by a sweep, within the CLI's per-call budget.  Every answer is checked against
 ``oracles``.
 """
 
@@ -14,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from ectorsion import PrimeField, cli, family_sweep
+from ectorsion import CubicCurve, InvalidParams, PrimeField, cli, family_sweep
 from ectorsion.field import BinaryField
 
 import oracles
@@ -324,3 +326,31 @@ def test_largest_binary_field_family_sweep_fits_its_budget(order):
         P = (top.point.x.value, top.point.y.value)
         a2, a6 = inst.curve.a2.value, inst.curve.a6.value
         assert oracles.char2_order(k, mod, a2, a6, P, cap=order) == order
+
+
+# ---------------------------------------------------------------------------
+# from_weierstrass
+# ---------------------------------------------------------------------------
+
+P16 = 65521  # the largest prime whose field the rational-root search sweeps (at most 2^16 elements)
+
+
+@pytest.mark.parametrize("A,B,C", [
+    (522, 527, 3126),  # (x - 65000)(x^2 + x + 6), the quadratic irreducible: one root, far up
+    (0, 0, P16 - 2),   # x^3 - 2, 2 a non-cube mod P16: no root
+])
+def test_largest_prime_field_root_search_fits_its_budget(A, B, C):
+    roots = [x for x in range(P16) if oracles.fp_cubic_rhs(P16, A, B, C, x) == 0]
+    F = PrimeField(P16)
+    t0 = time.perf_counter()
+    try:
+        E = CubicCurve.from_weierstrass(F, A, B, C)
+    except InvalidParams as e:
+        E = e
+    elapsed = time.perf_counter() - t0
+    assert elapsed < CALL_BUDGET_S, f"from_weierstrass at F_{P16}: {elapsed:.3f} s"
+    if roots:
+        assert E.alpha.value == roots[0]
+        assert tuple(c.value for c in E.coefficients()) == (A, B, C)
+    else:
+        assert str(E) == "cubic has no root in K: no rational 2-torsion"

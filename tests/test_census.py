@@ -312,7 +312,7 @@ def test_e8_key_agrees_with_the_isomorphism_criterion(p):
     """
     F = PrimeField(p)
     valid = _e8_valid(F)
-    keys = {t: _e8_p(t) for t in valid}
+    keys = {t: F(_e8_p(F, t.value)) for t in valid}
     for t in valid:
         assert (keys[t] + 2).is_square() and not (keys[t] - 2).is_square()
     for s in valid:

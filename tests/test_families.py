@@ -287,6 +287,44 @@ def test_e12_rational_witness_orders():
         assert oracle_order(inst, w) == w.claimed_order
 
 
+def _q_values(inst):
+    """Every raw value of an instance: params, alpha, g's coefficients and roots, witness coordinates."""
+    c = inst.curve
+    values = [v.value for v in inst.params.values()] + [c.alpha.value, c.g.p.value, c.g.q.value]
+    values += [r.value for r in c.g.roots() or ()]
+    for w in inst.witnesses:
+        values += [w.point.x.value, w.point.y.value]
+    return values
+
+
+_Q_GRID = sorted({n for n in range(-4, 5)} | {Fraction(n, d) for n in range(-4, 5) for d in (2, 3)})
+
+
+@pytest.mark.parametrize("ctor", [e4_new, e6_new, e8_new, e10_new, e12_new])
+def test_every_value_of_an_instance_over_q_is_a_fraction(ctor):
+    """Ints and Fractions alike go in; only Fractions come out, the sum
+    witnesses of e10 and e12 (made by the kernel's addition) included, and
+    g's roots when it splits, which only e6 allows (at t = 4/3 here)."""
+    if ctor is e4_new:
+        grid = [(a, b) for a in _Q_GRID for b in _Q_GRID]
+    else:
+        grid = [(v,) for v in _Q_GRID]
+    made = split = 0
+    for params in grid:
+        try:
+            inst = ctor(Q, *params)
+        except InvalidParams:
+            continue
+        values = _q_values(inst)
+        assert all(type(v) is Fraction for v in values), (params, values)
+        made += 1
+        split += inst.curve.g.roots() is not None
+    assert made > 10
+    assert (split > 0) is (ctor is e6_new)
+    if ctor in (e10_new, e12_new):
+        assert inst.witnesses[-1].note.startswith("sum of")
+
+
 def test_family_instance_json_shape():
     inst = e8_new(PrimeField(7), 3)
     js = inst.to_json_dict()
@@ -351,47 +389,56 @@ def test_witness_checks_add_only_in_the_one_order_search(monkeypatch):
     assert seen == set(_ADDS)
 
 
+def _raw(P):
+    return (P.x.value, P.y.value)
+
+
 def _e8_at_97():
+    """E8(2) over F_97, its witness points, and their raw specs as e8_new hands them to _witnesses."""
     F = PrimeField(97)
     inst = e8_new(F, 2)
-    return F, inst, [(w.point, w.claimed_order) for w in inst.witnesses]
+    pts = [w.point for w in inst.witnesses]
+    return inst, pts, [(_raw(w.point), w.claimed_order) for w in inst.witnesses]
 
 
 def test_a_witness_of_largest_order_that_has_another_order_is_refused():
-    F, inst, specs = _e8_at_97()
+    inst, pts, specs = _e8_at_97()
     E = inst.curve
     w2, w4 = specs[0][0], specs[1][0]
-    with pytest.raises(VerificationError, match=re.escape(f"witness {w4!r} claims order 8 but has order 4")):
+    with pytest.raises(VerificationError, match=re.escape(f"witness {pts[1]!r} claims order 8 but has order 4")):
         _witnesses(E, [(w2, 2), (w4, 8)])
     w8 = specs[3][0]  # its order exceeds the claim, so the search stops at the cap
-    with pytest.raises(VerificationError, match=re.escape(f"witness {w8!r} claims order 4 but has order 8")):
+    with pytest.raises(VerificationError, match=re.escape(f"witness {pts[3]!r} claims order 4 but has order 8")):
         _witnesses(E, [(w2, 2), (w8, 4)])
 
 
 def test_a_multiple_with_a_wrong_claim_is_refused():
-    F, inst, specs = _e8_at_97()
+    inst, pts, specs = _e8_at_97()
     assert _witnesses(inst.curve, specs) == inst.witnesses
-    for i, (P, order) in enumerate(specs[:-1]):
+    for i, ((P, order), pt) in enumerate(zip(specs[:-1], pts)):
         for wrong in {2, 4, 8} - {order}:
             bad = specs[:i] + [(P, wrong)] + specs[i + 1:]
             with pytest.raises(VerificationError,
-                               match=re.escape(f"witness {P!r} claims order {wrong} but has order {order}")):
+                               match=re.escape(f"witness {pt!r} claims order {wrong} but has order {order}")):
                 _witnesses(inst.curve, bad)
 
 
 def test_a_witness_off_the_curve_is_refused():
-    F, inst, specs = _e8_at_97()
-    off = Point(F(1), F(1))
-    assert not inst.curve.contains(off)
+    inst, pts, specs = _e8_at_97()
+    F = inst.curve.field
+    off = (1, 1)
+    assert not inst.curve.contains(Point(F(1), F(1)))
     with pytest.raises(OffCurve):
         _witnesses(inst.curve, specs + [(off, 4)])
     with pytest.raises(OffCurve):
         _witnesses(inst.curve, [(off, 8)] + specs[:3])
-    with pytest.raises(OffCurve):  # a point over another field
-        _witnesses(inst.curve, specs + [(Point(PrimeField(7)(0), PrimeField(7)(0)), 2)])
+    # _witnesses builds every point over the curve's own field; a point over
+    # another field is refused by the order check it would reach.
+    with pytest.raises(OffCurve):
+        inst.curve.order_of(Point(PrimeField(7)(0), PrimeField(7)(0)))
     # Off the curve, y = 0 still "doubles" to infinity: only the check on G refuses it.
-    flat = Point(F(1), F(0))
-    assert not inst.curve.contains(flat)
+    flat = (1, 0)
+    assert not inst.curve.contains(Point(F(1), F(0)))
     with pytest.raises(OffCurve):
         _witnesses(inst.curve, [(flat, 2)])
 
@@ -416,14 +463,14 @@ def test_a_witness_outside_the_largest_ones_multiples_is_checked_on_its_own(monk
     monkeypatch.setattr(CubicCurve, "order_of", counting)
     for T in outside:
         calls.clear()
-        got = _witnesses(E, [(G, 6), (half, 2), (T, 2, "outside <G>")])
+        got = _witnesses(E, [(_raw(G), 6), (_raw(half), 2), (_raw(T), 2, "outside <G>")])
         assert [(w.point, w.claimed_order, w.verified, w.note) for w in got] == [
             (G, 6, True, ""), (half, 2, True, ""), (T, 2, True, "outside <G>")]
         assert calls == {T: 1}
         for wrong in (3, 6):
             with pytest.raises(VerificationError,
                                match=re.escape(f"witness {T!r} claims order {wrong} but has order 2")):
-                _witnesses(E, [(G, 6), (T, wrong)])
+                _witnesses(E, [(_raw(G), 6), (_raw(T), wrong)])
 
 
 def _invalid(ctor, F, *params):

@@ -13,7 +13,7 @@ from ectorsion import (
     Rationals,
     field_from_descriptor,
 )
-from ectorsion.field import _gf2_irreducible, default_modulus
+from ectorsion.field import FieldElement, _gf2_irreducible, default_modulus
 
 import oracles
 
@@ -218,6 +218,14 @@ def test_prime_field_operators_match_int_arithmetic(p):
         for n in ints:
             assert (x == n) == (n == x) == ((a - n) % p == 0)
             assert (x != n) == ((a - n) % p != 0)
+
+
+@pytest.mark.parametrize("field", [PrimeField(7), BinaryField(3), Rationals()])
+def test_every_field_has_the_one_element_class(field):
+    x = field(3)
+    made = [x, field.zero, field.one, x + x, x - 1, 2 * x, x * x, -x, x / x, x**3, x.inverse(),
+            field.parse_element("3"), x.sqrt() or field.one]
+    assert all(type(e) is FieldElement for e in made)
 
 
 def test_prime_field_operators_refuse_foreign_operands():
