@@ -230,7 +230,7 @@ class _CurveBase:
         """
         mults = kernel._multiples(self._k.add, self._kp, _pt_ints(self._check(G)),
                                   _default_cap(self.field, cap))
-        if mults is None:
+        if mults[-1] is not None:
             return 0, [None] * len(points)
         index = {pt: j for j, pt in enumerate(mults[:-1], 1)}
         F = self.field

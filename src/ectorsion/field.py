@@ -328,9 +328,7 @@ class PrimeField(Field):
         return a * b % self.p
 
     def _div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError(f"division by zero in {self.descriptor}")
-        return a * pow(b, self.p - 2, self.p) % self.p
+        return a * self._inv(b) % self.p
 
     def _neg(self, a):
         return -a % self.p
@@ -341,7 +339,7 @@ class PrimeField(Field):
     def _inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError(f"division by zero in {self.descriptor}")
-        return pow(a, self.p - 2, self.p)
+        return pow(a, -1, self.p)
 
     def _sqrt(self, a):
         r = kernel.fp_sqrt(a, self.p)

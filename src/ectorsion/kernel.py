@@ -12,10 +12,11 @@ A model codes only ``contains``, ``add`` and ``neg``; its ``*_smul`` and
 ``*_order`` pass the last two, read from this module when called, to the
 loops all models share; ``qq_order`` alone runs its own, which stops at
 the first multiple that Nagell-Lutz rules out of the torsion.
-``_multiples``, the shared iterated addition, also hands a point's
-multiples to ``curve``.  ``*_contains`` is the package's
-one point check, which callers run at their boundary; nothing else here
-re-checks it.
+``_multiples``, the shared iterated addition, is both the order search's
+first stage and its baby steps, and hands a point's multiples to ``curve``.
+F_p inverts by Euclid (``pow(v, -1, p)``); ``fp_sqrt`` keeps each prime's
+Tonelli-Shanks constants.  ``*_contains`` is the package's one point
+check, which callers run at their boundary; nothing else here re-checks it.
 """
 
 from __future__ import annotations
@@ -37,51 +38,58 @@ def fp_is_square(a: int, p: int) -> bool:
     return pow(a, (p - 1) // 2, p) == 1
 
 
+@lru_cache(maxsize=32)
+def _tonelli_shanks(p: int) -> tuple:
+    """(s, e, z) with p - 1 = s * 2^e, s odd, and z = n^s for the least
+    non-residue n: a square root's costliest part, kept for 32 primes p = 1 mod 4."""
+    s, e = p - 1, 0
+    while s % 2 == 0:
+        s //= 2
+        e += 1
+    n = 2
+    while pow(n, (p - 1) // 2, p) != p - 1:
+        n += 1
+    return s, e, pow(n, s, p)
+
+
 def fp_sqrt(a: int, p: int) -> int:
     """Canonical square root of ``a`` mod ``p``, or -1 if none exists.
 
     The canonical root is the one in [0, p/2] (the smaller of the pair).
-    Tonelli-Shanks in the general case, with the usual p % 4 == 3 shortcut.
+    At p = 3 mod 4 it is a^((p+1)/4) when that squares to a.  Otherwise
+    Tonelli-Shanks (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 1.5.1) on the per-prime ``_tonelli_shanks(p)``: one power
+    t = a^((s-1)/2) gives x = a t and b = a^s = x t; a is a non-residue iff
+    b has order 2^e, which the loop finds with no Euler test first.
     """
     a %= p
     if a == 0:
         return 0
     if p == 2:
         return a
-    if pow(a, (p - 1) // 2, p) != 1:
-        return -1
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
-        return min(r, p - r)
+        return min(r, p - r) if r * r % p == a else -1
 
-    # Write p - 1 = s * 2^e with s odd.
-    s, e = p - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
-    # Any quadratic non-residue will do as the twiddle base.
-    n = 2
-    while pow(n, (p - 1) // 2, p) != p - 1:
-        n += 1
-
-    x = pow(a, (s + 1) // 2, p)
-    b = pow(a, s, p)
-    g = pow(n, s, p)
-    r = e
-    while True:
-        t = b
-        m = 0
-        for m in range(r):
-            if t == 1:
-                break
+    s, r, z = _tonelli_shanks(p)
+    t = pow(a, (s - 1) // 2, p)
+    x = a * t % p
+    b = x * t % p
+    while b != 1:
+        # The least m with b^(2^m) = 1.  For a square b^(2^(r-1)) = 1 throughout,
+        # so m = r marks a non-residue.
+        m, t = 0, b
+        while t != 1:
             t = t * t % p
-        if m == 0:
-            return min(x, p - x)
-        gs = pow(g, 1 << (r - m - 1), p)
-        g = gs * gs % p
-        x = x * gs % p
-        b = b * g % p
+            m += 1
+        if m == r:
+            return -1
+        t = pow(z, 1 << (r - m - 1), p)
+        z = t * t % p
+        x = x * t % p
+        b = b * z % p
         r = m
+    return min(x, p - x)
 
 
 # ---------------------------------------------------------------------------
@@ -103,25 +111,16 @@ def _smul(add, neg, c, n, pt):
     return acc
 
 
-def _multiples(add, c, pt, cap):
-    """[pt, 2pt, ..., n*pt = None] by iterated addition, n the exact order of ``pt``.
-
-    None if n exceeds ``cap``; the loop stops at the cap-th multiple.
-    """
+def _multiples(add, c, pt, cap) -> list:
+    """[pt, 2pt, ..., j*pt] by iterated addition: up to the first multiple
+    that is None, j then the exact order of ``pt``, or the cap-th (cap - 1
+    additions).  The list ends in None iff the order is at most ``cap``."""
     out = [pt]
     acc = pt
-    while acc is not None:
-        if len(out) >= cap:
-            return None  # even the next multiple is past the cap
+    while acc is not None and len(out) < cap:
         acc = add(c, acc, pt)
         out.append(acc)
     return out
-
-
-def _order_by_addition(add, c, pt, cap) -> int:
-    """Exact order of ``pt`` by iterated addition; 0 if it exceeds ``cap``."""
-    mults = _multiples(add, c, pt, cap)
-    return len(mults) if mults else 0
 
 
 def _hasse_interval(q: int) -> tuple:
@@ -150,19 +149,22 @@ def _order(add, neg, c, pt, cap, q) -> int:
 
     Orders up to m = max(isqrt(hi - lo) + 1, 12) come from iterated
     addition, and a larger one from ``_order_bsgs`` in O(q^(1/4)) additions,
-    whatever the cap.
+    whatever the cap, with the same m multiples as its baby steps.
     """
     lo, hi = _hasse_interval(q)
     m = max(isqrt(hi - lo) + 1, 12)
-    n = _order_by_addition(add, c, pt, min(cap, m))
-    if n or cap <= m:
-        return n
-    n = _order_bsgs(add, neg, c, pt, lo, hi, m)
+    mults = _multiples(add, c, pt, min(cap, m))
+    if mults[-1] is None:
+        return len(mults)
+    if cap <= m:
+        return 0
+    n = _order_bsgs(add, neg, c, mults, lo, hi)
     return n if n <= cap else 0
 
 
-def _order_bsgs(add, neg, c, pt, lo, hi, m) -> int:
-    """Order of ``pt``, known to exceed m, on a curve with #E in [lo, hi].
+def _order_bsgs(add, neg, c, mults, lo, hi) -> int:
+    """Order of pt on a curve with #E in [lo, hi], given its m multiples
+    ``mults`` = [pt, ..., m*pt], none of them None (the order exceeds m).
 
     Shanks-Mestre baby-step giant-step: #E kills pt, so some giant step
     e*pt, e = lo + m + i(2m + 1), equals +-j*pt with 0 <= j <= m, and
@@ -170,11 +172,10 @@ def _order_bsgs(add, neg, c, pt, lo, hi, m) -> int:
     x, which pt and -pt share.  Each prime l is then stripped from M while
     (M/l)*pt = O.
     """
+    pt, m = mults[0], len(mults)
     baby = {}
-    R = pt
-    for j in range(1, m + 1):
+    for j, R in enumerate(mults, 1):
         baby.setdefault(R[0], (j, R[1]))
-        R = add(c, R, pt)
     step = _smul(add, neg, c, 2 * m + 1, pt)
     e = lo + m
     G = _smul(add, neg, c, e, pt)
@@ -229,9 +230,9 @@ def cubic_add(c, pt1, pt2):
     if x1 == x2:
         if (y1 + y2) % p == 0:
             return None
-        lam = (3 * x1 * x1 + 2 * A * x1 + B) * pow(2 * y1, p - 2, p) % p
+        lam = (3 * x1 * x1 + 2 * A * x1 + B) * pow(2 * y1, -1, p) % p
     else:
-        lam = (y2 - y1) * pow(x2 - x1, p - 2, p) % p
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
     x3 = (lam * lam - A - x1 - x2) % p
     y3 = (lam * (x1 - x3) - y1) % p
     return (x3, y3)

@@ -53,14 +53,12 @@ def fp_cubic_add(p, A, B, C, P1, P2):
 
 
 def fp_cubic_points(p, A, B, C):
-    """All affine points by scanning every (x, y) pair.  O(p^2), honest."""
-    pts = []
-    for x in range(p):
-        r = fp_cubic_rhs(p, A, B, C, x)
-        for y in range(p):
-            if (y * y) % p == r:
-                pts.append((x, y))
-    return pts
+    """All affine points, by x then y: every (x, y) with y^2 = rhs(x), looked
+    up in a table of the squares of every y.  O(p), honest."""
+    ys = {}
+    for y in range(p):
+        ys.setdefault(y * y % p, []).append(y)
+    return [(x, y) for x in range(p) for y in ys.get(fp_cubic_rhs(p, A, B, C, x), ())]
 
 
 def fp_cubic_order(p, A, B, C, P, cap=10_000):

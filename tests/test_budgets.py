@@ -4,9 +4,9 @@ The CLI's budgets are listed in the README and in ``cli.py``'s docstring;
 those calls run in-process through ``cli.main``, so a budget covers the
 work, not interpreter start-up.  ``family_sweep`` at F_97 and GF(2^6), the
 largest fields it accepts, is called directly, one order at a time; its
-budget is listed in the README beside the CLI's.  So is
-``CubicCurve.from_weierstrass`` at F_65521, the largest field whose
-rational roots it looks for by a sweep, within the CLI's per-call budget.  Every answer is checked against
+budget is listed in the README beside the CLI's.  So are ``full_group`` and
+``CubicCurve.from_weierstrass`` at F_65521, the largest prime field either
+sweeps, within the CLI's per-call budget.  Every answer is checked against
 ``oracles``.
 """
 
@@ -143,6 +143,36 @@ def test_largest_prime_field_halving_fits_its_budget(capsys, method, g0, roots):
     assert js["halvable"] is True and Q in halves
     assert len(halves) == len(js["halves"]) == 1 + roots  # one half per 2-torsion point
     assert all(oracles.fp_cubic_add(P31, A, B, C, H, H) == P for H in halves)
+
+
+P27 = 15 * 2**27 + 1  # 2013265921: the prime below 2^31 whose p - 1 has the most factors of 2
+
+
+@pytest.mark.parametrize("method,split", [("auto", False), ("rT", True)])
+def test_largest_two_adic_prime_field_halving_fits_its_budget(capsys, method, split):
+    """At p = 15 * 2^27 + 1 every square root runs Tonelli-Shanks, and may
+    take all 27 rounds.  Q = (x, y) is put on y^2 = x(x^2 + x + g0) by the
+    choice of g0, so no root is taken here; x^2 + x + g0 is irreducible
+    (the quadratic-extension route) or splits, by Euler's criterion."""
+    p = P27
+    assert p < P31 and ((p - 1) & -(p - 1)) == 2**27
+    x, y = 3, 5
+    while True:
+        g0 = (y * y * pow(x, -1, p) - x * x - x) % p
+        if (pow((1 - 4 * g0) % p, (p - 1) // 2, p) == 1) is split and g0:
+            break
+        y += 1
+    A, B, C = _cubic(p, 0, 1, g0)
+    Q = (x, y)
+    P = oracles.fp_cubic_add(p, A, B, C, Q, Q)
+    js = _within_budget(capsys, "halve", "--field", f"Fp:{p}",
+                        "--curve", json.dumps({"alpha": "0", "p": "1", "q": str(g0)}),
+                        "--point", json.dumps({"x": str(P[0]), "y": str(P[1])}),
+                        "--method", method)
+    halves = {_xy(h["point"]) for h in js["halves"]}
+    assert js["halvable"] is True and Q in halves
+    assert len(halves) == len(js["halves"]) == (4 if split else 2)  # one half per 2-torsion point
+    assert all(oracles.fp_cubic_add(p, A, B, C, H, H) == P for H in halves)
 
 
 @pytest.mark.parametrize("method,g1,g0,G,n,roots", [
@@ -329,10 +359,23 @@ def test_largest_binary_field_family_sweep_fits_its_budget(order):
 
 
 # ---------------------------------------------------------------------------
-# from_weierstrass
+# full_group and from_weierstrass
 # ---------------------------------------------------------------------------
 
-P16 = 65521  # the largest prime whose field the rational-root search sweeps (at most 2^16 elements)
+P16 = 65521  # the largest prime whose field full_group and the rational-root search sweep (at most 2^16 elements)
+
+
+def test_largest_prime_field_full_group_fits_its_budget():
+    """Every point of y^2 = x(x^2 + x + 3) over F_65521: one square root per x."""
+    A, B, C = _cubic(P16, 0, 1, 3)
+    want = oracles.fp_cubic_points(P16, A, B, C)
+    E = CubicCurve(PrimeField(P16), 0, 1, 3)
+    t0 = time.perf_counter()
+    pts = E.full_group()
+    elapsed = time.perf_counter() - t0
+    assert elapsed < CALL_BUDGET_S, f"full_group at F_{P16}: {elapsed:.3f} s"
+    assert pts[0].is_infinity
+    assert [(P.x.value, P.y.value) for P in pts[1:]] == want
 
 
 @pytest.mark.parametrize("A,B,C", [

@@ -255,6 +255,26 @@ def test_prime_field_elements_hash_by_value():
     assert G(5) not in table and len({F(v) for v in range(20)}) == 7
 
 
+@pytest.mark.parametrize("p", [2, 7, 97])
+def test_prime_field_division_by_any_multiple_of_p_is_zero_division(p):
+    """One zero rule: every raw value = 0 mod p, and every operator that
+    inverts, raises ZeroDivisionError."""
+    F = PrimeField(p)
+    for zero in (0, p, -p, 2 * p):
+        with pytest.raises(ZeroDivisionError):
+            F._inv(zero)
+        with pytest.raises(ZeroDivisionError):
+            F._div(1, zero)
+        with pytest.raises(ZeroDivisionError):
+            F.one / zero
+    x, z = F(1), F.zero
+    for call in (lambda: x / z, lambda: 1 / z, z.inverse, lambda: z**-1, lambda: z**-3):
+        with pytest.raises(ZeroDivisionError):
+            call()
+    if p > 2:
+        assert F._div(3, p + 2) == F._div(3, 2) == 3 * pow(2, -1, p) % p
+
+
 # ---------------------------------------------------------------------------
 # square roots
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """The int kernel against the oracle's from-scratch arithmetic and group laws."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -30,17 +31,47 @@ CURVES = [
 ]
 
 
+def _two_adic_valuation(n):
+    return (n & -n).bit_length() - 1
+
+
 def test_fp_sqrt_against_exhaustion():
-    for p in (3, 5, 7, 13, 17, 29, 97, 101):
+    """Up to 101, and at 257, 7681 and 12289, where p - 1 has 2-adic valuation 8, 9 and 12."""
+    assert [_two_adic_valuation(p - 1) for p in (257, 7681, 12289)] == [8, 9, 12]
+    for p in (3, 5, 7, 13, 17, 29, 97, 101, 257, 7681, 12289):
         squares = oracles.fp_squares(p)
         for a in range(p):
             assert kernel.fp_is_square(a, p) == (a in squares)
             r = kernel.fp_sqrt(a, p)
             if a in squares:
                 assert (r * r) % p == a
-                assert 0 <= r <= p - r or r == 0
+                assert 0 <= r <= p - r  # min(r, p - r)
             else:
-                assert r < 0
+                assert r == -1
+
+
+@pytest.mark.parametrize("p,e", [(65537, 16), (2013265921, 27), (2**31 - 1, 1)])
+def test_fp_sqrt_sampled_at_large_moduli(p, e):
+    """2013265921 = 15 * 2^27 + 1 has the largest 2-adic valuation of p - 1
+    below 2^31; 2^31 - 1 = 3 mod 4 takes the shortcut.  Squares x^2 have the
+    root min(x, p - x); any other value is a square iff Euler's criterion says
+    so, and its root is then the smaller of a pair, else -1."""
+    assert _two_adic_valuation(p - 1) == e
+    rng = random.Random(p)
+    seen = set()
+    for _ in range(300):
+        x = rng.randrange(1, p)
+        assert kernel.fp_sqrt(x * x % p, p) == min(x, p - x)
+        assert kernel.fp_sqrt(x * x, p) == min(x, p - x)  # unreduced input
+        a = rng.randrange(1, p)
+        r = kernel.fp_sqrt(a, p)
+        square = pow(a, (p - 1) // 2, p) == 1
+        seen.add(square)
+        if square:
+            assert r * r % p == a and 0 < r <= p - r
+        else:
+            assert r == -1
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("p,A,B,C", CURVES)
@@ -212,8 +243,36 @@ def test_multiples_are_the_iterated_sums_up_to_the_order(p, A, B, C):
             want.append(R)
         assert kernel._multiples(kernel.cubic_add, c, P, n) == want
         assert len(want) == n and want[-1] is None
-        if n > 1:
-            assert kernel._multiples(kernel.cubic_add, c, P, n - 1) is None  # past the cap
+        if n > 1:  # past the cap: the first n - 1 multiples, none of them None
+            assert kernel._multiples(kernel.cubic_add, c, P, n - 1) == want[:-1]
+
+
+@pytest.mark.parametrize("p", [4099, 65521])
+def test_an_order_search_adds_each_multiple_once(monkeypatch, p):
+    """Past the iterated-addition bound m, the m multiples already summed are
+    the baby steps: no addition falls between them and the first giant-step
+    scalar multiple."""
+    A, B, C = 0, 1, 3
+    c = (p, A, B, C)
+    lo, hi = kernel._hasse_interval(p)
+    m = max(math.isqrt(hi - lo) + 1, 12)
+    squares = oracles.fp_squares(p)
+    x = next(x for x in range(2, p) if oracles.fp_cubic_rhs(p, A, B, C, x) in squares)
+    y = next(y for y in range(p) if y * y % p == oracles.fp_cubic_rhs(p, A, B, C, x))
+    log = []
+
+    def add(c, pt1, pt2):
+        log.append("add")
+        return kernel.cubic_add(c, pt1, pt2)
+
+    def smul(*args, fn=kernel._smul):
+        log.append("smul")
+        return fn(*args)
+
+    monkeypatch.setattr(kernel, "_smul", smul)
+    n = kernel._order(add, kernel.cubic_neg, c, (x, y), 2 * p, p)
+    assert n > m and n == oracles.fp_cubic_order(p, A, B, C, (x, y), cap=hi)
+    assert log.index("smul") == m - 1  # the prefix alone: P + P, ..., (m - 1)P + P
 
 
 # ---------------------------------------------------------------------------
