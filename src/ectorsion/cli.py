@@ -7,6 +7,9 @@ witness or half failed its group-law replay; should be unreachable) — 141
 the reader closed standard output early (as after ``| head``), the code a
 shell reports for a writer stopped by SIGPIPE.
 
+``order`` prints a point's exact order: an integer over F_p and GF(2^k),
+and null only for a point of infinite order over Q.
+
 Time budgets, for the slowest accepted input of each kind, in-process: ``census``
 at k = 6 (``--field F2k:6:43``) answers within 5 s per order; ``family``
 (e10, e12, e8char2), ``halve`` (auto, rT) and ``iso`` (e4, e8, e8char2) at
@@ -139,17 +142,11 @@ def _build_parser() -> _Parser:
     hal.add_argument("--method", choices=tuple(_HALVERS), default="auto")
     common(hal)
 
-    order = sub.add_parser("order", help="exact order of a point")
+    order = sub.add_parser(
+        "order", help="exact order of a point (null only for infinite order over Q)")
     order.add_argument("--field")
     order.add_argument("--curve", required=True)
     order.add_argument("--point", required=True)
-    order.add_argument(
-        "--cap",
-        type=int,
-        help="report null when the order exceeds CAP; over a finite field this "
-        "filters the answer and does not bound the work, over Q at most "
-        "min(CAP, 12) additions run (no rational torsion order exceeds 12)",
-    )
     common(order)
 
     iso = sub.add_parser("iso", help="test family parameters for isomorphism")
@@ -207,11 +204,7 @@ def _cmd_halve(args) -> dict:
 def _cmd_order(args) -> dict:
     curve, field = _load_curve_and_field(args)
     P = point_from_json(field, json.loads(args.point))
-    n = curve.order_of(P, cap=args.cap)
-    out = {"point": point_to_json(P), "order": n}
-    if args.cap is not None:
-        out["cap"] = args.cap
-    return out
+    return {"point": point_to_json(P), "order": curve.order_of(P)}
 
 
 def _cmd_iso(args) -> dict:

@@ -141,23 +141,6 @@ def point_from_json(field: Field, obj) -> Point:
     return Point(element_from_json(field, obj["x"]), element_from_json(field, obj["y"]))
 
 
-_MAZUR_BOUND = 12  # no point of finite order over Q has order above 12 (Mazur)
-
-
-def _default_cap(field: Field, cap: Optional[int] = None) -> int:
-    """The order search's cap: ``cap`` once checked, else past every possible order.
-
-    Over Q the cap never exceeds Mazur's bound: a point not killed by then
-    has infinite order, and further additions only grow the heights.
-    """
-    if cap is not None and cap < 1:
-        raise InvalidParams(f"the order cap must be at least 1, got {cap}")
-    q = field.order
-    if cap is None:  # over a finite field, safely past the Hasse interval
-        return _MAZUR_BOUND if q is None else 2 * kernel._hasse_interval(q)[1]
-    return min(cap, _MAZUR_BOUND) if q is None else cap
-
-
 # One kernel model's functions (``points`` is None over Q), built by tuple.__new__ as _make does.
 _Model = namedtuple("_Model", "contains add neg smul order points")
 
@@ -214,32 +197,9 @@ class _CurveBase:
     def scalar_mul(self, n: int, P: Point) -> Point:
         return _pt_from_ints(self.field, self._k.smul(self._kp, n, _pt_ints(self._check(P))))
 
-    def order_of(self, P: Point, cap: Optional[int] = None) -> Optional[int]:
-        """Exact order of P, or None when it exceeds the cap (see ``kernel._order``)."""
-        cap = _default_cap(self.field, cap)
-        return self._k.order(self._kp, _pt_ints(self._check(P)), cap) or None
-
-    def multiple_indices(self, G: Point, points, cap: int) -> Tuple[int, List[Optional[int]]]:
-        """G's exact order n by iterated addition, and where ``points`` sit among its multiples.
-
-        The list holds, for each of ``points``, the j in [1, n) with P = jG,
-        or None when P is no affine multiple of G (or is not a point over
-        this curve's field object).  n is 0, and every j None, when n
-        exceeds the cap, which is required: the search makes up to cap - 1
-        additions.  Only G is checked: a point found equals a multiple of G.
-        """
-        mults = kernel._multiples(self._k.add, self._kp, _pt_ints(self._check(G)),
-                                  _default_cap(self.field, cap))
-        if mults[-1] is not None:
-            return 0, [None] * len(points)
-        index = {pt: j for j, pt in enumerate(mults[:-1], 1)}
-        F = self.field
-        return len(mults), [
-            index.get((P.x.value, P.y.value))
-            if isinstance(P, Point) and P.x is not None and P.x.field is F and P.y.field is F
-            else None
-            for P in points
-        ]
+    def order_of(self, P: Point) -> Optional[int]:
+        """Exact order of P; None only for a point of infinite order over Q."""
+        return self._k.order(self._kp, _pt_ints(self._check(P))) or None
 
     def full_group(self) -> List[Point]:
         """The point at infinity, then every affine point in the kernel's order."""

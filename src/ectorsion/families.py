@@ -6,9 +6,9 @@ TorsionWitness records for the distinguished points.  Every claimed order
 is replayed through the group law before the instance is returned; a
 mismatch raises VerificationError rather than producing a bad certificate.
 One order search does it: the witness G of largest claimed order N is
-checked by iterated addition, which keeps its multiples, and every other
-witness equal to some jG has order N / gcd(j, N).  A witness outside them
-gets its own ``order_of``, so nothing assumes the group is cyclic.
+checked on the kernel's multiples of G, and every other witness equal to
+some jG has order N / gcd(j, N).  A witness outside them gets its own
+``order_of``, so nothing assumes the group is cyclic.
 
 Like the halving criteria, a constructor checks its parameters once, at
 the boundary, and then computes on raw values: the curve's constants and
@@ -43,6 +43,7 @@ from math import gcd
 from operator import itemgetter
 from typing import Callable, Dict, Optional, Tuple, Union
 
+from . import kernel
 from .curve import (
     Char2Curve,
     CubicCurve,
@@ -105,25 +106,38 @@ def _witnesses(curve, specs) -> Tuple[TorsionWitness, ...]:
     """The witnesses of ``specs``, each ((x, y), claimed order[, note]), in order.
 
     Each (x, y) is a pair of raw, canonical values of ``curve.field``, and
-    the witnesses' points are built here, the one place a constructor makes
-    them.  The point G of largest claimed order N has its order checked by
-    iterated addition, which keeps its multiples: a witness equal to jG has
-    order N / gcd(j, N).  A witness found among none of them, or every
-    witness when G's order is not N, has its order checked on its own by
-    ``curve.order_of``; the first wrong claim raises VerificationError.
+    the witnesses' points are built here, for the answer, the one place a
+    constructor makes them.  The point G of largest claimed order N is
+    checked on the curve, and ``kernel._multiples`` gives G, 2G, ..., NG:
+    when NG is the first to be O, a witness equal to jG has order
+    N / gcd(j, N).  A witness found among none of them, or every witness
+    when G's order is not N, is checked on the curve and has its order
+    checked on its own by ``curve.order_of``.  The first witness off the
+    curve or with a wrong claim raises VerificationError.
     """
-    F = curve.field
-    specs = [(Point(FieldElement(F, x), FieldElement(F, y)), *rest) for (x, y), *rest in specs]
+    F, k, kp = curve.field, curve._k, curve._kp
+
+    def point(xy):
+        return Point(FieldElement(F, xy[0]), FieldElement(F, xy[1]))
+
+    def on_curve(xy):
+        if not k.contains(kp, xy):
+            raise VerificationError(f"witness {point(xy)!r} is not on the curve")
+        return xy
+
     G, N = max(specs, key=itemgetter(1))[:2]
-    n, js = curve.multiple_indices(G, [s[0] for s in specs], N)
-    for s, j in zip(specs, js):
-        P, order = s[0], s[1]
-        got = N // gcd(j, N) if j and n == N else curve.order_of(P)
+    mults = kernel._multiples(k.add, kp, on_curve(G), N)
+    index = {}
+    if len(mults) == N and mults[-1] is None:  # G has order N
+        index = {pt: j for j, pt in enumerate(mults[:-1], 1)}
+    for xy, order, *_ in specs:
+        j = index.get(xy)
+        got = N // gcd(j, N) if j else curve.order_of(point(on_curve(xy)))
         if got != order:
             raise VerificationError(
-                f"witness {P!r} claims order {order} but has order {got}"
+                f"witness {point(xy)!r} claims order {order} but has order {got}"
             )
-    return tuple([TorsionWitness(*s) for s in specs])
+    return tuple([TorsionWitness(point(xy), *rest) for xy, *rest in specs])
 
 
 def _odd_characteristic(field: Field, family: str) -> None:

@@ -11,9 +11,11 @@ An affine point is an ``(x, y)`` tuple and the point at infinity is
 A model codes only ``contains``, ``add`` and ``neg``; its ``*_smul`` and
 ``*_order`` pass the last two, read from this module when called, to the
 loops all models share; ``qq_order`` alone runs its own, which stops at
-the first multiple that Nagell-Lutz rules out of the torsion.
+Mazur's bound or at the first multiple that Nagell-Lutz rules out of the
+torsion.
 ``_multiples``, the shared iterated addition, is both the order search's
-first stage and its baby steps, and hands a point's multiples to ``curve``.
+first stage and its baby steps, and hands a witness's multiples to
+``families``.
 F_p inverts by Euclid (``pow(v, -1, p)``); ``fp_sqrt`` keeps each prime's
 Tonelli-Shanks constants.  ``*_contains`` is the package's one point
 check, which callers run at their boundary; nothing else here re-checks it.
@@ -111,13 +113,14 @@ def _smul(add, neg, c, n, pt):
     return acc
 
 
-def _multiples(add, c, pt, cap) -> list:
+def _multiples(add, c, pt, length) -> list:
     """[pt, 2pt, ..., j*pt] by iterated addition: up to the first multiple
-    that is None, j then the exact order of ``pt``, or the cap-th (cap - 1
-    additions).  The list ends in None iff the order is at most ``cap``."""
+    that is None, j then the exact order of ``pt``, or the ``length``-th
+    (length - 1 additions).  The list ends in None iff the order is at most
+    ``length``."""
     out = [pt]
     acc = pt
-    while acc is not None and len(out) < cap:
+    while acc is not None and len(out) < length:
         acc = add(c, acc, pt)
         out.append(acc)
     return out
@@ -144,22 +147,20 @@ def _prime_factors(n: int) -> list:
     return out
 
 
-def _order(add, neg, c, pt, cap, q) -> int:
-    """Exact order of ``pt`` on a curve over a field of q elements; 0 if it exceeds ``cap``.
+def _order(add, neg, c, pt, q) -> int:
+    """Exact order of ``pt`` on a curve over a field of q elements.
 
-    Orders up to m = max(isqrt(hi - lo) + 1, 12) come from iterated
+    Orders up to m = max(isqrt((hi - lo) // 4) + 1, 12) come from iterated
     addition, and a larger one from ``_order_bsgs`` in O(q^(1/4)) additions,
-    whatever the cap, with the same m multiples as its baby steps.
+    with the same m multiples as its baby steps.  A giant step covers
+    2m + 1 of the Hasse interval, so about m giant steps are expected: the
+    two stages balance.
     """
     lo, hi = _hasse_interval(q)
-    m = max(isqrt(hi - lo) + 1, 12)
-    mults = _multiples(add, c, pt, min(cap, m))
+    mults = _multiples(add, c, pt, max(isqrt((hi - lo) // 4) + 1, 12))
     if mults[-1] is None:
         return len(mults)
-    if cap <= m:
-        return 0
-    n = _order_bsgs(add, neg, c, mults, lo, hi)
-    return n if n <= cap else 0
+    return _order_bsgs(add, neg, c, mults, lo, hi)
 
 
 def _order_bsgs(add, neg, c, mults, lo, hi) -> int:
@@ -242,8 +243,8 @@ def cubic_smul(c, n, pt):
     return _smul(cubic_add, cubic_neg, c, n, pt)
 
 
-def cubic_order(c, pt, cap) -> int:
-    return _order(cubic_add, cubic_neg, c, pt, cap, c[0])
+def cubic_order(c, pt) -> int:
+    return _order(cubic_add, cubic_neg, c, pt, c[0])
 
 
 def cubic_points(c):
@@ -263,9 +264,9 @@ def cubic_points(c):
 
 
 # perfbench/spans.py wraps the two bulk functions below; nothing in the package calls them.
-def cubic_all_orders(c, cap):
+def cubic_all_orders(c):
     """Orders of every affine point, aligned with cubic_points()."""
-    return [cubic_order(c, pt, cap) for pt in cubic_points(c)]
+    return [cubic_order(c, pt) for pt in cubic_points(c)]
 
 
 def cubic_double_all(c, pts):
@@ -314,15 +315,21 @@ def qq_smul(c, n, pt):
     return _smul(qq_add, qq_neg, c, n, pt)
 
 
-def qq_order(c, pt, cap) -> int:
-    """Exact order of ``pt`` by iterated addition; 0 if it is infinite or exceeds ``cap``.
+# No point of finite order over Q has order above 12 (Mazur, Publ. Math. IHES 47, 1977).
+_MAZUR_BOUND = 12
 
-    (x, y) -> (u^2 x, u^3 y), u the lcm of the denominators of A, B and C,
-    maps the curve onto y^2 = x^3 + a x^2 + b x + c with integer a, b, c and
-    discriminant D.  There a point of finite order has integer coordinates,
-    and y = 0 or y | D (Nagell-Lutz; Silverman and Tate, Rational Points on
-    Elliptic Curves, ch. II), so the loop stops at the first multiple that
-    breaks this, before any number in it outgrows D.
+
+def qq_order(c, pt) -> int:
+    """Exact order of ``pt`` by iterated addition; 0 if it is infinite.
+
+    Two rules stop the loop.  A point not killed by its 12th multiple has
+    infinite order (Mazur).  And (x, y) -> (u^2 x, u^3 y), u the lcm of the
+    denominators of A, B and C, maps the curve onto y^2 = x^3 + a x^2 + b x
+    + c with integer a, b, c and discriminant D.  There a point of finite
+    order has integer coordinates, and y = 0 or y | D (Nagell-Lutz;
+    Silverman and Tate, Rational Points on Elliptic Curves, ch. II), so the
+    loop stops at the first multiple that breaks this, before any number in
+    it outgrows D.
     """
     A, B, C = c
     u = lcm(A.denominator, B.denominator, C.denominator)
@@ -333,7 +340,7 @@ def qq_order(c, pt, cap) -> int:
     n, acc = 1, pt
     while acc is not None:
         x, y = acc
-        if n >= cap or u2 % x.denominator or u3 % y.denominator:
+        if n >= _MAZUR_BOUND or u2 % x.denominator or u3 % y.denominator:
             return 0
         if y and D % (y.numerator * (u3 // y.denominator)):
             return 0
@@ -562,8 +569,8 @@ def c2_smul(c, n, pt):
     return _smul(c2_add, c2_neg, c, n, pt)
 
 
-def c2_order(c, pt, cap) -> int:
-    return _order(c2_add, c2_neg, c, pt, cap, 1 << c[0].k)
+def c2_order(c, pt) -> int:
+    return _order(c2_add, c2_neg, c, pt, 1 << c[0].k)
 
 
 def c2_contains(c, pt) -> bool:

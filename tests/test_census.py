@@ -5,7 +5,6 @@ import pytest
 from ectorsion import (
     BinaryField,
     Char2Curve,
-    CubicCurve,
     FieldTooLarge,
     InvalidParams,
     PrimeField,
@@ -23,7 +22,7 @@ from ectorsion import (
 
 import ectorsion.census as census
 from ectorsion.families import _e8_p
-from ectorsion import kernel
+from ectorsion import families, kernel
 import oracles
 
 
@@ -233,10 +232,9 @@ def test_family_sweep_e4_matches_the_full_scan(p):
 
 
 def _break_witness_checks(monkeypatch):
-    """Make every order search report each witness as G itself, so that a
-    witness claiming an order below N fails its check."""
-    monkeypatch.setattr(CubicCurve, "multiple_indices",
-                        lambda self, G, points, cap: (cap, [1] * len(points)))
+    """Make every witness found among G's multiples read as order N, so that
+    a witness claiming an order below N fails its check."""
+    monkeypatch.setattr(families, "gcd", lambda a, b: 1)
 
 
 @pytest.mark.parametrize("p", [3, 5, 13, 31, 97])

@@ -13,7 +13,7 @@ from math import isqrt
 import pytest
 
 import ectorsion
-from ectorsion import cli
+from ectorsion import cli, families
 from ectorsion.field import BinaryField
 
 import oracles
@@ -102,6 +102,18 @@ def test_family_no_verify_flag(capsys):
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""  # usage error
     assert "unrecognized arguments: --no-verify" in captured.err
+
+
+def test_a_witness_off_its_curve_exits_3(capsys, monkeypatch):
+    """A witness the library built that fails its check is a verification failure."""
+    def wrong_p(field, t, e8_p=families._e8_p):
+        return field._red(e8_p(field, t) + 1)
+
+    monkeypatch.setattr(families, "_e8_p", wrong_p)
+    code = cli.main(["family", "--field", "Fp:7", "--family", "e8", "--t", "3"])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("verification failure: witness (")
 
 
 # ---------------------------------------------------------------------------
@@ -197,16 +209,12 @@ def test_order_basic(capsys):
 
 
 def test_order_with_cap(capsys):
-    js = run_json(capsys, "order", "--field", "Fp:7",
-                  "--curve", '{"alpha": 0, "p": 0, "q": 1}',
-                  "--point", '{"x": 5, "y": 2}', "--cap", "3")
-    assert js["order"] is None
-    assert js["cap"] == 3
-    for cap in ("0", "-1"):
-        code, _ = run(capsys, "order", "--field", "Fp:7",
-                      "--curve", '{"alpha": 0, "p": 0, "q": 1}',
-                      "--point", '{"x": 5, "y": 2}', "--cap", cap)
-        assert code == 2
+    """Orders are exact: there is no flag to cap the search."""
+    code = cli.main(["order", "--field", "Fp:7", "--curve", '{"alpha": 0, "p": 0, "q": 1}',
+                     "--point", '{"x": 5, "y": 2}', "--cap", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""  # usage error
+    assert "unrecognized arguments: --cap 3" in captured.err
 
 
 def test_order_refuses_boolean_coordinates(capsys):
@@ -233,12 +241,12 @@ def test_order_over_q(capsys):
 
 
 def test_order_over_q_stops_at_mazur_bound(capsys):
-    """No rational torsion order exceeds 12, so a large cap costs no more additions."""
+    """No rational torsion order exceeds 12: a point of infinite order is null, at once."""
     curve, point = {"alpha": "0", "p": "0", "q": "-2"}, {"x": "2", "y": "2"}  # infinite order
     assert oracles.qq_cubic_order(0, -2, 0, (2, 2), cap=12) == 0
-    assert _timed_orders(capsys, "Q", curve, point, (None, 12, 480)) == [None, None, None]
+    assert _timed_order(capsys, "Q", curve, point) is None
     curve4, point4 = {"alpha": "0", "p": "3", "q": "1"}, {"x": "-1", "y": "1"}  # order 4
-    assert _timed_orders(capsys, "Q", curve4, point4, (3, 4, 480)) == [None, 4, 4]
+    assert _timed_order(capsys, "Q", curve4, point4) == 4
 
 
 def _oracle_mul(add, n, P):
@@ -267,18 +275,13 @@ def _assert_is_order(add, P, n, q):
     assert (q + 1 + r + 1) // n * n >= q + 1 - r
 
 
-def _timed_orders(capsys, field, curve, point, caps=(None,)):
-    """The order answer under each cap; every call finishes in under a second."""
-    answers = []
-    for cap in caps:
-        argv = ["order", "--field", field, "--curve", json.dumps(curve), "--point", json.dumps(point)]
-        if cap is not None:
-            argv += ["--cap", str(cap)]
-        t = time.perf_counter()
-        js = run_json(capsys, *argv)
-        assert time.perf_counter() - t < 1.0
-        answers.append(js["order"])
-    return answers
+def _timed_order(capsys, field, curve, point):
+    """The order answer, from a call that finishes in under a second."""
+    t = time.perf_counter()
+    js = run_json(capsys, "order", "--field", field, "--curve", json.dumps(curve),
+                  "--point", json.dumps(point))
+    assert time.perf_counter() - t < 1.0
+    return js["order"]
 
 
 def test_order_over_a_31_bit_prime_field_is_fast(capsys):
@@ -289,10 +292,9 @@ def test_order_over_a_31_bit_prime_field_is_fast(capsys):
     P = (x, pow(oracles.fp_cubic_rhs(p, A, B, C, x), (p + 1) // 4, p))
     assert oracles.fp_cubic_on(p, A, B, C, P)
     curve, point = {"alpha": "0", "p": "1", "q": "3"}, {"x": str(P[0]), "y": str(P[1])}
-    [n] = _timed_orders(capsys, f"Fp:{p}", curve, point)
+    n = _timed_order(capsys, f"Fp:{p}", curve, point)
     assert n > 12
     _assert_is_order(lambda U, V: oracles.fp_cubic_add(p, A, B, C, U, V), P, n, p)
-    assert _timed_orders(capsys, f"Fp:{p}", curve, point, (n - 1, n)) == [None, n]
 
 
 def test_order_over_gf2_20_is_fast(capsys):
@@ -307,10 +309,9 @@ def test_order_over_gf2_20_is_fast(capsys):
     assert oracles.char2_on(k, mod, a2, a6, P)
     curve = {"a2": format(a2, "x"), "a6": format(a6, "x")}
     point = {"x": format(P[0], "x"), "y": format(P[1], "x")}
-    [n] = _timed_orders(capsys, F.descriptor, curve, point)
+    n = _timed_order(capsys, F.descriptor, curve, point)
     assert n > 12
     _assert_is_order(lambda U, V: oracles.char2_add(k, mod, a2, a6, U, V), P, n, 1 << k)
-    assert _timed_orders(capsys, F.descriptor, curve, point, (n - 1, n)) == [None, n]
 
 
 # ---------------------------------------------------------------------------
@@ -500,11 +501,10 @@ def test_shared_parser_answers_as_a_fresh_one(capsys):
         shared = answers(fresh=False)
     finally:
         cli._build_parser.cache_clear()
-    assert [code for code, _ in expected] == [1, 0, 1, 0, 0, 0, 0, 0]
+    assert [code for code, _ in expected] == [1, 0, 1, 0, 1, 0, 0, 0]
     assert shared == expected
     assert "--family" in expected[1][1] and "--no-verify" not in expected[1][1]
     assert all(w["verified"] for w in json.loads(expected[3][1])["witnesses"])
-    assert json.loads(expected[4][1]) == {"point": {"x": "5", "y": "2"}, "order": None, "cap": 5}
     assert json.loads(expected[5][1]) == {"point": {"x": "5", "y": "2"}, "order": 8}
 
 

@@ -1,4 +1,5 @@
-"""The package's source as a whole: every import is used, every export resolves."""
+"""The package's source as a whole: every import is used, every export resolves,
+every module-level name is read."""
 
 import ast
 import glob
@@ -60,3 +61,56 @@ def test_every_exported_name_resolves_once(path):
     exported = getattr(module, "__all__", [])
     assert len(exported) == len(set(exported))
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
+
+
+def _defined(tree):
+    """(name, line) of every module-level function, class and assigned name."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        yield n.id, node.lineno
+
+
+def _reads(tree):
+    """(names this module reads by ast.Name, names any module may read):
+    the second holds every name an import, an ast.Attribute or a string
+    constant reads, since perfbench/spans.py looks names up by string."""
+    local, shared = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            local.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            shared.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            shared.update(a.name for a in node.names)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            shared.add(node.value)
+    return local, shared
+
+
+def test_every_module_level_name_is_read():
+    """A module-level function, class or assignment of the package is read
+    somewhere in src/ or perfbench/, or is listed in its module's __all__:
+    no dead name is left behind when its last caller goes.  A bare name
+    reads its own module's; __all__ is the export list itself, and
+    __version__ is read by packaging tools."""
+    trees, reads = {}, {}
+    for path in MODULES + sorted(glob.glob(os.path.join(PERFBENCH, "*.py"))):
+        with open(path) as fh:
+            trees[path] = ast.parse(fh.read(), path)
+        reads[path] = _reads(trees[path])
+    shared = {"__all__", "__version__"}.union(*(s for _, s in reads.values()))
+    dead = []
+    for path in MODULES:
+        exported = set(getattr(importlib.import_module(_module_name(path)), "__all__", ()))
+        dead += [f"{os.path.basename(path)}:{line} {name}" for name, line in _defined(trees[path])
+                 if name not in reads[path][0] | shared | exported]
+    assert dead == []
