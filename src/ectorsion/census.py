@@ -18,11 +18,11 @@ returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List
 
 from . import kernel
-from .curve import Point, point_to_json
+from .curve import Point, _Record, point_to_json
 from .errors import FieldTooLarge, InvalidParams, VerificationError
 from .families import (
     FamilyInstance,
@@ -34,7 +34,7 @@ from .families import (
     e10_new,
     e12_new,
 )
-from .field import BinaryField, Field, PrimeField
+from .field import BinaryField, Field, PrimeField, require_binary
 
 __all__ = [
     "CensusReport",
@@ -46,7 +46,8 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class CensusReport:
+class CensusReport(_Record):
+    __slots__ = ("field", "torsion_order", "family_count", "brute_force_count")
     field: str
     torsion_order: int
     family_count: int
@@ -57,13 +58,7 @@ class CensusReport:
         return self.family_count == self.brute_force_count
 
     def to_json_dict(self) -> dict:
-        return {
-            "field": self.field,
-            "torsion_order": self.torsion_order,
-            "family_count": self.family_count,
-            "brute_force_count": self.brute_force_count,
-            "agree": self.agree,
-        }
+        return {**asdict(self), "agree": self.agree}
 
 
 def _has_point_of_order(c: tuple, points: List[tuple], n: int) -> bool:
@@ -87,8 +82,7 @@ def _has_point_of_order(c: tuple, points: List[tuple], n: int) -> bool:
 
 def sigma_char2(field: BinaryField, N: int) -> CensusReport:
     """Count ordinary char-2 iso classes with an order-N point, both ways."""
-    if not isinstance(field, BinaryField):
-        raise InvalidParams("sigma_char2 counts over GF(2^k)")
+    require_binary(field, "sigma_char2")
     if N not in (4, 8):
         raise InvalidParams("the census covers torsion orders 4 and 8")
     if field.k > 6:

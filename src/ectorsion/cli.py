@@ -19,6 +19,10 @@ order with parts of about 300 digits, within 1 s a call
 (``tests/test_budgets.py``); ``order`` at p = 2^31 - 1 and over GF(2^20)
 within 1 s a call (``tests/test_cli.py``).
 
+The flags of ``family`` and ``iso`` are the parameters after ``field`` of
+the functions in ``families.FAMILIES`` and ``_ISOS``, read from their
+signatures.  ``--field`` and a curve JSON's own ``"field"`` must agree.
+
 An option value may be a negative literal: ``--T -3/4`` reads as ``--T=-3/4``.
 """
 
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import json
 import os
 import re
@@ -35,49 +40,22 @@ from typing import List, Optional, Sequence, Tuple
 from .census import sigma_char2, verify_f3_example, verify_f4_example
 from .curve import curve_from_json, point_from_json, point_to_json
 from .errors import Error, InvalidParams, VerificationError
-from .families import (
-    FAMILY_NAMES,
-    e4_new,
-    e4char2_new,
-    e6_new,
-    e8char2_new,
-    e8_new,
-    e10_new,
-    e12_new,
-    iso_e4,
-    iso_e8,
-    iso_e8char2,
-)
+from .families import FAMILIES, FAMILY_NAMES, iso_e4, iso_e8, iso_e8char2
 from .field import Field, field_from_descriptor
 from .halving import halve, halve_char2, halve_quadext, halve_rT, halve_split
 
-_FAMILY_PARAMS = {
-    "e4": ("a", "b"),
-    "e6": ("t",),
-    "e8": ("t",),
-    "e10": ("u",),
-    "e12": ("T",),
-    "e4char2": ("gamma",),
-    "e8char2": ("t",),
-}
+_ISOS = {"e4": iso_e4, "e8": iso_e8, "e8char2": iso_e8char2}
 
-_ISO_PARAMS = {"e4": ("a", "b", "c", "d"), "e8": ("s", "t"), "e8char2": ("s", "t")}
-
-# Each table's parameter names, once each, in order: the subcommand's flags.
+# A function's parameters after ``field``, by name, for each entry of a table;
+# then each table's names, once each, in order: the subcommand's flags.
+_FAMILY_PARAMS, _ISO_PARAMS = (
+    {name: tuple(inspect.signature(fn).parameters)[1:] for name, fn in table.items()}
+    for table in (FAMILIES, _ISOS)
+)
 _FAMILY_FLAGS, _ISO_FLAGS = (
     tuple(dict.fromkeys(n for names in params.values() for n in names))
     for params in (_FAMILY_PARAMS, _ISO_PARAMS)
 )
-
-_FAMILY_CTORS = {
-    "e4": e4_new,
-    "e6": e6_new,
-    "e8": e8_new,
-    "e10": e10_new,
-    "e12": e12_new,
-    "e4char2": e4char2_new,
-    "e8char2": e8char2_new,
-}
 
 _HALVERS = {
     "auto": halve,
@@ -192,7 +170,7 @@ def _params(field: Field, what: str, wanted: Tuple[str, ...], flags: Tuple[str, 
 def _cmd_family(args) -> dict:
     field = field_from_descriptor(args.field)
     params = _params(field, f"family {args.family}", _FAMILY_PARAMS[args.family], _FAMILY_FLAGS, args)
-    return _FAMILY_CTORS[args.family](field, *params).to_json_dict()
+    return FAMILIES[args.family](field, *params).to_json_dict()
 
 
 def _cmd_halve(args) -> dict:
@@ -210,15 +188,11 @@ def _cmd_order(args) -> dict:
 def _cmd_iso(args) -> dict:
     field = field_from_descriptor(args.field)
     params = _params(field, f"iso --kind {args.kind}", _ISO_PARAMS[args.kind], _ISO_FLAGS, args)
-    if args.kind == "e4":
-        u = iso_e4(field, *params)
-        return {
-            "kind": "e4",
-            "isomorphic": u is not None,
-            "u": None if u is None else field.format_element(u),
-        }
-    ok = (iso_e8 if args.kind == "e8" else iso_e8char2)(field, *params)
-    return {"kind": args.kind, "isomorphic": ok}
+    found = _ISOS[args.kind](field, *params)
+    if args.kind != "e4":
+        return {"kind": args.kind, "isomorphic": found}
+    u = None if found is None else field.format_element(found)  # iso_e4's scaling, or None
+    return {"kind": "e4", "isomorphic": found is not None, "u": u}
 
 
 def _cmd_census(args) -> dict:
@@ -228,8 +202,8 @@ def _cmd_census(args) -> dict:
 
 
 def _census_table(d: dict) -> str:
-    headers = ("field", "torsion_order", "family_count", "brute_force_count", "agree")
-    row = [str(d[h]) for h in headers]
+    headers = tuple(d)
+    row = [str(v) for v in d.values()]
     widths = [max(len(h), len(v)) for h, v in zip(headers, row)]
     line1 = "  ".join(h.ljust(w) for h, w in zip(headers, widths))
     line2 = "  ".join(v.ljust(w) for v, w in zip(row, widths))

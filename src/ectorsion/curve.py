@@ -18,7 +18,7 @@ over Q); this module checks points, converts them and converts back.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
 from typing import Callable, ClassVar, List, Optional, Tuple
@@ -26,14 +26,15 @@ from typing import Callable, ClassVar, List, Optional, Tuple
 from . import kernel
 from .errors import FieldTooLarge, InvalidParams, OffCurve, SingularCurve
 from .field import (
-    BinaryField,
     Field,
     FieldElement,
     PrimeField,
     Rationals,
     field_from_descriptor,
+    require_binary,
+    require_odd_characteristic,
 )
-from .quadratic import QuadraticPoly, require_odd_characteristic
+from .quadratic import QuadraticPoly
 
 __all__ = [
     "Point",
@@ -50,33 +51,26 @@ __all__ = [
 _ENUM_LIMIT = 1 << 16  # largest field we will sweep exhaustively
 
 
-def _refuse_set(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+class _Record:
+    """Base of the records, each a ``dataclass(frozen=True)`` whose ``__slots__``
+    name its fields: no instance dict, FrozenInstanceError for any assignment or
+    deletion (a class rebuilt by the dataclass slots option answers a name that
+    is no field with TypeError on Python 3.11), copies and pickles through the
+    constructor."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self.__slots__])
 
 
-def _refuse_del(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-def _frozen(cls):
-    """Refuse every assignment and deletion with FrozenInstanceError.
-
-    ``dataclass(frozen=True, slots=True)`` does so only for its fields: on
-    Python 3.11, any other name raises TypeError from the class that
-    ``slots=True`` replaced.  ``__init__`` sets fields through
-    ``object.__setattr__`` and is untouched.
-    """
-    cls.__setattr__, cls.__delattr__ = _refuse_set, _refuse_del
-    return cls
-
-
-@_frozen
-@dataclass(frozen=True, slots=True)
-class Point:
+@dataclass(frozen=True)
+class Point(_Record):
     """An affine point (x, y) or the point at infinity (x = y = None)."""
 
-    x: Optional[FieldElement] = None
-    y: Optional[FieldElement] = None
+    __slots__ = ("x", "y")
+    x: Optional[FieldElement]
+    y: Optional[FieldElement]
 
     def __post_init__(self):
         if (self.x is None) != (self.y is None):
@@ -96,14 +90,14 @@ class Point:
         return f"({self.x.field.format_element(self.x)}, {self.y.field.format_element(self.y)})"
 
 
-@_frozen
-@dataclass(frozen=True, slots=True)
-class TorsionWitness:
+@dataclass(frozen=True)
+class TorsionWitness(_Record):
     """A point with a claimed order, built only once the group law confirms it."""
 
+    __slots__ = ("point", "claimed_order", "note")
     point: Point
     claimed_order: int
-    note: str = ""
+    note: str
     verified: ClassVar[bool] = True
 
     def to_json_dict(self) -> dict:
@@ -241,7 +235,7 @@ class CubicCurve(_CurveBase):
         2-torsion means the (alpha, g) shape does not exist over K), and in
         characteristic 2 before any root is looked for.
         """
-        require_odd_characteristic(field)
+        require_odd_characteristic(field, "the cubic model")
         A, B, C = field.element(A).value, field.element(B).value, field.element(C).value
         alpha = _cubic_rational_root(field, A, B, C)
         if alpha is None:
@@ -392,8 +386,7 @@ class Char2Curve(_CurveBase):
     __slots__ = ("field", "a2", "a6", "_kp", "_k")
 
     def __init__(self, field: Field, a2, a6):
-        if not isinstance(field, BinaryField):
-            raise InvalidParams("this model lives over GF(2^k)")
+        require_binary(field, "the char2 model")
         self.field = field
         self.a2 = field.element(a2)
         self.a6 = field.element(a6)
@@ -447,33 +440,27 @@ class Char2Curve(_CurveBase):
 
 
 def curve_from_json(obj: dict, field: Optional[Field] = None):
-    """Build a curve from its JSON dict; ``field`` fills in a missing descriptor."""
+    """Build a curve from its JSON dict; its own ``"field"`` and ``field``, when
+    both are given, must be equal, and either one is enough."""
     if not isinstance(obj, dict):
         raise InvalidParams(f"curve JSON must be an object, got {obj!r}")
     if "field" in obj:
-        field = field_from_descriptor(obj["field"])
+        inline = field_from_descriptor(obj["field"])
+        if field is not None and field != inline:
+            raise InvalidParams(f"curve JSON over {inline.descriptor}, given {field.descriptor}")
+        field = inline
     if field is None:
         raise InvalidParams("curve JSON needs a field descriptor (inline or via --field)")
     model = obj.get("model")
     if model is None:
         model = "char2" if "a6" in obj else "cubic"
     if model == "cubic":
-        for k in ("alpha", "p", "q"):
-            if k not in obj:
-                raise InvalidParams(f"cubic curve JSON missing {k!r}")
-        return CubicCurve(
-            field,
-            element_from_json(field, obj["alpha"]),
-            element_from_json(field, obj["p"]),
-            element_from_json(field, obj["q"]),
-        )
-    if model == "char2":
-        for k in ("a2", "a6"):
-            if k not in obj:
-                raise InvalidParams(f"char2 curve JSON missing {k!r}")
-        return Char2Curve(
-            field,
-            element_from_json(field, obj["a2"]),
-            element_from_json(field, obj["a6"]),
-        )
-    raise InvalidParams(f"unknown curve model {model!r}")
+        cls, keys = CubicCurve, ("alpha", "p", "q")
+    elif model == "char2":
+        cls, keys = Char2Curve, ("a2", "a6")
+    else:
+        raise InvalidParams(f"unknown curve model {model!r}")
+    for k in keys:
+        if k not in obj:
+            raise InvalidParams(f"{model} curve JSON missing {k!r}")
+    return cls(field, *[element_from_json(field, obj[k]) for k in keys])

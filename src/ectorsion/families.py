@@ -16,7 +16,9 @@ the witnesses' coordinates are ints mod p or ``Fraction``s, through the
 field's ``_red`` and ``_inv`` with one formula for both fields, or ints
 through the GF(2^k) context's ``sq``, ``mul`` and ``div``.  Over Q every
 literal enters through ``_from_int``, so every raw value is a ``Fraction``.
-The witnesses' points are built in ``_witnesses`` only.
+The witnesses' points are built in ``_witnesses`` only.  A family over a
+field of characteristic != 2 checks that first: every GF(2^k) element is a
+square, so a square-class condition would otherwise take the blame.
 
 The validity predicates are exactly the nonsingularity conditions: for each
 family the discriminant data factors as
@@ -49,10 +51,12 @@ from .curve import (
     CubicCurve,
     Point,
     TorsionWitness,
+    _Record,
+    _pt_from_ints,
     element_to_json,
 )
 from .errors import InvalidParams, VerificationError
-from .field import BinaryField, Field, FieldElement
+from .field import Field, FieldElement, require_binary, require_odd_characteristic
 
 __all__ = [
     "FamilyInstance",
@@ -72,16 +76,16 @@ __all__ = [
     "kubert_to_e4",
     "kubert_to_e8",
     "kubert_to_e6",
+    "FAMILIES",
     "FAMILY_NAMES",
 ]
 
-FAMILY_NAMES = ("e4", "e6", "e8", "e10", "e12", "e4char2", "e8char2")
-
 
 @dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(_Record):
     """A constructed family member: parameters, curve, verified witnesses."""
 
+    __slots__ = ("family", "params", "curve", "witnesses")
     family: str
     params: Dict[str, FieldElement]
     curve: Union[CubicCurve, Char2Curve]
@@ -117,12 +121,9 @@ def _witnesses(curve, specs) -> Tuple[TorsionWitness, ...]:
     """
     F, k, kp = curve.field, curve._k, curve._kp
 
-    def point(xy):
-        return Point(FieldElement(F, xy[0]), FieldElement(F, xy[1]))
-
     def on_curve(xy):
         if not k.contains(kp, xy):
-            raise VerificationError(f"witness {point(xy)!r} is not on the curve")
+            raise VerificationError(f"witness {_pt_from_ints(F, xy)!r} is not on the curve")
         return xy
 
     G, N = max(specs, key=itemgetter(1))[:2]
@@ -130,21 +131,16 @@ def _witnesses(curve, specs) -> Tuple[TorsionWitness, ...]:
     index = {}
     if len(mults) == N and mults[-1] is None:  # G has order N
         index = {pt: j for j, pt in enumerate(mults[:-1], 1)}
-    for xy, order, *_ in specs:
+    out = []
+    for xy, order, *note in specs:
         j = index.get(xy)
-        got = N // gcd(j, N) if j else curve.order_of(point(on_curve(xy)))
+        got = N // gcd(j, N) if j else curve.order_of(_pt_from_ints(F, on_curve(xy)))
         if got != order:
             raise VerificationError(
-                f"witness {point(xy)!r} claims order {order} but has order {got}"
+                f"witness {_pt_from_ints(F, xy)!r} claims order {order} but has order {got}"
             )
-    return tuple([TorsionWitness(point(xy), *rest) for xy, *rest in specs])
-
-
-def _odd_characteristic(field: Field, family: str) -> None:
-    # Checked first: every GF(2^k) element is a square, so a square-class
-    # condition would otherwise take the blame.
-    if field.characteristic == 2:
-        raise InvalidParams(f"{family} needs characteristic != 2")
+        out.append(TorsionWitness(_pt_from_ints(F, xy), order, note[0] if note else ""))
+    return tuple(out)
 
 
 def _nonzero(field: Field, value, name: str, family: str):
@@ -176,7 +172,7 @@ def e4_new(field: Field, a, b) -> FamilyInstance:
 
 def _e4_params(field: Field, a, b):
     """(a, b) as raw values once valid for e4; InvalidParams naming the failed condition."""
-    _odd_characteristic(field, "e4")
+    require_odd_characteristic(field, "e4")
     a = _nonzero(field, a, "a", "e4")
     b = _nonzero(field, b, "b", "e4")
     if field._sqrt(a * a + 4 * b) is not None:
@@ -206,7 +202,7 @@ def e6_new(field: Field, t) -> FamilyInstance:
     appears exactly at those values.  Three rational 2-torsion points are
     allowed here; see e6_exactly_one_2torsion for the stricter predicate.
     """
-    _odd_characteristic(field, "e6")
+    require_odd_characteristic(field, "e6")
     t = _nonzero(field, t, "t", "e6")
     red = field._red
     if not red(t + 4):
@@ -261,7 +257,7 @@ def e8_new(field: Field, t) -> FamilyInstance:
 
 def _e8_param(field: Field, t):
     """t as a raw value once valid for e8; InvalidParams naming the failed condition."""
-    _odd_characteristic(field, "e8")
+    require_odd_characteristic(field, "e8")
     t = _nonzero(field, t, "t", "e8")
     if not field._red(t * t - 1):
         raise InvalidParams("e8 needs t != 1 and t != -1")
@@ -284,7 +280,7 @@ def e10_new(field: Field, u) -> FamilyInstance:
     Valid iff u is outside {0, 1, -1}, u^2+u-1 != 0, u^2-4u-1 != 0, and
     u(u^2+u-1) is not a square.
     """
-    _odd_characteristic(field, "e10")
+    require_odd_characteristic(field, "e10")
     u = _nonzero(field, u, "u", "e10")
     red = field._red
     u2 = u * u
@@ -315,7 +311,7 @@ def e12_new(field: Field, T) -> FamilyInstance:
     Valid iff T is outside {0, 1, -1}, T^2+1 != 0, 3T^2+1 != 0, 3T^2-1 != 0,
     and (T^2+1)(3T^2-1) is not a square.
     """
-    _odd_characteristic(field, "e12")
+    require_odd_characteristic(field, "e12")
     T = _nonzero(field, T, "T", "e12")
     red = field._red
     T2 = T * T
@@ -351,8 +347,7 @@ def e12_new(field: Field, T) -> FamilyInstance:
 
 def e4char2_new(field: Field, gamma) -> FamilyInstance:
     """y^2 + xy = x^3 + gamma^4 over GF(2^k): (gamma, gamma^2) has order 4."""
-    if not isinstance(field, BinaryField):
-        raise InvalidParams("e4char2 lives over GF(2^k)")
+    require_binary(field, "e4char2")
     gamma = _nonzero(field, gamma, "gamma", "e4char2")
     sq = field._kernel().sq
     g2 = sq(gamma)
@@ -385,8 +380,7 @@ def e8char2_new(field: Field, t) -> FamilyInstance:
 
 def _e8char2_param(field: Field, t):
     """t as a raw value once valid for e8char2; InvalidParams naming the failed condition."""
-    if not isinstance(field, BinaryField):
-        raise InvalidParams("e8char2 lives over GF(2^k)")
+    require_binary(field, "e8char2")
     t = _nonzero(field, t, "t", "e8char2")
     if t == 1:
         raise InvalidParams("e8char2 needs t != 1 (t^2 + 1 would vanish)")
@@ -440,8 +434,7 @@ def j_fourth_power_criterion(field: Field, c) -> Optional[FieldElement]:
     this always succeeds for c != 0; the result pins down the unique (up to
     K-isomorphism) order-4 curve with the given j-invariant.
     """
-    if not isinstance(field, BinaryField):
-        raise InvalidParams("the fourth-power criterion applies over GF(2^k)")
+    require_binary(field, "j_fourth_power_criterion")
     c = FieldElement(field, _nonzero(field, c, "c", "j_fourth_power_criterion"))
     gamma = c.inverse().sqrt().sqrt()
     if gamma ** 4 * c != field.one:
@@ -451,23 +444,25 @@ def j_fourth_power_criterion(field: Field, c) -> Optional[FieldElement]:
 
 def kubert_to_e4(field: Field, t) -> Tuple[FieldElement, FieldElement]:
     """Kubert parameter with a marked order-4 point -> e4 parameters (1/2, t)."""
-    if field.characteristic == 2:
-        raise InvalidParams("Kubert conversions need characteristic != 2")
+    require_odd_characteristic(field, "kubert_to_e4")
     return (field.one / 2, field.element(t))
 
 
 def kubert_to_e8(field: Field, d) -> FieldElement:
     """Kubert parameter with a marked order-8 point -> e8 parameter 2d - 1."""
-    if field.characteristic == 2:
-        raise InvalidParams("Kubert conversions need characteristic != 2")
+    require_odd_characteristic(field, "kubert_to_e8")
     return 2 * field.element(d) - 1
 
 
 def kubert_to_e6(field: Field, c) -> FieldElement:
     """Kubert parameter with a marked order-6 point -> e6 parameter (c+1)/(2c)."""
-    if field.characteristic == 2:
-        raise InvalidParams("Kubert conversions need characteristic != 2")
+    require_odd_characteristic(field, "kubert_to_e6")
     c = field.element(c)
     if not c:
         raise InvalidParams("kubert_to_e6 needs c != 0 (denominator 2c)")
     return (c + 1) / (2 * c)
+
+
+FAMILIES = {ctor.__name__.removesuffix("_new"): ctor for ctor in (
+    e4_new, e6_new, e8_new, e10_new, e12_new, e4char2_new, e8char2_new)}
+FAMILY_NAMES = tuple(FAMILIES)

@@ -379,26 +379,18 @@ class PrimeField(Field):
         return f"Fp:{self.p}"
 
     def parse_element(self, text):
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/", 1)
-            return self.element(int(num)) / self.element(int(den))
-        return FieldElement(self, int(text) % self.p)
+        num, den = _rational_literal(text, "an F_p element")
+        if den is None:
+            return FieldElement(self, num % self.p)
+        return FieldElement(self, self._div(num % self.p, den))
 
     def format_element(self, a):
         return str(a.value)
 
 
-def _gf2_polymod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
 def _gf2_gcd(a: int, b: int) -> int:
     while b:
-        a, b = b, _gf2_polymod(a, b)
+        a, b = b, kernel.gf2_polymod(a, b)
     return a
 
 
@@ -488,7 +480,7 @@ class BinaryField(Field):
         if isinstance(value, int):
             if value < 0:
                 raise InvalidParams("bit-vector values are nonnegative")
-            return FieldElement(self, _gf2_polymod(value, self.modulus))
+            return FieldElement(self, kernel.gf2_polymod(value, self.modulus))
         raise InvalidParams(f"cannot make a GF(2^{self.k}) element from {value!r}")
 
     @property
@@ -532,19 +524,34 @@ class BinaryField(Field):
         return f"F2k:{self.k}:{self.modulus:x}"
 
     def parse_element(self, text):
-        text = text.strip().lower()
-        if text.startswith("0x"):
-            text = text[2:]
-        return self.element(int(text, 16))
+        m = _HEX_LITERAL.fullmatch(text.strip())
+        if m is None:
+            raise InvalidParams(f"a GF(2^k) element is written in hex, got {text!r}")
+        return self._from_number(int(m[1], 16))
 
     def format_element(self, a):
         return format(a.value, "x")
 
 
-# Q literals: [+-]n or [+-]n/d in ASCII digits, each part at most 4300 digits
-# long (Python's own default limit on int() of a string).
-_Q_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
-_Q_MAX_DIGITS = 4300
+# Q and F_p literals: [+-]n or [+-]n/d in ASCII digits, each part at most 4300
+# digits long (Python's own default limit on int() of a string).
+_RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_MAX_DIGITS = 4300
+# GF(2^k) literals: ASCII hex digits, after an optional 0x.
+_HEX_LITERAL = re.compile(r"(?:0[xX])?([0-9a-fA-F]+)")
+# Descriptors; a sign is read so that the field's constructor names a negative number.
+_DESCRIPTOR = re.compile(r"Q|Fp:(-?[0-9]+)|F2k:(-?[0-9]+):(-?[0-9a-fA-F]+)")
+
+
+def _rational_literal(text: str, what: str) -> tuple:
+    """(n, d) of the literal n/d, d None when ``text`` is n; InvalidParams naming ``what``."""
+    m = _RATIONAL_LITERAL.fullmatch(text.strip())
+    if m is None:
+        raise InvalidParams(f"{what} is written n or n/d, got {text!r}")
+    num, den = m.groups()
+    if len(num.lstrip("+-")) > _MAX_DIGITS or den is not None and len(den) > _MAX_DIGITS:
+        raise InvalidParams(f"{what} has at most {_MAX_DIGITS} digits a part")
+    return int(num), None if den is None else int(den)
 
 
 class Rationals(Field):
@@ -625,15 +632,10 @@ class Rationals(Field):
         return "Q"
 
     def parse_element(self, text):
-        m = _Q_LITERAL.fullmatch(text.strip())
-        if m is None:
-            raise InvalidParams(f"a rational is written n or n/d, got {text!r}")
-        num, den = m.group(1), m.group(2) or "1"
-        if max(len(num.lstrip("+-")), len(den)) > _Q_MAX_DIGITS:
-            raise InvalidParams(f"a rational has at most {_Q_MAX_DIGITS} digits a part")
-        if not int(den):
+        num, den = _rational_literal(text, "a rational")
+        if den == 0:
             raise InvalidParams(f"zero denominator in {text!r}")
-        return FieldElement(self, Fraction(int(num), int(den)))
+        return FieldElement(self, Fraction(num, 1 if den is None else den))
 
     def format_element(self, a):
         # Decimal prints an int of any length; str(int) stops at the interpreter's
@@ -644,14 +646,25 @@ class Rationals(Field):
 
 
 def field_from_descriptor(text: str) -> Field:
-    """Parse ``Q``, ``Fp:<p>`` or ``F2k:<k>:<modulus-bits-hex>``."""
+    """Parse ``Q``, ``Fp:<p>`` or ``F2k:<k>:<modulus-bits-hex>``, in ASCII digits."""
     if not isinstance(text, str):
         raise InvalidParams(f"a field descriptor is a string, got {text!r}")
-    parts = text.strip().split(":")
-    if parts == ["Q"]:
-        return Rationals()
-    if parts[0] == "Fp" and len(parts) == 2:
-        return PrimeField(int(parts[1]))
-    if parts[0] == "F2k" and len(parts) == 3:
-        return BinaryField(int(parts[1]), int(parts[2], 16))
-    raise ValueError(f"unrecognised field descriptor {text!r}")
+    m = _DESCRIPTOR.fullmatch(text.strip())
+    if m is None:
+        raise ValueError(f"unrecognised field descriptor {text!r}")
+    p, k, modulus = m.groups()
+    if p is not None:
+        return PrimeField(int(p))
+    return Rationals() if k is None else BinaryField(int(k), int(modulus, 16))
+
+
+def require_odd_characteristic(field: Field, who: str) -> None:
+    """InvalidParams naming ``who`` unless ``field`` has characteristic != 2."""
+    if field.characteristic == 2:
+        raise InvalidParams(f"{who} needs characteristic != 2")
+
+
+def require_binary(field: Field, who: str) -> None:
+    """InvalidParams naming ``who`` unless ``field`` is a GF(2^k)."""
+    if not isinstance(field, BinaryField):
+        raise InvalidParams(f"{who} lives over GF(2^k)")

@@ -31,6 +31,7 @@ from .curve import (
     Char2Curve,
     CubicCurve,
     Point,
+    _Record,
     _pt_from_ints,
     _pt_ints,
     element_to_json,
@@ -60,9 +61,10 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class HalvingResult:
+class HalvingResult(_Record):
     """Halves of one point: ((Q, tangent slope), ...) plus the roots used."""
 
+    __slots__ = ("criterion", "halves", "witness")
     criterion: str  # "split" | "quadext" | "rT" | "char2"
     halves: Tuple[Tuple[Point, FieldElement], ...]
     witness: dict
@@ -127,10 +129,8 @@ def _answer(curve, criterion: str, pt: tuple, candidates: list, witness: dict) -
         raise VerificationError(
             f"{len(halves)} halves found, but the halves of a point are a coset of E(K)[2], "
             f"of {n2} points")
-    out = []
-    for (x, y), slope in halves.items():
-        out.append((Point(FieldElement(F, x), FieldElement(F, y)), FieldElement(F, slope)))
-    return HalvingResult(criterion, tuple(out), witness)
+    out = tuple([(_pt_from_ints(F, q), FieldElement(F, slope)) for q, slope in halves.items()])
+    return HalvingResult(criterion, out, witness)
 
 
 def _to_json(F, v) -> str:
@@ -316,9 +316,10 @@ def halve(curve, P: Point) -> HalvingResult:
 
 
 @dataclass(frozen=True)
-class RootTriple:
+class RootTriple(_Record):
     """r_i with r_i^2 = x0 - alpha_i and r1*r2*r3 = -y0, over K or K_g."""
 
+    __slots__ = ("alphas", "roots")
     alphas: Tuple
     roots: Tuple
 

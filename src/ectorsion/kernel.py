@@ -98,6 +98,9 @@ def fp_sqrt(a: int, p: int) -> int:
 # The loops every model shares
 # ---------------------------------------------------------------------------
 
+# No point of finite order over Q has order above 12 (Mazur, Publ. Math. IHES 47, 1977).
+_MAZUR_BOUND = 12
+
 
 def _smul(add, neg, c, n, pt):
     """n * pt by double-and-add (n may be negative)."""
@@ -150,14 +153,14 @@ def _prime_factors(n: int) -> list:
 def _order(add, neg, c, pt, q) -> int:
     """Exact order of ``pt`` on a curve over a field of q elements.
 
-    Orders up to m = max(isqrt((hi - lo) // 4) + 1, 12) come from iterated
-    addition, and a larger one from ``_order_bsgs`` in O(q^(1/4)) additions,
-    with the same m multiples as its baby steps.  A giant step covers
-    2m + 1 of the Hasse interval, so about m giant steps are expected: the
-    two stages balance.
+    Orders up to m = max(isqrt((hi - lo) // 4) + 1, _MAZUR_BOUND) come from
+    iterated addition, and a larger one from ``_order_bsgs`` in O(q^(1/4))
+    additions, with the same m multiples as its baby steps.  A giant step
+    covers 2m + 1 of the Hasse interval, so about m giant steps are
+    expected: the two stages balance.
     """
     lo, hi = _hasse_interval(q)
-    mults = _multiples(add, c, pt, max(isqrt((hi - lo) // 4) + 1, 12))
+    mults = _multiples(add, c, pt, max(isqrt((hi - lo) // 4) + 1, _MAZUR_BOUND))
     if mults[-1] is None:
         return len(mults)
     return _order_bsgs(add, neg, c, mults, lo, hi)
@@ -315,10 +318,6 @@ def qq_smul(c, n, pt):
     return _smul(qq_add, qq_neg, c, n, pt)
 
 
-# No point of finite order over Q has order above 12 (Mazur, Publ. Math. IHES 47, 1977).
-_MAZUR_BOUND = 12
-
-
 def qq_order(c, pt) -> int:
     """Exact order of ``pt`` by iterated addition; 0 if it is infinite.
 
@@ -365,6 +364,14 @@ def gf2_mul(a: int, b: int, modulus: int, k: int) -> int:
         if a >> k & 1:
             a ^= modulus
     return r
+
+
+def gf2_polymod(a: int, m: int) -> int:
+    """The remainder of the bit-vector ``a`` modulo ``m`` in GF(2)[x]."""
+    dm = m.bit_length() - 1
+    while a.bit_length() - 1 >= dm and a:
+        a ^= m << (a.bit_length() - 1 - dm)
+    return a
 
 
 def gf2_inv(a: int, modulus: int) -> int:
@@ -447,10 +454,7 @@ class _GF2k:
             rl, rh = _span(xp[k:])
             for j in range(k - 1):
                 r = rl[1 << j & 2047] ^ rh[1 << j >> 11]
-                v = 1 << k + j ^ r  # a multiple of the modulus iff r = x^(k+j) mod it
-                while v >> k:
-                    v ^= modulus << v.bit_length() - k - 1
-                if r >> k or v:
+                if r != gf2_polymod(1 << k + j, modulus):
                     raise VerificationError(
                         f"GF(2^{k}) mod {modulus:#x}: wrong reduction of x^{k + j}"
                     )

@@ -30,7 +30,7 @@ from __future__ import annotations
 from typing import Optional, Tuple
 
 from .errors import InvalidParams, SingularCurve, VerificationError
-from .field import Field, FieldElement
+from .field import Field, FieldElement, require_odd_characteristic
 
 __all__ = [
     "QuadraticPoly",
@@ -39,19 +39,13 @@ __all__ = [
 ]
 
 
-def require_odd_characteristic(field: Field) -> None:
-    """InvalidParams unless ``field`` has characteristic != 2, as this module needs."""
-    if field.characteristic == 2:
-        raise InvalidParams("quadratic-extension machinery requires characteristic != 2")
-
-
 class QuadraticPoly:
     """g(x) = x^2 + p*x + q over a field of characteristic != 2, square-free."""
 
     __slots__ = ("field", "p", "q", "_roots")
 
     def __init__(self, field: Field, p, q):
-        require_odd_characteristic(field)
+        require_odd_characteristic(field, "quadratic-extension machinery")
         self.field = field
         self.p = field.element(p)
         self.q = field.element(q)

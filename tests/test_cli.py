@@ -208,6 +208,18 @@ def test_order_basic(capsys):
     assert js3 == {"point": {"x": "5", "y": "2"}, "order": 8}  # echoed in canonical form
 
 
+def test_order_refuses_a_field_the_curve_json_contradicts(capsys):
+    """--field and the curve's own descriptor must agree; an equal pair is read as one."""
+    curve = '{"field": "Fp:11", "alpha": 0, "p": 0, "q": 1}'
+    code = cli.main(["order", "--field", "Fp:7", "--curve", curve, "--point", '{"x": 0, "y": 0}'])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "Fp:11" in captured.err and "Fp:7" in captured.err
+    js = run_json(capsys, "order", "--field", "Fp:11", "--curve", curve,
+                  "--point", '{"x": 0, "y": 0}')
+    assert js == {"point": {"x": "0", "y": "0"}, "order": 2}
+
+
 def test_order_with_cap(capsys):
     """Orders are exact: there is no flag to cap the search."""
     code = cli.main(["order", "--field", "Fp:7", "--curve", '{"alpha": 0, "p": 0, "q": 1}',
@@ -411,6 +423,9 @@ def test_malformed_rational_literals_exit_2(capsys):
     for lit in ("0.5", "1e400", "1e1000000000", "1/0", "1" * 4301):
         code, _ = run(capsys, "family", "--field", "Q", "--family", "e12", "--T", lit)
         assert code == 2
+    for lit in ("1_0", "\u0663", "3/-4", "1" * 4301):  # F_p literals follow Q's grammar
+        code, out = run(capsys, "family", "--field", "Fp:101", "--family", "e6", "--t", lit)
+        assert code == 2 and out == "", lit
     js = run_json(capsys, "family", "--field", "Q", "--family", "e12", "--T=-3/4")
     assert js["params"] == {"T": "-3/4"}
 

@@ -89,7 +89,8 @@ def iso(draw):
 @st.composite
 def on_curve(draw):
     """A curve JSON with its own field and a point on it, found by the oracle's scan
-    (over Q, the marked 2-torsion point); the curve may still be singular."""
+    (over Q, the marked 2-torsion point), with --field naming the same field or
+    left out; the curve may still be singular."""
     desc = draw(st.sampled_from(FIELDS))
     if desc.startswith("F2k"):
         k, mod = int(desc.split(":")[1]), int(desc.split(":")[2], 16)
@@ -105,19 +106,18 @@ def on_curve(draw):
             pts = oracles.fp_cubic_points(int(desc[3:]), p - alpha, q - alpha * p, -alpha * q)
         pts = [{"x": str(x), "y": str(y)} for x, y in pts]
     point = draw(st.sampled_from(pts + ["infinity"]))
-    return ["--curve", json.dumps(curve), "--point", json.dumps(point)]
+    field = draw(st.sampled_from([[], ["--field", desc]]))
+    return [*field, "--curve", json.dumps(curve), "--point", json.dumps(point)]
 
 
-curve_and_point = st.one_of(
-    on_curve(), st.tuples(curves, points).map(lambda cp: ["--curve", cp[0], "--point", cp[1]]))
+curve_and_point = st.one_of(on_curve(), st.tuples(maybe_field, curves, points).map(
+    lambda fcp: [*fcp[0], "--curve", fcp[1], "--point", fcp[2]]))
 
 
 methods = st.sampled_from(["auto", "auto", "split", "quadext", "rT", "char2", "none"])
-caps = st.one_of(st.integers(-2, 10**6).map(str), st.sampled_from(["x", "1.5"]))
-halve = st.tuples(st.just(["halve"]), maybe_field, curve_and_point,
+halve = st.tuples(st.just(["halve"]), curve_and_point,
                   st.one_of(st.just([]), methods.map(lambda m: ["--method", m])), output)
-order = st.tuples(st.just(["order"]), maybe_field, curve_and_point,
-                  st.one_of(st.just([]), caps.map(lambda c: ["--cap", c])), output)
+order = st.tuples(st.just(["order"]), curve_and_point, output)
 census = st.tuples(st.just(["census"]), field_opt,
                    st.sampled_from(["4", "8", "3", "x"]).map(lambda n: ["--order", n]),
                    sometimes("--table"), output)

@@ -1,6 +1,8 @@
 """Curve models: construction, the group law, enumeration, serialization."""
 
+import copy
 import dataclasses
+import pickle
 import random
 import re
 import time
@@ -27,9 +29,11 @@ from ectorsion import (
     curve_from_json,
     e8char2_new,
     e12_new,
+    half_to_roots,
     halve,
     point_from_json,
     point_to_json,
+    sigma_char2,
 )
 from ectorsion import curve as curve_module, kernel
 from ectorsion.curve import element_from_json
@@ -104,12 +108,12 @@ def test_from_weierstrass_refuses_characteristic_2_before_any_root_search(monkey
         raise AssertionError("the root search swept the field")
 
     monkeypatch.setattr(BinaryField, "elements", no_sweep)
-    msg = "quadratic-extension machinery requires characteristic != 2"
     for k in (3, 16, 20):
-        with pytest.raises(InvalidParams, match=re.escape(msg)):
+        with pytest.raises(InvalidParams, match="the cubic model needs characteristic != 2"):
             CubicCurve.from_weierstrass(BinaryField(k), 0, 1, 1)
+    msg = "quadratic-extension machinery needs characteristic != 2"
     with pytest.raises(InvalidParams, match=re.escape(msg)):
-        CubicCurve(BinaryField(3), 0, 1, 1)  # QuadraticPoly's refusal, the same words
+        CubicCurve(BinaryField(3), 0, 1, 1)  # QuadraticPoly's refusal, by the same guard
 
 
 def test_from_weierstrass_over_q_matches_the_divisor_oracle():
@@ -653,6 +657,14 @@ def test_curve_json_roundtrip():
         curve_from_json({"p": 1, "q": 1})  # no field anywhere
 
 
+def test_curve_json_field_must_equal_the_field_given():
+    obj = {"field": "F2k:3:b", "a2": "1", "a6": "1"}
+    assert curve_from_json(obj, BinaryField(3, 0b1011)) == curve_from_json(obj)
+    for other in (BinaryField(3, 0b1101), PrimeField(11)):
+        with pytest.raises(InvalidParams, match=re.escape(other.descriptor)):
+            curve_from_json(obj, other)
+
+
 def test_point_class_invariants():
     F = PrimeField(5)
     with pytest.raises(InvalidParams):
@@ -670,20 +682,34 @@ def test_curves_carry_no_instance_dict():
             E.stray = 1
 
 
+def _records():
+    """One of each record of the package, Point twice."""
+    F = PrimeField(7)
+    inst = e12_new(Rationals(), Rationals()(3))
+    return [Point(F(1), F(3)), Point.infinity(), inst.witnesses[0],
+            halve(inst.curve, inst.witnesses[0].point), inst, sigma_char2(BinaryField(2), 4),
+            half_to_roots(inst.curve, inst.witnesses[3].point)]
+
+
 def test_records_refuse_every_assignment_and_deletion():
     """Fields or not, a frozen record answers FrozenInstanceError, never TypeError."""
-    F = PrimeField(7)
-    P = Point(F(1), F(3))
-    inst = e12_new(Rationals(), Rationals()(3))
-    records = [P, Point.infinity(), inst.witnesses[0], halve(inst.curve, inst.witnesses[0].point),
-               inst]
+    records = _records()
+    P, inst = records[0], records[4]
     for rec in records:
+        assert not hasattr(rec, "__dict__"), rec
         fields = [f.name for f in dataclasses.fields(rec)]
         for name in fields + ["verified", "z", "__dict__"]:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(rec, name, 1)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 delattr(rec, name)
+    F = PrimeField(7)
     assert repr(P) == "(1, 3)" and P == Point(F(1), F(3)) and P.x == F(1)
     assert hash(P) == hash(Point(F(1), F(3)))
     assert inst.witnesses[0].verified is True
+
+
+def test_records_copy_and_pickle_through_their_constructor():
+    for rec in _records():
+        for twin in (copy.copy(rec), copy.deepcopy(rec), pickle.loads(pickle.dumps(rec))):
+            assert type(twin) is type(rec) and twin == rec

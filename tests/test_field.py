@@ -139,6 +139,25 @@ def test_rational_literals_are_n_or_n_over_d():
                  "1/" + "1" * 4301, "3/-4", "1/2/3", "", "nan", "inf", "1_000", "\u0663"):
         with pytest.raises(InvalidParams):
             Q.parse_element(text)
+    # F_p literals follow the same grammar, read mod p.
+    F = PrimeField(13)
+    assert F.parse_element(" -3/4 ") == F(-3) / F(4) and F.parse_element("+20") == F(7)
+    for text in ("1_0", "\u0663", "3/-4", "1" * 4301, "1/" + "1" * 4301, "0.5", "1/2/3", "",
+                 "0x3", "3 / 4"):
+        with pytest.raises(InvalidParams):
+            F.parse_element(text)
+    # GF(2^k) literals are ASCII hex digits after an optional 0x.
+    G = BinaryField(3)
+    assert G.parse_element("0x5") == G.parse_element(" 5 ") == G(5)
+    assert G.parse_element("0XF") == G.parse_element("f") == G(15)
+    for text in ("1_0", "\u0663", "-3", "+3", "0x", "0x-3", "g", "3/4", ""):
+        with pytest.raises(InvalidParams):
+            G.parse_element(text)
+    # Descriptors take ASCII digits, and hex for the modulus.
+    for desc in ("Fp:1_3", "Fp:\u0661\u0663", "Fp:+13", "Fp: 13", "F2k:0_3:b", "F2k:\u0663:b",
+                 "F2k:3:b_b", "F2k:3:0xb", "F2k:3:+b"):
+        with pytest.raises(ValueError, match="unrecognised field descriptor"):
+            field_from_descriptor(desc)
 
 
 def test_cross_field_arithmetic_is_rejected():
@@ -278,6 +297,20 @@ def test_prime_field_division_by_any_multiple_of_p_is_zero_division(p):
 # ---------------------------------------------------------------------------
 # square roots
 # ---------------------------------------------------------------------------
+
+def test_every_element_of_f2_is_its_own_square_root():
+    F = PrimeField(2)
+    assert F.sqrt(F(0)) == F(0) and F.sqrt(F(1)) == F(1)
+
+
+def test_binary_negative_powers_match_the_oracle():
+    k, m = 4, 0b10011
+    G = BinaryField(k, m)
+    for v in range(1, 1 << k):
+        assert (G(v) ** -3).value == oracles.gf2_inv(oracles.gf2_pow(v, 3, m, k), m, k)
+    with pytest.raises(ZeroDivisionError):
+        G(0) ** -3
+
 
 def test_prime_field_sqrt_known_values():
     F = PrimeField(13)

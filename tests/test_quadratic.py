@@ -140,6 +140,16 @@ def test_quad_ext_element_embeds_the_base_field():
     assert QuadExtElement(g, 2, 5) == QuadExtElement(g, F(2), F(5))
 
 
+def test_scalar_minus_element_and_negative_powers_by_hand():
+    F = PrimeField(7)
+    g = QuadraticPoly(F, 0, 1)  # X^2 = -1
+    z = QuadExtElement(g, F(2), F(5))
+    assert 3 - z == F(3) - z == QuadExtElement(g, F(1), F(2))  # (3 - 2) - 5X
+    # z^2 = 4 - 25 + 20X = 6X and 6X * X = -6 = 1, so z^-2 = X.
+    assert z ** -2 == _gen(g)
+    assert z ** -2 * z * z == 1
+
+
 # ---------------------------------------------------------------------------
 # square roots in the extension
 # ---------------------------------------------------------------------------

@@ -26,6 +26,10 @@ for mod, cls, meth, _ in spans.COUNT_METHODS:
     assert meth in vars(getattr(getattr(ectorsion, mod), cls)), (mod, cls, meth)
 for mod, name, _ in spans.COUNT_FUNCTIONS:
     assert callable(getattr(getattr(ectorsion, mod), name, None)), (mod, name)
+# Every family constructor is wrapped, also where the CLI's tables call it.
+ctors = ectorsion.families.FAMILIES.values()
+assert sorted(f.__wrapped__.__name__ for f in ctors) == sorted(spans.CONSTRUCTORS), list(ctors)
+assert all(hasattr(f, "__wrapped__") for f in ectorsion.cli._ISOS.values())
 
 p = 2**31 - 1  # p = 3 mod 4: y = rhs^((p+1)/4) when rhs is a square
 F = ectorsion.PrimeField(p)
