@@ -11,9 +11,11 @@ but the group law, run through ``kernel`` on each curve's constants
 for order 4, q/2 - 1 for order 8), as must the curves of each class.
 
 ``family_sweep`` builds one member of each isomorphism class of one family
-over a small finite field, from the class's normal-form parameter (every
-parameter where classes are single parameters), verifying every witness it
-returns.
+over a small finite field, verifying every witness it returns.  It reads
+the family's constructor from ``families.FAMILIES`` and its walk over the
+classes from ``families.CLASS_WALKS`` (every parameter where the family has
+no entry there), and the worked examples call their constructors through
+``FAMILIES`` too.
 """
 
 from __future__ import annotations
@@ -24,16 +26,7 @@ from typing import Dict, List
 from . import kernel
 from .curve import Point, _Record, point_to_json
 from .errors import FieldTooLarge, InvalidParams, VerificationError
-from .families import (
-    FamilyInstance,
-    e4_new,
-    e4char2_new,
-    e6_new,
-    e8char2_new,
-    e8_new,
-    e10_new,
-    e12_new,
-)
+from .families import CLASS_WALKS, FAMILIES, FamilyInstance
 from .field import BinaryField, Field, PrimeField, require_binary
 
 __all__ = [
@@ -112,67 +105,57 @@ def sigma_char2(field: BinaryField, N: int) -> CensusReport:
     return CensusReport(field.descriptor, N, family_count, brute)
 
 
+def _worked_example(inst: FamilyInstance, gen: Point, n: int, info: dict, checks: dict) -> dict:
+    """The record of a worked example: ``inst``'s curve should have a cyclic
+    group of order ``n`` generated by ``gen``.  ``info`` holds entries that
+    are only reported, ``checks`` the example's own claims, each a bool;
+    ``ok`` holds when the group and ``gen`` both have order n and every check
+    holds."""
+    curve = inst.curve
+    group_order = len(curve.full_group())
+    gen_order = curve.order_of(gen)
+    return {
+        "field": curve.field.descriptor,
+        "curve": curve.to_json_dict(),
+        "group_order": group_order,
+        "generator": point_to_json(gen),
+        "generator_order": gen_order,
+        "cyclic": gen_order == group_order,
+        **info,
+        **checks,
+        "ok": group_order == n and gen_order == n and all(checks.values()),
+    }
+
+
 def verify_f3_example() -> dict:
     """E6 at t = 1 over F_3: six points, cyclic, generated by (-2, -1) = (1, 2)."""
     F = PrimeField(3)
-    inst = e6_new(F, 1)
-    curve = inst.curve
-    points = curve.full_group()
-    gen = Point(F(1), F(2))
-    gen_order = curve.order_of(gen)
     upper = kernel._hasse_interval(3)[1]
-    return {
-        "field": F.descriptor,
-        "curve": curve.to_json_dict(),
-        "group_order": len(points),
-        "generator": point_to_json(gen),
-        "generator_order": gen_order,
-        "cyclic": gen_order == len(points),
-        "hasse_upper": upper,
-        "hasse_upper_below_12": upper < 12,
-        "ok": len(points) == 6 and gen_order == 6 and upper < 12,
-    }
+    return _worked_example(FAMILIES["e6"](F, 1), Point(F(1), F(2)), 6,
+                           {"hasse_upper": upper}, {"hasse_upper_below_12": upper < 12})
 
 
 def verify_f4_example() -> dict:
     """y^2 + xy = x^3 + 1 over GF(4): eight points, cyclic, generated by (rho, rho)."""
     F = BinaryField(2)  # modulus x^2 + x + 1; rho is the bit-vector 2
     rho = F(2)
-    inst8 = e8char2_new(F, rho)
-    inst4 = e4char2_new(F, F(1))
-    curve = inst8.curve
-    points = curve.full_group()
-    gen = Point(rho, rho)
-    gen_order = curve.order_of(gen)
-    return {
-        "field": F.descriptor,
-        "curve": curve.to_json_dict(),
-        "group_order": len(points),
-        "generator": point_to_json(gen),
-        "generator_order": gen_order,
-        "cyclic": gen_order == len(points),
+    inst = FAMILIES["e8char2"](F, rho)
+    curve = inst.curve
+    return _worked_example(inst, Point(rho, rho), 8, {}, {
         "equation_is_x3_plus_1": curve.a2 == 0 and curve.a6 == 1,
-        "coincides_with_order4_curve": curve == inst4.curve,
-        "ok": (
-            len(points) == 8
-            and gen_order == 8
-            and curve.a2 == 0
-            and curve.a6 == 1
-            and curve == inst4.curve
-        ),
-    }
+        "coincides_with_order4_curve": curve == FAMILIES["e4char2"](F, F(1)).curve,
+    })
 
 
 def family_sweep(field: Field, N: int) -> List[FamilyInstance]:
     """Every isomorphism class of the order-N family over a small finite field.
 
-    One constructor call per normal-form parameter, in field order:
-    (1, b) for e4, since (a, b) ~ (1, b/a^2) (``e4_normalize``); the t of
-    {t, -t} with the smaller value for e8; the t of {t, 1/t} with the smaller
-    value for e8char2; every parameter for e6, e10, e12 and e4char2 (whose
-    gamma -> a6 = gamma^4 is one-to-one).  Validity is the same across a
-    class, so a parameter the constructor refuses is a class that is skipped.
-    Every instance returned has had its witnesses checked by its constructor.
+    The family is ``FAMILIES["e<N>"]``, or ``"e<N>char2"`` over GF(2^k).  One
+    constructor call per class, in field order, with the arguments
+    ``CLASS_WALKS`` gives for the family, or with every parameter where it
+    has none (e6, e10, e12).  Validity is the same across a class, so a
+    parameter the constructor refuses is a class that is skipped.  Every
+    instance returned has had its witnesses checked by its constructor.
     The largest fields swept are F_97 and GF(2^6).
     """
     q = field.order
@@ -180,27 +163,14 @@ def family_sweep(field: Field, N: int) -> List[FamilyInstance]:
         raise FieldTooLarge("parameter sweeps need a finite field")
     if q > 97:
         raise FieldTooLarge("parameter sweeps are desk-scale: at most F_97 or GF(2^6)")
-    if isinstance(field, BinaryField):
-        if N == 4:
-            ctor, params = e4char2_new, [(g,) for g in field.elements() if g]
-        elif N == 8:  # the smaller t of each pair {t, 1/t}, t != 0, 1 (t = 1/t only at 1)
-            ctor, params = e8char2_new, [(t,) for t in field.elements()
-                                         if 1 < t.value < t.inverse().value]
-        else:
-            raise InvalidParams("binary-field sweeps cover N in {4, 8}")
-    elif N == 4:
-        ctor, params = e4_new, [(field.one, b) for b in field.elements() if b]
-    elif N == 8:
-        ctor, params = e8_new, [(t,) for t in field.elements() if t.value <= (-t).value]
-    elif N in (6, 10, 12):
-        ctor = {6: e6_new, 10: e10_new, 12: e12_new}[N]
-        params = [(v,) for v in field.elements()]
-    else:
-        raise InvalidParams("N must be one of {4, 6, 8, 10, 12}")
+    name = f"e{N}char2" if isinstance(field, BinaryField) else f"e{N}"
+    if name not in FAMILIES:
+        raise InvalidParams(f"no family of order {N} over {field.descriptor}")
+    walk = CLASS_WALKS.get(name, lambda F: [(v,) for v in F.elements()])
     out: List[FamilyInstance] = []
-    for args in params:
+    for args in walk(field):
         try:
-            out.append(ctor(field, *args))
+            out.append(FAMILIES[name](field, *args))
         except InvalidParams:
             continue
     return out

@@ -78,6 +78,7 @@ __all__ = [
     "kubert_to_e6",
     "FAMILIES",
     "FAMILY_NAMES",
+    "CLASS_WALKS",
 ]
 
 
@@ -466,3 +467,14 @@ def kubert_to_e6(field: Field, c) -> FieldElement:
 FAMILIES = {ctor.__name__.removesuffix("_new"): ctor for ctor in (
     e4_new, e6_new, e8_new, e10_new, e12_new, e4char2_new, e8char2_new)}
 FAMILY_NAMES = tuple(FAMILIES)
+
+# One argument tuple per isomorphism class, in field order, for the families
+# whose classes are not their parameters: (1, b) for e4 (``e4_normalize``);
+# the smaller of {t, -t} for e8 and of {t, 1/t}, t != 1, for e8char2 (the iso
+# tests); gamma != 0 for e4char2.  Each other family has a class per parameter.
+CLASS_WALKS = {
+    "e4": lambda F: [(F.one, b) for b in F.elements() if b],
+    "e8": lambda F: [(t,) for t in F.elements() if t.value <= (-t).value],
+    "e4char2": lambda F: [(g,) for g in F.elements() if g],
+    "e8char2": lambda F: [(t,) for t in F.elements() if 1 < t.value < t.inverse().value],
+}

@@ -18,9 +18,12 @@ already unique (x -> x**(2**(k-1))).
 
 F_p and Q also expose the raw helpers that code working on raw values
 (ints mod p, ``Fraction``s) needs between its boundary check and its
-answer: ``_red`` (the canonical value), ``_inv`` and ``_sqrt``.  Each
-field's element-level ``sqrt`` is a thin wrapper over its ``_sqrt``.
-GF(2^k) code works on ints through the field's kernel context instead.
+answer: ``_red(a)`` gives the canonical value of ``a``, an unreduced raw
+result; ``_inv(a)`` the inverse, raising ZeroDivisionError on 0; and
+``_sqrt(a)`` the canonical square root, or None.  Each field's
+element-level ``sqrt`` is a thin wrapper over its ``_sqrt``.  GF(2^k) code
+works on ints through the field's kernel context instead, and every path
+that would need the three refuses characteristic 2 first.
 
 A field instance doubles as an element factory: ``F = PrimeField(7); F(3)``.
 Every field's elements are ``FieldElement``s, one class whose operators
@@ -49,11 +52,12 @@ __all__ = [
     "field_from_descriptor",
 ]
 
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_WITNESSES = (2, 3, 5, 7)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; exact for everything below 3.3e24."""
+    """Deterministic Miller-Rabin to the bases 2, 3, 5, 7: exact below
+    3,215,031,751 (Jaeschke, Math. Comp. 61 (1993)), so for every p < 2^31."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -181,40 +185,7 @@ class FieldElement:
 
 
 class Field:
-    """Abstract base: element factory plus the field-specific arithmetic."""
-
-    kind: str = "?"
-
-    # -- raw-value arithmetic, implemented per subclass ---------------------
-    def _from_int(self, n: int):
-        raise NotImplementedError
-
-    def _add(self, a, b):
-        raise NotImplementedError
-
-    def _sub(self, a, b):
-        raise NotImplementedError
-
-    def _mul(self, a, b):
-        raise NotImplementedError
-
-    def _div(self, a, b):
-        raise NotImplementedError
-
-    def _neg(self, a):
-        raise NotImplementedError
-
-    def _red(self, a):
-        """The canonical raw value equal to ``a``, an unreduced raw result."""
-        raise NotImplementedError
-
-    def _inv(self, a):
-        """The raw inverse of ``a``; ZeroDivisionError for 0, as ``_div`` refuses it."""
-        raise NotImplementedError
-
-    def _sqrt(self, a):
-        """The canonical raw square root of ``a``, or None when there is none."""
-        raise NotImplementedError
+    """Base of the three fields: the element factory, and what all three share."""
 
     def _pow(self, a, n: int):
         # Generic square-and-multiply; subclasses may shortcut.
@@ -247,10 +218,6 @@ class Field:
             raise InvalidParams(f"booleans are not elements of {self.descriptor}")
         return self._from_number(value)
 
-    def _from_number(self, value) -> FieldElement:
-        """The element a number other than a bool stands for; per field."""
-        raise NotImplementedError
-
     def __call__(self, value) -> FieldElement:
         return self.element(value)
 
@@ -263,32 +230,15 @@ class Field:
         return FieldElement(self, self._from_int(1))
 
     @property
-    def characteristic(self) -> int:
-        raise NotImplementedError
-
-    @property
     def order(self) -> Optional[int]:
         """Number of elements, or None for an infinite field."""
         return None
 
     def elements(self) -> Iterator[FieldElement]:
-        raise FieldTooLarge(f"cannot enumerate {self.descriptor}")
-
-    def is_square(self, a: FieldElement) -> bool:
-        raise NotImplementedError
-
-    def sqrt(self, a: FieldElement) -> Optional[FieldElement]:
-        raise NotImplementedError
-
-    @property
-    def descriptor(self) -> str:
-        raise NotImplementedError
-
-    def parse_element(self, text: str) -> FieldElement:
-        raise NotImplementedError
-
-    def format_element(self, a: FieldElement) -> str:
-        raise NotImplementedError
+        """Every element, by raw value 0 .. order - 1; FieldTooLarge for Q."""
+        if self.order is None:
+            raise FieldTooLarge(f"cannot enumerate {self.descriptor}")
+        return (FieldElement(self, v) for v in range(self.order))
 
     def __repr__(self):
         return self.descriptor
@@ -362,10 +312,6 @@ class PrimeField(Field):
     @property
     def order(self):
         return self.p
-
-    def elements(self):
-        for i in range(self.p):
-            yield FieldElement(self, i)
 
     def is_square(self, a):
         return kernel.fp_is_square(a.value, self.p)
@@ -491,10 +437,6 @@ class BinaryField(Field):
     def order(self):
         return 1 << self.k
 
-    def elements(self):
-        for v in range(1 << self.k):
-            yield FieldElement(self, v)
-
     def is_square(self, a):
         return True  # Frobenius is a bijection on a finite field of char 2
 
@@ -527,6 +469,8 @@ class BinaryField(Field):
         m = _HEX_LITERAL.fullmatch(text.strip())
         if m is None:
             raise InvalidParams(f"a GF(2^k) element is written in hex, got {text!r}")
+        if len(m[1]) > _MAX_DIGITS:
+            raise InvalidParams(f"a GF(2^k) element has at most {_MAX_DIGITS} hex digits")
         return self._from_number(int(m[1], 16))
 
     def format_element(self, a):
@@ -537,7 +481,9 @@ class BinaryField(Field):
 # digits long (Python's own default limit on int() of a string).
 _RATIONAL_LITERAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 _MAX_DIGITS = 4300
-# GF(2^k) literals: ASCII hex digits, after an optional 0x.
+# GF(2^k) literals: ASCII hex digits, after an optional 0x, at most 4300 of
+# them: int() takes any number of hex digits, but the reduction mod the
+# field's modulus is quadratic in their count.
 _HEX_LITERAL = re.compile(r"(?:0[xX])?([0-9a-fA-F]+)")
 # Descriptors; a sign is read so that the field's constructor names a negative number.
 _DESCRIPTOR = re.compile(r"Q|Fp:(-?[0-9]+)|F2k:(-?[0-9]+):(-?[0-9a-fA-F]+)")

@@ -251,7 +251,7 @@ def test_family_sweep_e4_builds_one_curve_per_class(monkeypatch, p, broken_check
         calls.append(args)
         return e4_new(*args, **kwargs)
 
-    monkeypatch.setattr(census, "e4_new", counting_e4_new)
+    monkeypatch.setitem(families.FAMILIES, "e4", counting_e4_new)
     first = family_sweep(PrimeField(p), 4)[0].params["b"]
     calls.clear()
     if broken_check:
@@ -360,7 +360,7 @@ def test_family_sweep_e8_builds_one_curve_per_class(monkeypatch, p, broken_check
         built.append(inst)
         return inst
 
-    monkeypatch.setattr(census, "e8_new", counting_e8_new)
+    monkeypatch.setitem(families.FAMILIES, "e8", counting_e8_new)
     if broken_check:
         _break_witness_checks(monkeypatch)
         with pytest.raises(VerificationError, match="claims order 2 but has order 8"):

@@ -430,6 +430,13 @@ def test_malformed_rational_literals_exit_2(capsys):
     assert js["params"] == {"T": "-3/4"}
 
 
+def test_binary_literals_past_4300_hex_digits_exit_2(capsys):
+    argv = ["family", "--field", "F2k:8:11b", "--family", "e4char2", "--gamma"]
+    assert run_json(capsys, *argv, "9c" * 2150)["params"] == {"gamma": "79"}
+    code, out = run(capsys, *argv, "9" * 4301)
+    assert code == 2 and out == ""
+
+
 def test_negative_fractions_as_option_values(capsys):
     for argv in (["family", "--field", "Q", "--family", "e12", "--T"],
                  ["family", "--field", "Fp:101", "--family", "e8", "--t"]):

@@ -13,7 +13,7 @@ from ectorsion import (
     Rationals,
     field_from_descriptor,
 )
-from ectorsion.field import FieldElement, _gf2_irreducible, default_modulus
+from ectorsion.field import FieldElement, _gf2_irreducible, _is_prime, default_modulus
 
 import oracles
 
@@ -35,6 +35,21 @@ def test_prime_field_accepts_large_prime_below_cap():
     F = PrimeField(p)
     a = F(123456789)
     assert (a * a).sqrt() in (a, -a)
+
+
+def test_primality_is_exact_on_the_moduli_prime_fields_take():
+    """Miller-Rabin to the bases 2, 3, 5, 7 against a sieve below 10^5; the
+    least strong pseudoprimes to base 2, to 2 and 3, and to 2, 3 and 5, and
+    the Carmichael numbers 561, 1105, 1729, are refused; the two largest
+    primes below 2^31 are accepted."""
+    n = 10**5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i::i] = bytes(len(range(i * i, n, i)))
+    assert [i for i in range(n) if _is_prime(i)] == [i for i in range(n) if sieve[i]]
+    assert not any(_is_prime(c) for c in (2047, 1373653, 25326001, 561, 1105, 1729))
+    assert _is_prime(2**31 - 1) and _is_prime(2147483629)
 
 
 def test_binary_field_rejects_bad_degrees_and_moduli():
@@ -310,6 +325,20 @@ def test_binary_negative_powers_match_the_oracle():
         assert (G(v) ** -3).value == oracles.gf2_inv(oracles.gf2_pow(v, 3, m, k), m, k)
     with pytest.raises(ZeroDivisionError):
         G(0) ** -3
+
+
+def test_binary_literals_have_at_most_4300_hex_digits():
+    """Q's and F_p's 4,300-digit rule, counted after an optional 0x: the
+    literal's reduction mod the modulus is quadratic in its length."""
+    G = BinaryField(8)
+    text = "9c" * 2150
+    r = 0  # Horner's rule over the bits, one oracle product by x a bit
+    for bit in bin(int(text, 16))[2:]:
+        r = oracles.gf2_mul(r, 2, G.modulus, G.k) ^ int(bit)
+    assert G.parse_element(text).value == G.parse_element("0x" + text).value == r
+    for text in ("9" * 4301, "0x" + "9" * 4301):
+        with pytest.raises(InvalidParams, match="at most 4300 hex digits"):
+            G.parse_element(text)
 
 
 def test_prime_field_sqrt_known_values():

@@ -114,3 +114,28 @@ def test_every_module_level_name_is_read():
         dead += [f"{os.path.basename(path)}:{line} {name}" for name, line in _defined(trees[path])
                  if name not in reads[path][0] | shared | exported]
     assert dead == []
+
+
+def test_family_constructors_have_one_home():
+    """Only families.py defines a name ending in ``_new``, and only
+    __init__.py imports one, to export it: every other module reaches a
+    constructor through ``families.FAMILIES``, so a new family is one entry
+    there."""
+    misplaced = []
+    for path in MODULES:
+        base = os.path.basename(path)
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and base != "__init__.py":
+                names = [a.name for a in node.names]
+            elif base == "families.py":
+                continue
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            else:
+                continue
+            misplaced += [f"{base}:{node.lineno} {n}" for n in names if n.endswith("_new")]
+    assert misplaced == []
