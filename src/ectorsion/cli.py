@@ -24,6 +24,13 @@ the functions in ``families.FAMILIES`` and ``_ISOS``, read from their
 signatures.  ``--field`` and a curve JSON's own ``"field"`` must agree.
 
 An option value may be a negative literal: ``--T -3/4`` reads as ``--T=-3/4``.
+
+The parser is built once a process.  A call whose first argument names a
+command is parsed by that command's parser alone; any other call (no
+argument, ``-h``, an unknown command, a leading option) by the top-level one.
+Both give what the top-level parser alone would.  JSON output is
+``json.dumps(..., indent=2)`` byte for byte, written through json's C string
+encoder.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import json
 import os
 import re
 import sys
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .census import sigma_char2, verify_f3_example, verify_f4_example
 from .curve import curve_from_json, point_from_json, point_to_json
@@ -93,56 +100,81 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> _Parser:
-    """The one parser of the process, built on first use and shared by every
-    ``main`` call: parsing leaves it unchanged, ``prog`` is fixed, every default
-    is immutable and each help formatter reads the terminal width anew."""
+def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
+    """The one parser of the process and its subparsers by command, built on
+    first use and shared by every ``main`` call: parsing leaves them unchanged,
+    ``prog`` is fixed, every default is immutable and each help formatter reads
+    the terminal width anew."""
     p = _Parser(
         prog="ectorsion",
         description="Command-line front-end: construction, halving, orders, isomorphism, census.",
     )
     sub = p.add_subparsers(dest="command", required=True)
+    commands: Dict[str, _Parser] = {}
+
+    def add(name, **kwargs):
+        commands[name] = sub.add_parser(name, **kwargs)
+        return commands[name]
 
     def common(sp):
         sp.add_argument("--output", choices=("json", "text"), default="json")
 
-    fam = sub.add_parser("family", help="construct a family instance with witnesses")
+    fam = add("family", help="construct a family instance with witnesses")
     fam.add_argument("--field", required=True)
     fam.add_argument("--family", required=True, choices=FAMILY_NAMES)
     for flag in _FAMILY_FLAGS:
         fam.add_argument(f"--{flag}")
     common(fam)
 
-    hal = sub.add_parser("halve", help="compute all rational halves of a point")
+    hal = add("halve", help="compute all rational halves of a point")
     hal.add_argument("--field")
     hal.add_argument("--curve", required=True, help="curve JSON")
     hal.add_argument("--point", required=True, help="point JSON")
     hal.add_argument("--method", choices=tuple(_HALVERS), default="auto")
     common(hal)
 
-    order = sub.add_parser(
+    order = add(
         "order", help="exact order of a point (null only for infinite order over Q)")
     order.add_argument("--field")
     order.add_argument("--curve", required=True)
     order.add_argument("--point", required=True)
     common(order)
 
-    iso = sub.add_parser("iso", help="test family parameters for isomorphism")
+    iso = add("iso", help="test family parameters for isomorphism")
     iso.add_argument("--field", required=True)
     iso.add_argument("--kind", required=True, choices=tuple(_ISO_PARAMS))
     for flag in _ISO_FLAGS:
         iso.add_argument(f"--{flag}")
     common(iso)
 
-    cen = sub.add_parser("census", help="count iso classes with an order-N point")
+    cen = add("census", help="count iso classes with an order-N point")
     cen.add_argument("--field", required=True)
     cen.add_argument("--order", required=True, type=int, choices=(4, 8))
     cen.add_argument("--table", action="store_true", help="render as an aligned table")
     common(cen)
 
-    ver = sub.add_parser("verify-examples", help="replay the F_3 and F_4 worked examples")
+    ver = add("verify-examples", help="replay the F_3 and F_4 worked examples")
     common(ver)
-    return p
+    return p, commands
+
+
+def _parse(argv: Sequence[str]) -> argparse.Namespace:
+    """``argv`` as the top-level parser reads it, SystemExit included.
+
+    When ``argv[0]`` names a command, only that command's parser scans the
+    rest, and what it leaves over is refused as argparse's subparsers action
+    would have it refused.
+    """
+    parser, commands = _build_parser()
+    argv = _join_negative_values(argv)
+    sub = commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    args, extra = sub.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
 
 
 def _load_curve_and_field(args) -> Tuple[object, Field]:
@@ -242,6 +274,39 @@ def _render_text(obj, prefix: str = "") -> List[str]:
     return [f"{prefix.rstrip('.')}: {obj}"]
 
 
+_STR = json.encoder.encode_basestring_ascii
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json(obj, indent: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, for dicts with str keys,
+    lists, tuples, strs, ints, bools, None and floats; ``indent`` is the
+    newline and indent that close ``obj``.
+
+    ``indent`` makes ``json.dumps`` take its pure-Python encoder, and
+    ``json.dumps`` of a lone int or bool builds an encoder per call; here
+    strs go through the C function both encoders use, and ints through
+    ``int.__repr__``, as in both encoders.
+    """
+    if isinstance(obj, str):
+        return _STR(obj)
+    inner = indent + "  "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f"{_STR(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + indent + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in obj]) + indent + "]"
+    if obj is None or isinstance(obj, bool):
+        return _CONSTANTS[obj]
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    return json.dumps(obj)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         code = _main(sys.argv[1:] if argv is None else argv)
@@ -257,9 +322,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _main(argv: Sequence[str]) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(_join_negative_values(argv))
+        args = _parse(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -276,7 +340,7 @@ def _main(argv: Sequence[str]) -> int:
     elif args.output == "text":
         print("\n".join(_render_text(out)))
     else:
-        print(json.dumps(out, indent=2))
+        print(_json(out))
     return 0
 
 

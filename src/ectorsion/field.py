@@ -187,6 +187,8 @@ class FieldElement:
 class Field:
     """Base of the three fields: the element factory, and what all three share."""
 
+    __slots__ = ()
+
     def _pow(self, a, n: int):
         # Generic square-and-multiply; subclasses may shortcut.
         if n < 0:
@@ -247,7 +249,6 @@ class Field:
 class PrimeField(Field):
     """F_p for a prime p < 2**31 (p = 2 is allowed, though curves reject it)."""
 
-    kind = "prime"
     __slots__ = ("p",)
 
     def __init__(self, p: int):
@@ -368,7 +369,6 @@ def default_modulus(k: int) -> int:
 class BinaryField(Field):
     """GF(2^k), k <= 20, as bit-vectors mod an irreducible polynomial."""
 
-    kind = "binary"
     __slots__ = ("k", "modulus", "_gf")
 
     def __init__(self, k: int, modulus: Optional[int] = None):
@@ -503,7 +503,6 @@ def _rational_literal(text: str, what: str) -> tuple:
 class Rationals(Field):
     """The rational numbers, backed by ``fractions.Fraction``."""
 
-    kind = "rational"
     __slots__ = ()
 
     def __eq__(self, other):

@@ -419,6 +419,60 @@ def test_text_output_carries_the_same_content(capsys):
     assert js["kind"] == "e4"
 
 
+# Each subcommand's answer, as the dict it prints: over F_p, GF(2^k) and Q,
+# with empty lists, nulls, bools and a 31-bit prime among the values.
+_CAP_DIGITS = "7" * 4300
+_ANSWERS = [
+    ["family", "--field", "Fp:7", "--family", "e8", "--t", "3"],
+    ["family", "--field", "Fp:2147483647", "--family", "e12", "--T", "3"],
+    ["family", "--field", "Q", "--family", "e10", "--u", "-3/4"],
+    ["family", "--field", "F2k:8:11b", "--family", "e8char2", "--t", "3"],
+    ["halve", "--field", "Fp:7", "--curve", '{"alpha": 0, "p": 0, "q": 1}',
+     "--point", '{"x": 5, "y": 2}'],
+    ["halve", "--field", "Fp:7", "--curve", '{"alpha": 0, "p": 0, "q": 1}',
+     "--point", '{"x": 0, "y": 0}'],
+    ["halve", "--curve", '{"field": "Q", "alpha": 0, "p": 0, "q": -1}', "--point", '{"x": 0, "y": 0}',
+     "--method", "split"],
+    ["halve", "--curve", '{"field": "F2k:8:11b", "a2": "0", "a6": "ad"}',
+     "--point", '{"x": "bf", "y": "b8"}'],
+    ["order", "--field", "Fp:7", "--curve", '{"alpha": 0, "p": 0, "q": 1}',
+     "--point", '{"x": 5, "y": 2}'],
+    ["order", "--field", "Q", "--curve", '{"alpha": 0, "p": 0, "q": -2}',
+     "--point", '{"x": 2, "y": 2}'],
+    ["iso", "--field", "Q", "--kind", "e4", "--a", "1", "--b", "1", "--c", "2", "--d", "4"],
+    ["iso", "--field", "Q", "--kind", "e4", "--a", "1", "--b", "1", "--c", "3", "--d", "4"],
+    ["iso", "--field", "F2k:3:b", "--kind", "e8char2", "--s", "2", "--t", "3"],
+    ["census", "--field", "F2k:2:7", "--order", "8"],
+    ["verify-examples"],
+]
+
+
+def test_json_output_is_json_dumps_byte_for_byte():
+    answers = [cli._COMMANDS[argv[0]](cli._parse(argv)) for argv in _ANSWERS]
+    strings = ['', 'a"b', "back\\slash", "\x00\x1f\x7f\n\t\r\b\f", "caf\u00e9", "\u2603",
+               "\U0001f600", "\ud800", "</script>", "x" * 10**5]
+    values = [
+        {}, [], (), {"": {}}, [[]], [{}], {"a": [], "b": {}}, (1, (2, ()), [3]), [(), {}],
+        {"k": {"k": {"k": [1, [2, [3, {"deep": None}]]]}}},
+        {s: s for s in strings}, strings, tuple(strings),
+        [0, -1, 1, 10**4299, -(10**4299), int(_CAP_DIGITS), True, False, None, 1.5, -0.0,
+         float("inf"), float("nan")],
+        {"t": True, "f": False, "n": None, "i": 2**31 - 1},
+        *strings, True, False, None, 0, -(10**4299),
+    ]
+    for obj in answers + values:
+        assert cli._json(obj) == json.dumps(obj, indent=2), obj
+
+
+def test_json_output_at_the_digit_cap_is_json_dumps_byte_for_byte():
+    """About 400 kB: e12 over Q at a 4,300-digit T."""
+    argv = ["family", "--field", "Q", "--family", "e12", "--T", _CAP_DIGITS]
+    out = cli._COMMANDS["family"](cli._parse(argv))
+    expected = json.dumps(out, indent=2)
+    assert len(expected) > 400_000
+    assert cli._json(out) == expected
+
+
 def test_malformed_rational_literals_exit_2(capsys):
     for lit in ("0.5", "1e400", "1e1000000000", "1/0", "1" * 4301):
         code, _ = run(capsys, "family", "--field", "Q", "--family", "e12", "--T", lit)

@@ -3,13 +3,17 @@
 Fields are Q, F_p with p <= 101 and GF(2^k) with k <= 3, and literals are
 short, so every call has a stated bound: it finishes in under two seconds
 (the slowest, a census over GF(8), takes about 0.02 s).  Each call must exit
-with a documented code (0, 1, 2 or 3) and write no traceback.
+with a documented code (0, 1, 2 or 3) and write no traceback.  The same
+argvs check that a command's own parser reads each argv as the top-level
+parser does.
 """
 
+import contextlib
+import io
 import json
 import time
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ectorsion import cli
 
@@ -143,3 +147,42 @@ def test_every_argv_exits_with_a_documented_code(capsys, argv):
     assert code in (0, 1, 2, 3), (argv, code, err)
     assert "Traceback" not in err, argv
     assert elapsed < CALL_BOUND_S, (argv, elapsed)
+
+
+def parse_outcome(parse, argv):
+    """The namespace ``parse(argv)`` returns, or its SystemExit code; and what it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as e:
+            result = e.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def top_level_parse(argv):
+    parser, _ = cli._build_parser()
+    return parser.parse_args(cli._join_negative_values(argv))
+
+
+@settings(max_examples=400, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(argv=argvs)
+@example(argv=[])
+@example(argv=["-h"])
+@example(argv=["--help", "family"])
+@example(argv=["bogus-command"])
+@example(argv=["family"])
+@example(argv=["family", "--help"])
+@example(argv=["order", "--he"])
+@example(argv=["family", "--f", "Q"])  # ambiguous: --field or --family
+@example(argv=["family", "--fam", "e8", "--fi", "Q", "--t", "-3/4"])
+@example(argv=["family", "--", "x"])
+@example(argv=["--", "family"])
+@example(argv=["--output", "json", "family"])
+@example(argv=["halve", "--curve", "{}", "--point", "{}", "--what", "x", "-y", "--"])
+@example(argv=["verify-examples", "--output=text", "extra"])
+@example(argv=["census", "--field", "F2k:2:7", "--order", "8", "--table", "--bogus=1"])
+def test_a_commands_parser_reads_argv_as_the_top_level_parser(monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert parse_outcome(cli._parse, argv) == parse_outcome(top_level_parse, argv), argv

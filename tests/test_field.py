@@ -52,6 +52,13 @@ def test_primality_is_exact_on_the_moduli_prime_fields_take():
     assert _is_prime(2**31 - 1) and _is_prime(2147483629)
 
 
+def test_field_instances_have_no_dict():
+    for F in (PrimeField(7), BinaryField(3), Rationals()):
+        assert not hasattr(F, "__dict__"), F
+        with pytest.raises(AttributeError):
+            F.extra = 1
+
+
 def test_binary_field_rejects_bad_degrees_and_moduli():
     for bad_k in (0, 21, -1, "3", True):  # BinaryField(True) would be named "F2k:True:3"
         with pytest.raises(InvalidParams):

@@ -1,10 +1,11 @@
 """Outputs pinned byte for byte: one sha256 digest per group of calls.
 
 Each group hashes, call by call, what the call prints on stdout and, for a
-CLI call, its argv and exit code.  The corpus is built here from code: the
+CLI call, its argv and exit code; the ``cli_errors`` group hashes each
+usage failure's stderr too.  The corpus is built here from code: the
 fp_queries argvs of ``perfbench/workloads.py`` at seed 1, every
 ``family_sweep`` of the small fields, and the CLI's subcommands over F_p,
-GF(2^k) and Q.  A change meant to alter an output updates its group's digest
+GF(2^k) and Q, and the usage failures.  A change meant to alter an output updates its group's digest
 and says which group changed and why; any other digest change is a
 regression in what users see.
 """
@@ -33,14 +34,16 @@ DIGESTS = {
     "order": "5f75eec6eaa01c1a12e279fb0019e7189cb619279f0d813e9aec870beb11ee3a",
     "iso": "58825d8f4cb82eee4087f5b5bf116834441509bb0c625bfbd0d0dd80ce0b895a",
     "census_examples_help": "15b4acebf355a99ef55ab9ba937c92f93e2bcdb260545d5ceb8845f1b06345a3",
+    "cli_errors": "1f7cb7ffed73b31072f480f52eb83e89b391ecb6c73cadf0612895c36a1a09bb",
 }
 
 
-def _cli(h, argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def _cli(h, argv, with_stderr=False):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
-    h.update(json.dumps([argv, code, out.getvalue()]).encode())
+    record = [argv, code, out.getvalue()] + ([err.getvalue()] if with_stderr else [])
+    h.update(json.dumps(record).encode())
     return code, out.getvalue()
 
 
@@ -136,6 +139,26 @@ def _census_examples_help(h):
         _cli(h, command + ["--help"])
 
 
+_USAGE_ERRORS = [
+    [],  # no command
+    ["bogus-command"],
+    ["--output", "json", "family"],  # a leading option
+    ["family", "--field", "Fp:7"],  # --family missing
+    ["halve", "--curve", "{}", "--point", "{}", "--what"],
+    ["halve", "--curve", "{}", "--point", "{}", "--what", "x", "y"],
+    ["verify-examples", "extra"],
+    ["order", "--field", "Fp:7", "--curve", "{}", "--point", "{}", "--output", "xml"],
+    ["census", "--field", "F2k:2:7", "--order", "6"],
+    ["census", "--field", "F2k:2:7", "--order", "x"],
+    ["iso", "--field", "Q", "--kind"],  # a flag without its value
+]
+
+
+def _cli_errors(h):
+    for argv in _USAGE_ERRORS:
+        _cli(h, argv, with_stderr=True)
+
+
 @pytest.fixture(scope="module")
 def digests():
     """Every group's digest, computed once for the module."""
@@ -149,6 +172,7 @@ def digests():
         _order(hs["order"], points)
         _iso(hs["iso"])
         _census_examples_help(hs["census_examples_help"])
+        _cli_errors(hs["cli_errors"])
     return {name: h.hexdigest() for name, h in hs.items()}
 
 
