@@ -428,7 +428,7 @@ def iso_e8char2(field: Field, s, t) -> bool:
     return s == t or field._kernel().mul(s, t) == 1
 
 
-def j_fourth_power_criterion(field: Field, c) -> Optional[FieldElement]:
+def j_fourth_power_criterion(field: Field, c) -> FieldElement:
     """gamma with gamma^4 = 1/c, i.e. the e4char2 parameter whose curve has j = c.
 
     Over a finite binary field every nonzero element is a fourth power, so

@@ -83,9 +83,9 @@ def _is_prime(n: int) -> bool:
 class FieldElement:
     """One element of a :class:`Field`.
 
-    Supports the usual operators against elements of the same field and
-    against plain ints (which enter through the ring homomorphism from Z,
-    i.e. ``2 * x`` means ``x + x`` even in characteristic 2).
+    Supports the usual operators and ``==`` against elements of the same
+    field and against plain ints, bools excepted (ints enter through the ring
+    homomorphism from Z, i.e. ``2 * x`` means ``x + x`` even in characteristic 2).
     """
 
     __slots__ = ("field", "value")
@@ -160,7 +160,7 @@ class FieldElement:
             return (
                 other.field is self.field or other.field == self.field
             ) and self.value == other.value
-        if isinstance(other, int):
+        if isinstance(other, int) and not isinstance(other, bool):
             return self.value == self.field._from_int(other)
         return NotImplemented
 
@@ -185,9 +185,25 @@ class FieldElement:
 
 
 class Field:
-    """Base of the three fields: the element factory, and what all three share."""
+    """Base of the three fields: the element factory, and what all three share.
+
+    F_p and Q share ``_add``, ``_sub``, ``_neg`` and ``_div`` too, written here
+    through their ``_red`` and ``_inv``; GF(2^k) has its own.
+    """
 
     __slots__ = ()
+
+    def _add(self, a, b):
+        return self._red(a + b)
+
+    def _sub(self, a, b):
+        return self._red(a - b)
+
+    def _neg(self, a):
+        return self._red(-a)
+
+    def _div(self, a, b):
+        return self._red(a * self._inv(b))
 
     def _pow(self, a, n: int):
         # Generic square-and-multiply; subclasses may shortcut.
@@ -269,20 +285,8 @@ class PrimeField(Field):
     def _from_int(self, n):
         return n % self.p
 
-    def _add(self, a, b):
-        return (a + b) % self.p
-
-    def _sub(self, a, b):
-        return (a - b) % self.p
-
     def _mul(self, a, b):
         return a * b % self.p
-
-    def _div(self, a, b):
-        return a * self._inv(b) % self.p
-
-    def _neg(self, a):
-        return -a % self.p
 
     def _red(self, a):
         return a % self.p
@@ -329,7 +333,9 @@ class PrimeField(Field):
         num, den = _rational_literal(text, "an F_p element")
         if den is None:
             return FieldElement(self, num % self.p)
-        return FieldElement(self, self._div(num % self.p, den))
+        if den % self.p == 0:
+            raise InvalidParams(f"zero denominator mod p in {text!r}")
+        return FieldElement(self, self._div(num, den))
 
     def format_element(self, a):
         return str(a.value)
@@ -514,22 +520,8 @@ class Rationals(Field):
     def _from_int(self, n):
         return Fraction(n)
 
-    def _add(self, a, b):
-        return a + b
-
-    def _sub(self, a, b):
-        return a - b
-
     def _mul(self, a, b):
         return a * b
-
-    def _div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero in Q")
-        return a / b
-
-    def _neg(self, a):
-        return -a
 
     def _red(self, a):
         return a  # a Fraction is always in lowest terms

@@ -1,13 +1,19 @@
 """Division by 2: all ways of computing {Q : 2Q = P} rationally.
 
-Four routes, all returning the same point sets on their common domains:
+Four routes, all returning the same point sets on their common domains.  In
+characteristic != 2 every half of P = (x0, y0) comes from a root triple:
+r_i^2 = x0 - alpha_i and r1*r2*r3 = -y0.  Three criteria find the triples,
+each as (r1, r2 + r3, r2*r3) so that r2 and r3 may lie in K_g, and one
+builder, ``_halves``, turns each into its half and tangent slope:
 
-* ``halve_split``    — every root of the cubic is in K; Q is rebuilt from a
-  sign-consistent triple r_i with r_i^2 = x0 - alpha_i and r1*r2*r3 = -y0.
+* ``halve_split``    — every root of the cubic is in K; the triples are the
+  sign choices of sqrt(x0 - alpha_i) whose product is -y0.
 * ``halve_quadext``  — g irreducible; decide by whether x0 - X is a square
-  in K_g = K[x]/(g) and expand the halves through norm and trace of the root.
+  in K_g = K[x]/(g): for its root rho, r2 + r3 = +-trace(rho) and
+  r2*r3 = norm(rho), with r1 = r in K.
 * ``halve_rT``       — uniform two-parameter criterion (works either way):
-  r^2 = x0 - alpha and T^2 = ((2*x0 + p)*(x0 - alpha) - 2*y0*r) / r^2.
+  r^2 = x0 - alpha and T^2 = ((2*x0 + p)*(x0 - alpha) - 2*y0*r) / r^2; the
+  triples are (r, +-T, -y0/r).
 * ``halve_char2``    — binary fields: r = sqrt(x0) plus an Artin-Schreier
   solve of l^2 + l = x0 + a2.
 
@@ -33,7 +39,6 @@ from .curve import (
     Point,
     _Record,
     _pt_from_ints,
-    _pt_ints,
     element_to_json,
     point_to_json,
 )
@@ -137,6 +142,20 @@ def _to_json(F, v) -> str:
     return element_to_json(FieldElement(F, v))
 
 
+def _halves(red, x0, y0, triples) -> list:
+    """The ((x, y), slope) half of (x0, y0) for each root triple (r1, r2 + r3, r2*r3).
+
+    With s1 = r1 + r2 + r3 and s2 = r1*r2 + r1*r3 + r2*r3 the half is
+    (x0 + s2, -y0 - s1*s2), of tangent slope -s1; ``red`` maps each of the
+    three to its canonical value.
+    """
+    out = []
+    for r1, s, n in triples:
+        s1, s2 = r1 + s, r1 * s + n
+        out.append(((red(x0 + s2), red(-y0 - s1 * s2)), red(-s1)))
+    return out
+
+
 def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
     """All four halves when every root of the cubic is rational.
 
@@ -156,30 +175,27 @@ def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
             return HalvingResult("split", (), {})
         signed.append((r, -r))
     red = F._red
-    candidates = []
+    triples = []
     for r1 in signed[0]:
         for r2 in signed[1]:
             r12 = r1 * r2
             for r3 in signed[2]:
-                if red(r12 * r3 + y0):  # r1*r2*r3 != -y0
-                    continue
-                s1 = r1 + r2 + r3
-                s2 = r12 + (r1 + r2) * r3
-                candidates.append(((red(x0 + s2), red(-y0 - s1 * s2)), red(-s1)))
+                if not red(r12 * r3 + y0):  # r1*r2*r3 = -y0
+                    triples.append((r1, r2 + r3, r2 * r3))
     witness = {
         "r1": _to_json(F, signed[0][0]),
         "r2": _to_json(F, signed[1][0]),
         "r3": _to_json(F, signed[2][0]),
     }
-    return _answer(curve, "split", (x0, y0), candidates, witness)
+    return _answer(curve, "split", (x0, y0), _halves(red, x0, y0, triples), witness)
 
 
 def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
     """The two halves when g is irreducible, via the square root of x0 - X.
 
     With rho^2 = x0 - X in K_g and the unique r in K satisfying
-    r^2 = x0 - alpha, r*norm(rho) = -y0, the halves are
-    (alpha + norm(r +- rho), -+ trace(rho) * norm(r +- rho)).
+    r^2 = x0 - alpha, r*norm(rho) = -y0, the root triples are
+    (r, +-rho, +-conj(rho)): r2 + r3 = +-trace(rho) and r2*r3 = norm(rho).
     """
     x0, y0 = _affine(curve, CubicCurve, P)
     g = curve.g
@@ -194,20 +210,15 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
     c0, c1 = rho.c0.value, rho.c1.value
     nrho = c0 * c0 - c0 * c1 * gp + c1 * c1 * gq  # nonzero: rho != 0 as x0 - X != 0
     r = red(-y0 * F._inv(nrho))
-    r2 = r * r
-    if red(r2 - x0 + alpha):
+    if red(r * r - x0 + alpha):
         raise VerificationError("r^2 != x0 - alpha")
     tr = 2 * c0 - c1 * gp
-    mid = r2 + nrho
-    candidates = []
-    for t in (tr, -tr):  # t = +-trace(rho): norm(r +- rho) = r^2 + r*t + norm(rho)
-        n = mid + r * t
-        candidates.append(((red(alpha + n), red(-t * n)), red(-(r + t))))
+    triples = [(r, tr, nrho), (r, -tr, nrho)]
     witness = {
         "rho": {"c0": element_to_json(rho.c0), "c1": element_to_json(rho.c1)},
         "r": _to_json(F, r),
     }
-    return _answer(curve, "quadext", (x0, y0), candidates, witness)
+    return _answer(curve, "quadext", (x0, y0), _halves(red, x0, y0, triples), witness)
 
 
 def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
@@ -216,7 +227,8 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
     Raises PointIsW3 for P = (alpha, 0) (that case belongs to halve_split /
     halve_quadext).  P has no halves, and the result is empty, when x0 - alpha
     is not a square or neither sign of r admits a square discriminant
-    D = (2*x0 + p)*(x0 - alpha) - 2*y0*r.
+    D = (2*x0 + p)*(x0 - alpha) - 2*y0*r.  Each branch (r, T) gives the root
+    triples (r, +-T, -y0/r).
     """
     x0, y0 = _affine(curve, CubicCurve, P)
     F = curve.field
@@ -229,7 +241,7 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
         return HalvingResult("rT", (), {})
     red = F._red
     u, y2 = (2 * x0 + curve.g.p.value) * t, 2 * y0  # D = u - y2*r
-    candidates = []
+    triples = []
     branches = []
     for r in (r0, red(-r0)):
         s = F._sqrt(u - y2 * r)  # sqrt(D) = r*T, None when D is not a square
@@ -238,15 +250,12 @@ def halve_rT(curve: CubicCurve, P: Point) -> HalvingResult:
         if not s:
             raise VerificationError("discriminant cannot vanish on a nonsingular curve")
         ir = F._inv(r)
-        T, w = red(s * ir), y0 * ir
-        for sg_rT, sg_T in ((s, T), (-s, -T)):
-            xq = red(x0 + sg_rT - w)
-            slope = red(-(r + sg_T))
-            candidates.append(((xq, red(slope * (xq - x0) - y0)), slope))
+        T, n = red(s * ir), -y0 * ir
+        triples += [(r, T, n), (r, -T, n)]
         branches.append({"r": _to_json(F, r), "T": _to_json(F, T)})
     if not branches:
         return HalvingResult("rT", (), {})
-    return _answer(curve, "rT", (x0, y0), candidates, {"branches": branches})
+    return _answer(curve, "rT", (x0, y0), _halves(red, x0, y0, triples), {"branches": branches})
 
 
 def halvability_criterion_origin(
@@ -255,8 +264,8 @@ def halvability_criterion_origin(
     """The curve on which (0, y0) is halvable by design, with its halves.
 
     Given r != 0 and T != 0, builds y^2 = (x + r^2)(x^2 + (T^2 + 2*y0/r)*x +
-    (y0/r)^2) and returns it with the two halves Q_{r,+-T} of (0, y0),
-    verified against the group law.
+    (y0/r)^2) and returns it with the two halves Q_{r,+-T} of (0, y0): those
+    of ``halve_rT``'s answer with tangent slope -(r +- T).
     """
     if not r or not T:
         raise InvalidParams("need r != 0 and T != 0")
@@ -267,15 +276,11 @@ def halvability_criterion_origin(
     P = Point(field.zero, y0)
     if not curve.contains(P):
         raise VerificationError(f"{P!r} is not on the curve built for it")
-    pt = _pt_ints(P)
-    halves = []
-    for sg in (1, -1):
-        xq = sg * r * T - w
-        slope = -(r + sg * T)
-        Q = Point(xq, slope * xq - y0)
-        _verify_half(curve, pt, _pt_ints(Q))
-        halves.append((Q, slope))
-    return curve, tuple(halves)
+    by_slope = {slope: (Q, slope) for Q, slope in halve_rT(curve, P).halves}
+    halves = tuple(by_slope.get(-(r + sg * T)) for sg in (1, -1))
+    if None in halves:
+        raise VerificationError(f"halve_rT misses a half Q_(r,+-T) of {P!r}")
+    return curve, halves
 
 
 def halve_char2(curve: Char2Curve, P: Point) -> HalvingResult:
@@ -323,14 +328,6 @@ class RootTriple(_Record):
     alphas: Tuple
     roots: Tuple
 
-    def s1(self):
-        r1, r2, r3 = self.roots
-        return r1 + r2 + r3
-
-    def s2(self):
-        r1, r2, r3 = self.roots
-        return r1 * r2 + r1 * r3 + r2 * r3
-
     def doubled(self) -> Point:
         """The point P = 2Q this triple divides: (r1^2 + alpha_1, -r1*r2*r3)."""
         x0 = self.roots[0] * self.roots[0] + self.alphas[0]
@@ -338,12 +335,11 @@ class RootTriple(_Record):
         return Point(_to_base(x0), _to_base(y0))
 
     def rebuild_half(self) -> Tuple[Point, FieldElement]:
-        """Invert back to (Q, slope) via x1 = x0 + s2, y1 = -y0 - s1*s2."""
+        """Invert back to (Q, slope) through ``_halves``, each value taken back to K."""
         P = self.doubled()
-        s1, s2 = self.s1(), self.s2()
-        x1 = P.x + _to_base(s2)
-        y1 = -P.y - _to_base(s1 * s2)
-        return Point(x1, y1), -_to_base(s1)
+        r1, r2, r3 = self.roots
+        ((x1, y1), slope), = _halves(_to_base, P.x, P.y, [(r1, r2 + r3, r2 * r3)])
+        return Point(x1, y1), slope
 
 
 def _to_base(v) -> FieldElement:

@@ -484,6 +484,14 @@ def test_malformed_rational_literals_exit_2(capsys):
     assert js["params"] == {"T": "-3/4"}
 
 
+def test_fp_literal_with_a_zero_denominator_mod_p_exits_2(capsys):
+    for lit in ("1/7", "1/0", "2/14"):
+        code = cli.main(["family", "--field", "Fp:7", "--family", "e8", "--t", lit])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == f"error: zero denominator mod p in {lit!r}\n"
+
+
 def test_binary_literals_past_4300_hex_digits_exit_2(capsys):
     argv = ["family", "--field", "F2k:8:11b", "--family", "e4char2", "--gamma"]
     assert run_json(capsys, *argv, "9c" * 2150)["params"] == {"gamma": "79"}

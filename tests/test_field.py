@@ -10,6 +10,8 @@ from ectorsion import (
     BinaryField,
     InvalidParams,
     PrimeField,
+    QuadExtElement,
+    QuadraticPoly,
     Rationals,
     field_from_descriptor,
 )
@@ -201,6 +203,35 @@ def test_every_field_refuses_bools(field):
         with pytest.raises(InvalidParams):
             field(b)
     assert field.element(1) == field.one and field.element(0) == field.zero
+
+
+def test_no_element_equals_a_bool():
+    """Arithmetic refuses bools, and so does ==: F(1) == True is False in every field and in K_g."""
+    F = PrimeField(7)
+    g = QuadraticPoly(F, 0, 1)  # x^2 + 1 is irreducible mod 7
+    for one, zero in [(field(1), field(0)) for field in (F, Rationals(), BinaryField(3))] + [
+            (QuadExtElement(g, 1), QuadExtElement(g, 0))]:
+        assert one == 1 and zero == 0
+        assert one != True and zero != False  # noqa: E712
+        assert not (True == one) and not (False == zero)  # noqa: E712
+        with pytest.raises((TypeError, InvalidParams)):  # K_g refuses it while coercing
+            one + True
+
+
+def test_prime_field_literal_with_a_zero_denominator_mod_p_is_invalid():
+    """As Q refuses 1/0, F_p refuses every d = 0 mod p, with InvalidParams."""
+    F = PrimeField(7)
+    for text in ("1/7", "1/0", "3/14", "-2/700"):
+        with pytest.raises(InvalidParams, match="zero denominator mod p in"):
+            F.parse_element(text)
+    assert F.parse_element("3/8") == F(3) and F.parse_element("0/8") == F(0)
+
+
+def test_prime_field_and_rationals_share_one_element_arithmetic():
+    """F_p and Q add, subtract, negate and divide through ``Field``'s one copy."""
+    for cls in (PrimeField, Rationals):
+        assert not {"_add", "_sub", "_neg", "_div"} & set(vars(cls)), cls
+    assert {"_add", "_sub", "_neg", "_div"} <= set(vars(BinaryField))
 
 
 def test_element_of_a_foreign_field_is_refused():

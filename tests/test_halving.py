@@ -599,3 +599,66 @@ def test_collector_refuses_a_partial_coset():
             halving._answer(E, "rT", pt, candidates, {})
         assert halving._answer(E, "rT", pt, halves, {}).halves == halve(E, P).halves
     assert split and irreducible
+
+
+# ---------------------------------------------------------------------------
+# the builder: every char != 2 half comes from one root-triple map
+# ---------------------------------------------------------------------------
+
+def test_a_builder_slip_never_returns_a_half(monkeypatch):
+    """A slip in ``_halves`` reaches split, quadext and rT, over F_p and over Q."""
+    cases = _halvable_doubles(13) + [(E, P) for E, P, _ in _q_cases() if halve(E, P).halvable]
+    real = halving._halves
+
+    def slipped(red, x0, y0, triples):
+        return [((red(x + 1), y), slope) for (x, y), slope in real(red, x0, y0, triples)]
+
+    monkeypatch.setattr(halving, "_halves", slipped)
+    refused = set()
+    for E, P in cases:
+        criteria = [halve_split if E.g.roots() is not None else halve_quadext]
+        if P != E.w3:
+            criteria.append(halve_rT)
+        for criterion in criteria:
+            with pytest.raises(VerificationError):
+                criterion(E, P)
+            refused.add((E.field.characteristic == 0, criterion.__name__))
+    assert refused == {(over_q, name) for over_q in (False, True)
+                       for name in ("halve_split", "halve_quadext", "halve_rT")}
+
+
+def test_criterion_origin_refuses_a_missing_half(monkeypatch):
+    real = halve_rT
+    F, Q_ = PrimeField(11), Rationals()
+    for y0, r, T in ((F(2), F(1), F(3)), (Q_(Fraction(5, 3)), Q_(1), Q_(Fraction(5, 3)))):
+        assert len(halvability_criterion_origin(y0, r, T)[1]) == 2
+        for sg in (1, -1):
+            miss = -(r + sg * T)
+
+            def dropped(E, P):
+                res = real(E, P)
+                return HalvingResult("rT", tuple(h for h in res.halves if h[1] != miss), {})
+
+            monkeypatch.setattr(halving, "halve_rT", dropped)
+            with pytest.raises(VerificationError):
+                halvability_criterion_origin(y0, r, T)
+            monkeypatch.undo()
+
+
+def test_rT_branches_are_root_triples():
+    """Each (r, T) branch gives the triples (r, +-T, -y0/r): ``half_to_roots``
+    of the half of slope -(r +- T) finds r1 = r, r2 + r3 = +-T, r2*r3 = -y0/r."""
+    shapes = set()
+    for p in (5, 7, 11, 13, 17, 19, 23):
+        F = PrimeField(p)
+        for E in small_cubic_curves([p]):
+            for P in {E.double(Q) for Q in E.full_group()} - {Point.infinity(), E.w3}:
+                res = halve_rT(E, P)
+                slopes = {slope: Q for Q, slope in res.halves}
+                for branch in res.witness.get("branches", ()):
+                    r, T = F.parse_element(branch["r"]), F.parse_element(branch["T"])
+                    for t in (T, -T):
+                        r1, r2, r3 = half_to_roots(E, slopes[-(r + t)]).roots
+                        assert r1 == r and r2 + r3 == t and r2 * r3 == -P.y / r
+                        shapes.add(E.g.roots() is None)
+    assert shapes == {True, False}

@@ -1,11 +1,12 @@
 """Outputs pinned byte for byte: one sha256 digest per group of calls.
 
 Each group hashes, call by call, what the call prints on stdout and, for a
-CLI call, its argv and exit code; the ``cli_errors`` group hashes each
-usage failure's stderr too.  The corpus is built here from code: the
+CLI call, its argv and exit code; the ``cli_errors`` and
+``cli_input_errors`` groups hash each failure's stderr too.  The corpus is built here from code: the
 fp_queries argvs of ``perfbench/workloads.py`` at seed 1, every
 ``family_sweep`` of the small fields, and the CLI's subcommands over F_p,
-GF(2^k) and Q, and the usage failures.  A change meant to alter an output updates its group's digest
+GF(2^k) and Q, the usage failures (exit 1) and the invalid inputs (exit 2).
+A change meant to alter an output updates its group's digest
 and says which group changed and why; any other digest change is a
 regression in what users see.
 """
@@ -35,6 +36,7 @@ DIGESTS = {
     "iso": "58825d8f4cb82eee4087f5b5bf116834441509bb0c625bfbd0d0dd80ce0b895a",
     "census_examples_help": "15b4acebf355a99ef55ab9ba937c92f93e2bcdb260545d5ceb8845f1b06345a3",
     "cli_errors": "1f7cb7ffed73b31072f480f52eb83e89b391ecb6c73cadf0612895c36a1a09bb",
+    "cli_input_errors": "c04a911326e0b51d307531210d80501afda9cbfecfcced65693c895312e71418",
 }
 
 
@@ -159,6 +161,37 @@ def _cli_errors(h):
         _cli(h, argv, with_stderr=True)
 
 
+_C7 = json.dumps({"field": "Fp:7", "model": "cubic", "alpha": "0", "p": "0", "q": "1"})  # g irreducible
+_S7 = json.dumps({"field": "Fp:7", "model": "cubic", "alpha": "0", "p": "0", "q": "6"})  # g splits
+_INFINITY = json.dumps("infinity")
+_INPUT_ERRORS = [
+    ["family", "--field", "Fp:7", "--family", "e6", "--t", "2/x"],  # a malformed literal
+    ["family", "--field", "Q", "--family", "e6", "--t", "1" * 4301],  # one digit over the cap
+    ["family", "--field", "F2k:3:b", "--family", "e8char2", "--t", "0xZZ"],
+    ["family", "--field", "Fp:9", "--family", "e6", "--t", "2"],  # p not prime
+    ["family", "--field", "F2k:2:5", "--family", "e8char2", "--t", "2"],  # x^2 + 1 reducible
+    ["family", "--field", "Q", "--family", "e8", "--t", "0"],
+    ["family", "--field", "Q", "--family", "e4", "--a", "1", "--b", "2"],  # a^2 + 4b a square
+    ["iso", "--field", "Fp:7", "--kind", "e4", "--a", "1"],  # --b --c --d missing
+    ["halve", "--curve", _C7, "--point", json.dumps({"x": "1", "y": "1"})],  # off the curve
+    ["halve", "--curve", _C7, "--point", json.dumps({"x": "1", "y": "3"}), "--method", "split"],
+    ["halve", "--curve", _S7, "--point", json.dumps({"x": "0", "y": "0"}), "--method", "rT"],  # W3
+    ["halve", "--curve", _S7, "--point", _INFINITY],
+    ["halve", "--curve", _C7, "--point", json.dumps({"x": "1"})],
+    ["halve", "--curve", json.dumps({"field": "Fp:7", "alpha": "0", "p": "0", "q": "0"}),
+     "--point", _INFINITY],  # singular
+    ["halve", "--curve", json.dumps({"field": "Fp:7", "model": "edwards"}), "--point", _INFINITY],
+    ["order", "--field", "Fp:13", "--curve", _C7, "--point", _INFINITY],  # field mismatch
+    ["order", "--field", "Fq:7", "--curve", _C7, "--point", _INFINITY],
+    ["order", "--field", "Fp:7", "--curve", "[" * 100000, "--point", _INFINITY],  # nested too deep
+]
+
+
+def _cli_input_errors(h):
+    for argv in _INPUT_ERRORS:
+        assert _cli(h, argv, with_stderr=True)[0] == 2, argv
+
+
 @pytest.fixture(scope="module")
 def digests():
     """Every group's digest, computed once for the module."""
@@ -173,6 +206,7 @@ def digests():
         _iso(hs["iso"])
         _census_examples_help(hs["census_examples_help"])
         _cli_errors(hs["cli_errors"])
+        _cli_input_errors(hs["cli_input_errors"])
     return {name: h.hexdigest() for name, h in hs.items()}
 
 
