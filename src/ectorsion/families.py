@@ -20,22 +20,27 @@ The witnesses' points are built in ``_witnesses`` only.  A family over a
 field of characteristic != 2 checks that first: every GF(2^k) element is a
 square, so a square-class condition would otherwise take the blame.
 
+Each child family is built from its parent's builder, on raw values:
+
+    E8      = E4 at (a, b) = (2t^2/(t^2 - 1), -1), plus four order-8 points
+    E8char2 = E4char2 at gamma = t^2/(t + 1)^4, plus one order-8 point
+    E12     lies on E6's curve at t = -y3 = -4T^2(T^2 + 1)/(T^2 - 1)^2
+
+E8 and E8char2 begin with their parent's witnesses; E12 lists its own.
+
 The validity predicates are exactly the nonsingularity conditions: for each
 family the discriminant data factors as
 
     E4 :  disc(g) = a^2 (a^2 + 4b),                 g(0)  = b^2
     E6 :  disc(g) = t^3 (t + 4),                    g(-1) = 1 - 2t
-    E8 :  E4 with a = 2t^2/(1 - t^2), b = -1
     E10:  disc(g) ~ u (u^2 + u - 1),                g(-1) ~ (u-1)(u^2-4u-1)
     E12:  disc(g) ~ (T^2+1)(3T^2-1) (up to squares), g(-1) ~ (3T^2+1)^2
 
 so the listed exclusions reject precisely the singular instances, and the
 "not a square" conditions say the 2-torsion is exactly {(alpha, 0)}.
 
-Two witness coordinates are adjusted to their on-curve versions (both fixes
-verified symbolically and by exhaustive finite-field sweeps): the order-4
-point of E8 reads (1, +-2t^2/(1-t^2)), and the order-4 point of E12 sits at
-x = -4T^2/(T^2-1).
+The order-4 point of E12 sits at x = -4T^2/(T^2-1), its on-curve version
+(verified symbolically and by exhaustive finite-field sweeps).
 """
 
 from __future__ import annotations
@@ -159,16 +164,17 @@ def e4_new(field: Field, a, b) -> FamilyInstance:
     (0,0) the only rational 2-torsion point and the curve nonsingular).
     """
     a, b = _e4_params(field, a, b)
+    curve, specs = _e4(field, a, b)
+    return FamilyInstance("e4", {"a": FieldElement(field, a), "b": FieldElement(field, b)},
+                          curve, _witnesses(curve, specs))
+
+
+def _e4(field: Field, a, b):
+    """E4(a, b) on raw values: the curve and its witness specs, orders 2, 4, 4."""
     red, zero = field._red, field._from_int(0)
     curve = CubicCurve(field, zero, red(a * a + 2 * b), red(b * b))
     x, y = red(-b), red(a * b)
-    witnesses = _witnesses(curve, (
-        ((zero, zero), 2),
-        ((x, y), 4),
-        ((x, red(-y)), 4),
-    ))
-    return FamilyInstance("e4", {"a": FieldElement(field, a), "b": FieldElement(field, b)},
-                          curve, witnesses)
+    return curve, (((zero, zero), 2), ((x, y), 4), ((x, red(-y)), 4))
 
 
 def _e4_params(field: Field, a, b):
@@ -211,7 +217,7 @@ def e6_new(field: Field, t) -> FamilyInstance:
     if not red(2 * t - 1):
         raise InvalidParams("e6 needs t != 1/2")
     zero, m1 = field._from_int(0), field._from_int(-1)
-    curve = CubicCurve(field, m1, red(t * t + 2 * t), red(t * t))
+    curve = _e6_curve(field, t)
     x6, y6 = red(-2 * t), red(t - 2 * t * t)
     witnesses = _witnesses(curve, (
         ((m1, zero), 2),
@@ -223,6 +229,12 @@ def e6_new(field: Field, t) -> FamilyInstance:
     return FamilyInstance("e6", {"t": FieldElement(field, t)}, curve, witnesses)
 
 
+def _e6_curve(field: Field, t):
+    """E6(t) on the raw value t: y^2 = (x+1)(x^2 + (t^2+2t)x + t^2)."""
+    red = field._red
+    return CubicCurve(field, field._from_int(-1), red(t * t + 2 * t), red(t * t))
+
+
 def e6_exactly_one_2torsion(field: Field, t) -> bool:
     """True when ((-1), 0) is the only rational 2-torsion: t^2 + 4t non-square."""
     t = field.element(t)
@@ -230,24 +242,20 @@ def e6_exactly_one_2torsion(field: Field, t) -> bool:
 
 
 def e8_new(field: Field, t) -> FamilyInstance:
-    """y^2 = x(x^2 + 2(t^4+2t^2-1)/(t^2-1)^2 x + 1): four points of order 8.
+    """E4 at (a, b) = (2t^2/(t^2-1), -1), plus four points of order 8.
 
-    Valid iff t is outside {0, 1, -1} and 2t^2 - 1 is not a square.  This is
-    the e4 family at a = 2t^2/(1-t^2), b = -1.
+    The curve is y^2 = x(x^2 + 2(t^4+2t^2-1)/(t^2-1)^2 x + 1), E4's order-4
+    points are (1, +-2t^2/(1-t^2)); valid iff t is outside {0, 1, -1} and
+    2t^2 - 1 is not a square.
     """
     t = _e8_param(field, t)
     red = field._red
-    zero, one = field._from_int(0), field._from_int(1)
-    curve = CubicCurve(field, zero, _e8_p(field, t), one)
     i = field._inv(1 - t * t)
+    curve, specs = _e4(field, red(-2 * t * t * i), field._from_int(-1))
     im, ip = (1 + t) * i, (1 - t) * i  # 1/(1 - t) and 1/(1 + t)
-    y4 = red(2 * t * t * i)
     x8a, y8a = red((1 + t) * im), red(2 * t * im * im)
     x8b, y8b = red((1 - t) * ip), red(2 * t * ip * ip)
-    witnesses = _witnesses(curve, (
-        ((zero, zero), 2),
-        ((one, y4), 4),
-        ((one, red(-y4)), 4),
+    witnesses = _witnesses(curve, specs + (
         ((x8a, red(-y8a)), 8),
         ((x8a, y8a), 8),
         ((x8b, y8b), 8),
@@ -265,14 +273,6 @@ def _e8_param(field: Field, t):
     if field._sqrt(2 * t * t - 1) is not None:
         raise InvalidParams("e8 needs 2t^2 - 1 to be a non-square")
     return t
-
-
-def _e8_p(field: Field, t):
-    """P(t) = 2(t^4 + 2t^2 - 1)/(t^2 - 1)^2 on the raw value t, so that E8(t) is
-    y^2 = x(x^2 + P(t)x + 1); t^2 != 1."""
-    t2 = t * t
-    i = field._inv(t2 - 1)
-    return field._red(2 * (t2 * t2 + 2 * t2 - 1) * i * i)
 
 
 def e10_new(field: Field, u) -> FamilyInstance:
@@ -307,8 +307,9 @@ def e10_new(field: Field, u) -> FamilyInstance:
 
 
 def e12_new(field: Field, T) -> FamilyInstance:
-    """The order-12 family: order-3 points over x = 0, order-4 over x = -4T^2/(T^2-1).
+    """The order-12 family on E6's curve at t = -4T^2(T^2+1)/(T^2-1)^2.
 
+    Its order-3 points lie over x = 0, its order-4 points over x = -4T^2/(T^2-1).
     Valid iff T is outside {0, 1, -1}, T^2+1 != 0, 3T^2+1 != 0, 3T^2-1 != 0,
     and (T^2+1)(3T^2-1) is not a square.
     """
@@ -328,11 +329,9 @@ def e12_new(field: Field, T) -> FamilyInstance:
         raise InvalidParams("e12 needs (T^2+1)(3T^2-1) to be a non-square")
     i = field._inv(T2 - 1)
     i2 = i * i
-    i4 = i2 * i2
     zero, m1 = field._from_int(0), field._from_int(-1)
-    p = red(8 * T2 * (T2 + 1) * (T2 * T2 + 4 * T2 - 1) * i4)
-    curve = CubicCurve(field, m1, p, red(16 * T2 * T2 * (T2 + 1) * (T2 + 1) * i4))
     y3 = red(4 * T2 * (T2 + 1) * i2)
+    curve = _e6_curve(field, red(-y3))
     x4, y4 = red(-4 * T2 * i), red(8 * T2 * T * (3 * T2 + 1) * i2 * i)
     p3, p4 = (zero, y3), (x4, y4)
     witnesses = _witnesses(curve, (
@@ -350,30 +349,32 @@ def e4char2_new(field: Field, gamma) -> FamilyInstance:
     """y^2 + xy = x^3 + gamma^4 over GF(2^k): (gamma, gamma^2) has order 4."""
     require_binary(field, "e4char2")
     gamma = _nonzero(field, gamma, "gamma", "e4char2")
+    curve, specs = _e4char2(field, gamma)
+    return FamilyInstance("e4char2", {"gamma": FieldElement(field, gamma)},
+                          curve, _witnesses(curve, specs))
+
+
+def _e4char2(field: Field, gamma):
+    """E4char2(gamma) on the raw value gamma: the curve and its witness specs, orders 2, 4."""
     sq = field._kernel().sq
     g2 = sq(gamma)
-    curve = Char2Curve(field, 0, sq(g2))
-    witnesses = _witnesses(curve, (
-        ((0, g2), 2),
-        ((gamma, g2), 4),
-    ))
-    return FamilyInstance("e4char2", {"gamma": FieldElement(field, gamma)}, curve, witnesses)
+    return Char2Curve(field, 0, sq(g2)), (((0, g2), 2), ((gamma, g2), 4))
 
 
 def e8char2_new(field: Field, t) -> FamilyInstance:
-    """y^2 + xy = x^3 + (t/(t^2+1))^8 over GF(2^k): an order-8 point in closed form."""
+    """E4char2 at gamma = t^2/(t+1)^4, plus a point of order 8 in closed form.
+
+    The curve is y^2 + xy = x^3 + (t/(t^2+1))^8 over GF(2^k); valid iff t is
+    outside {0, 1}.
+    """
     t = _e8char2_param(field, t)
     gf = field._kernel()
     sq, mul, div = gf.sq, gf.mul, gf.div
     t2 = sq(t)
     t3 = mul(t2, t)
     s4 = sq(t2 ^ 1)  # (t + 1)^4 in characteristic 2
-    gamma = div(t2, s4)  # (t/(t^2+1))^2
-    g2 = sq(gamma)
-    curve = Char2Curve(field, 0, sq(g2))
-    witnesses = _witnesses(curve, (
-        ((0, g2), 2),
-        ((gamma, g2), 4),
+    curve, specs = _e4char2(field, div(t2, s4))
+    witnesses = _witnesses(curve, specs + (
         ((div(t3, s4), div(mul(t3, t3 ^ t2 ^ 1), sq(s4))), 8),  # (t^6 + t^5 + t^3)/(t + 1)^8
     ))
     return FamilyInstance("e8char2", {"t": FieldElement(field, t)}, curve, witnesses)

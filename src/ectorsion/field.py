@@ -148,7 +148,7 @@ class FieldElement:
         return self.__class__(self.field, self.field._div(v, self.value))
 
     def __pow__(self, n):
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             return NotImplemented
         return self.__class__(self.field, self.field._pow(self.value, n))
 

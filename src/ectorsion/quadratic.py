@@ -109,13 +109,10 @@ class QuadExtElement:
             if other.g is not self.g and other.g != self.g:
                 raise InvalidParams("mixing elements of different quadratic extensions")
             return other
-        if isinstance(other, FieldElement):
-            if other.field is not self.g.field and other.field != self.g.field:
-                raise InvalidParams("scalar from a different base field")
-            return _elt(self.g, other, self.g.field.zero)
-        if isinstance(other, int):
-            return _elt(self.g, self.g.field.element(other), self.g.field.zero)
-        return None
+        v = self.c0._rhs(other)  # a scalar of K, read as K's own elements read it
+        if v is None:
+            return None
+        return _elt(self.g, FieldElement(self.g.field, v), self.g.field.zero)
 
     def __add__(self, other):
         w = self._coerce(other)
@@ -177,7 +174,7 @@ class QuadExtElement:
         return w / self
 
     def __pow__(self, n):
-        if not isinstance(n, int):
+        if not isinstance(n, int) or isinstance(n, bool):
             return NotImplemented
         base = self
         if n < 0:
@@ -200,7 +197,7 @@ class QuadExtElement:
                 w = self._coerce(other)
             except InvalidParams:  # another extension or base field
                 return False
-            return self.c0 == w.c0 and self.c1 == w.c1
+            return w is not None and self.c0 == w.c0 and self.c1 == w.c1  # None: a bool
         return NotImplemented
 
     def __hash__(self):

@@ -106,10 +106,11 @@ def test_family_no_verify_flag(capsys):
 
 def test_a_witness_off_its_curve_exits_3(capsys, monkeypatch):
     """A witness the library built that fails its check is a verification failure."""
-    def wrong_p(field, t, e8_p=families._e8_p):
-        return field._red(e8_p(field, t) + 1)
+    def shifted(field, a, b, e4=families._e4):  # E4's curve with p + 1, its witnesses kept
+        curve, specs = e4(field, a, b)
+        return ectorsion.CubicCurve(field, curve.alpha, curve.g.p + 1, curve.g.q), specs
 
-    monkeypatch.setattr(families, "_e8_p", wrong_p)
+    monkeypatch.setattr(families, "_e4", shifted)
     code = cli.main(["family", "--field", "Fp:7", "--family", "e8", "--t", "3"])
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""

@@ -101,6 +101,8 @@ def test_from_weierstrass():
     F = PrimeField(7)
     E2 = CubicCurve.from_weierstrass(F, 1, 3, 2)
     assert E2.coefficients() == (F(1), F(3), F(2))
+    with pytest.raises(FieldTooLarge, match="at most 2\\^16 elements"):
+        CubicCurve.from_weierstrass(PrimeField(65537), 0, 1, 1)  # the root search sweeps F_p
 
 
 def test_from_weierstrass_refuses_characteristic_2_before_any_root_search(monkeypatch):
@@ -642,14 +644,14 @@ def test_curve_json_roundtrip():
     js = E.to_json_dict()
     assert js["model"] == "cubic"
     assert js["field"] == "Fp:11"
-    assert curve_from_json(js) == E
+    assert curve_from_json(js) == E and hash(curve_from_json(js)) == hash(E)
     assert curve_from_json({"alpha": -1, "p": 2, "q": 3}, field=F) == E
 
     B = BinaryField(3)
     E2 = Char2Curve(B, B(1), B(5))
     js2 = E2.to_json_dict()
     assert js2["model"] == "char2"
-    assert curve_from_json(js2) == E2
+    assert curve_from_json(js2) == E2 and hash(curve_from_json(js2)) == hash(E2)
     assert curve_from_json({"a2": 1, "a6": 5}, field=B) == E2
     with pytest.raises(InvalidParams):
         curve_from_json({"alpha": 0, "p": 1}, field=F)

@@ -185,6 +185,8 @@ def test_e4_known_instances():
     F = PrimeField(5)
     inst = e4_new(F, 1, 4)
     assert inst.witness_of_order(4).point in (Point(F(1), F(4)), Point(F(1), F(1)))
+    with pytest.raises(KeyError, match="no witness of order 8"):
+        inst.witness_of_order(8)
     assert inst.curve.to_json_dict()["p"] == "4"  # a^2+2b = 9 = 4
     with pytest.raises(InvalidParams):
         e4_new(F, 1, 2)  # 1 + 8 = 9 is a square mod 5
@@ -323,6 +325,47 @@ def test_every_value_of_an_instance_over_q_is_a_fraction(ctor):
     assert (split > 0) is (ctor is e6_new)
     if ctor in (e10_new, e12_new):
         assert inst.witnesses[-1].note.startswith("sum of")
+
+
+def _try(ctor, *args):
+    try:
+        return ctor(*args)
+    except InvalidParams:
+        return None
+
+
+def test_each_child_family_is_built_from_its_parent():
+    """E8 = E4 at (2t^2/(t^2 - 1), -1), E12 lies on E6's curve at
+    -4T^2(T^2 + 1)/(T^2 - 1)^2, and E8char2 = E4char2 at t^2/(t + 1)^4.
+
+    At every parameter a child accepts, the parent accepts its image and has
+    the child's curve; for E8 and E8char2 its witnesses begin the child's.
+    Covered: every element of F_p for 5 <= p <= 97, 60 rationals n/d with
+    |n| <= 7 and d in {1, 2, 3, 5}, and every element of GF(2^k), k <= 6.
+    """
+    cases = [(PrimeField(p), list(PrimeField(p).elements())) for p in oracles.small_primes(5, 97)]
+    cases.append((Q, [Q(Fraction(n, d)) for d in (1, 2, 3, 5) for n in range(-7, 8)]))
+    built = Counter()
+    for F, params in cases:
+        for t in params:
+            t2 = t * t
+            if child := _try(e8_new, F, t):
+                parent = e4_new(F, 2 * t2 / (t2 - 1), -1)
+                assert child.curve == parent.curve, (F, t)
+                assert child.witnesses[:len(parent.witnesses)] == parent.witnesses, (F, t)
+                built["e8"] += 1
+            if child := _try(e12_new, F, t):
+                assert child.curve == e6_new(F, -4 * t2 * (t2 + 1) / (t2 - 1) ** 2).curve, (F, t)
+                built["e12"] += 1
+    for k in range(1, 7):
+        F = BinaryField(k)
+        for t in F.elements():
+            if child := _try(e8char2_new, F, t):
+                parent = e4char2_new(F, t * t / (t + 1) ** 4)
+                assert child.curve == parent.curve, (F, t)
+                assert child.witnesses[:len(parent.witnesses)] == parent.witnesses, (F, t)
+                built["e8char2"] += 1
+    assert built == {"e8": 550, "e12": 544, "e8char2": 114}
 
 
 def test_family_instance_json_shape():
@@ -494,7 +537,7 @@ def test_e4_normalize_preserves_witness_orders():
         except InvalidParams:
             continue
         (one, b2), fwd = e4_normalize(F, a, b)
-        assert one == F(1)
+        assert one == F(1) and fwd(Point.infinity()).is_infinity
         norm = e4_new(F, 1, b2)
         for w in inst.witnesses:
             img = fwd(w.point)

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from ectorsion import (
     BinaryField,
+    FieldTooLarge,
     InvalidParams,
     PrimeField,
     QuadExtElement,
@@ -139,6 +140,9 @@ def test_binary_field_element_parse_hex():
     assert F.parse_element("0x5").value == 5
     assert F.parse_element("b").value == 0
     assert F.format_element(F(6)) == "6"
+    for bad in (-1, 1.5):
+        with pytest.raises(InvalidParams):
+            F(bad)
     a6 = BinaryField(5)(0b10110)
     assert BinaryField(5).parse_element(BinaryField(5).format_element(a6)) == a6
 
@@ -151,6 +155,12 @@ def test_rationals_reject_floats_and_bools():
         Q.element(True)
     assert Q.parse_element("22/7") == Q(Fraction(22, 7))
     assert Q(Fraction(-3, 6)).value == Fraction(-1, 2)
+    with pytest.raises(ZeroDivisionError, match="in Q"):
+        Q(1) / Q(0)
+    with pytest.raises(ZeroDivisionError, match="in Q"):
+        Q(0) ** -1
+    with pytest.raises(FieldTooLarge, match="cannot enumerate Q"):
+        Q.elements()
 
 
 def test_rational_literals_are_n_or_n_over_d():
@@ -206,7 +216,7 @@ def test_every_field_refuses_bools(field):
 
 
 def test_no_element_equals_a_bool():
-    """Arithmetic refuses bools, and so does ==: F(1) == True is False in every field and in K_g."""
+    """Arithmetic and powers refuse bools, and so does ==: F(1) == True is False in every field and in K_g."""
     F = PrimeField(7)
     g = QuadraticPoly(F, 0, 1)  # x^2 + 1 is irreducible mod 7
     for one, zero in [(field(1), field(0)) for field in (F, Rationals(), BinaryField(3))] + [
@@ -214,8 +224,16 @@ def test_no_element_equals_a_bool():
         assert one == 1 and zero == 0
         assert one != True and zero != False  # noqa: E712
         assert not (True == one) and not (False == zero)  # noqa: E712
-        with pytest.raises((TypeError, InvalidParams)):  # K_g refuses it while coercing
+        with pytest.raises(TypeError):
             one + True
+        with pytest.raises(TypeError):
+            one ** True
+    # K_g reads a scalar as K does: a Fraction is a scalar over Q, and no scalar over F_p
+    Qi = QuadraticPoly(Rationals(), 0, 1)
+    assert QuadExtElement(Qi, 1) + Fraction(1, 2) == QuadExtElement(Qi, Fraction(3, 2))
+    assert Rationals()(1) + Fraction(1, 2) == Rationals()(Fraction(3, 2))
+    with pytest.raises(TypeError):
+        QuadExtElement(g, 1) + Fraction(1, 2)
 
 
 def test_prime_field_literal_with_a_zero_denominator_mod_p_is_invalid():
