@@ -28,7 +28,7 @@ from .field import (
     Rationals,
     field_from_descriptor,
 )
-from .quadratic import QuadExtElement, QuadraticPoly, ext_sqrt
+from .quadratic import QuadraticPoly, ext_sqrt
 from .curve import (
     Char2Curve,
     CubicCurve,
@@ -89,7 +89,6 @@ __all__ = [
     "Point",
     "PointIsW3",
     "PrimeField",
-    "QuadExtElement",
     "QuadraticPoly",
     "Rationals",
     "RootTriple",

@@ -84,8 +84,9 @@ class FieldElement:
     """One element of a :class:`Field`.
 
     Supports the usual operators and ``==`` against elements of the same
-    field and against plain ints, bools excepted (ints enter through the ring
-    homomorphism from Z, i.e. ``2 * x`` means ``x + x`` even in characteristic 2).
+    field, plain ints, bools excepted, and over Q ``Fraction``s; ``==`` reads
+    its operand as the operators do (ints enter through the ring homomorphism
+    from Z, i.e. ``2 * x`` means ``x + x`` even in characteristic 2).
     """
 
     __slots__ = ("field", "value")
@@ -156,13 +157,11 @@ class FieldElement:
         return self.__class__(self.field, self.field._neg(self.value))
 
     def __eq__(self, other):
-        if isinstance(other, FieldElement):
-            return (
-                other.field is self.field or other.field == self.field
-            ) and self.value == other.value
-        if isinstance(other, int) and not isinstance(other, bool):
-            return self.value == self.field._from_int(other)
-        return NotImplemented
+        try:
+            v = self._rhs(other)  # the operand read as the arithmetic reads it
+        except InvalidParams:  # an element of another field
+            return False
+        return NotImplemented if v is None else self.value == v
 
     def __hash__(self):
         return hash((self.field, self.value))

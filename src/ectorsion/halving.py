@@ -3,14 +3,15 @@
 Four routes, all returning the same point sets on their common domains.  In
 characteristic != 2 every half of P = (x0, y0) comes from a root triple:
 r_i^2 = x0 - alpha_i and r1*r2*r3 = -y0.  Three criteria find the triples,
-each as (r1, r2 + r3, r2*r3) so that r2 and r3 may lie in K_g, and one
-builder, ``_halves``, turns each into its half and tangent slope:
+each as (r1, r2 + r3, r2*r3), three values in K even when r2 and r3 lie in
+K_g, and one builder, ``_halves``, turns each into its half and tangent slope:
 
 * ``halve_split``    — every root of the cubic is in K; the triples are the
   sign choices of sqrt(x0 - alpha_i) whose product is -y0.
 * ``halve_quadext``  — g irreducible; decide by whether x0 - X is a square
-  in K_g = K[x]/(g): for its root rho, r2 + r3 = +-trace(rho) and
-  r2*r3 = norm(rho), with r1 = r in K.
+  in K_g = K[x]/(g): ``ext_sqrt(g, x0, -1)`` gives its root rho as a
+  coordinate pair, and r2 + r3 = +-trace(rho), r2*r3 = norm(rho), with
+  r1 = r in K.
 * ``halve_rT``       — uniform two-parameter criterion (works either way):
   r^2 = x0 - alpha and T^2 = ((2*x0 + p)*(x0 - alpha) - 2*y0*r) / r^2; the
   triples are (r, +-T, -y0/r).
@@ -26,6 +27,9 @@ which checks what they share: the halves of P are a coset of E(K)[2], each
 on the curve and doubling to P.  A formula slip therefore raises
 VerificationError instead of propagating silently.  Only the answer's
 points, slopes and witness strings are built as field elements.
+
+``half_to_roots`` goes the other way: from a half Q it computes the triple,
+in K and in the same (r1, r2 + r3, r2*r3) form, as a ``RootTriple``.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from .errors import (
     WrongCase,
 )
 from .field import FieldElement
-from .quadratic import QuadExtElement, ext_sqrt
+from .quadratic import ext_sqrt
 
 __all__ = [
     "HalvingResult",
@@ -202,12 +206,12 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
     if g.roots() is not None:
         raise WrongCase("g splits over K; use halve_split")
     F = curve.field
-    rho = ext_sqrt(QuadExtElement(g, P.x, -1))  # x0 - X
+    rho = ext_sqrt(g, P.x, -1)  # x0 - X
     if rho is None:
         return HalvingResult("quadext", (), {})
     red = F._red
     alpha, gp, gq = curve.alpha.value, g.p.value, g.q.value
-    c0, c1 = rho.c0.value, rho.c1.value
+    c0, c1 = rho[0].value, rho[1].value
     nrho = c0 * c0 - c0 * c1 * gp + c1 * c1 * gq  # nonzero: rho != 0 as x0 - X != 0
     r = red(-y0 * F._inv(nrho))
     if red(r * r - x0 + alpha):
@@ -215,7 +219,7 @@ def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
     tr = 2 * c0 - c1 * gp
     triples = [(r, tr, nrho), (r, -tr, nrho)]
     witness = {
-        "rho": {"c0": element_to_json(rho.c0), "c1": element_to_json(rho.c1)},
+        "rho": {"c0": element_to_json(rho[0]), "c1": element_to_json(rho[1])},
         "r": _to_json(F, r),
     }
     return _answer(curve, "quadext", (x0, y0), _halves(red, x0, y0, triples), witness)
@@ -322,77 +326,63 @@ def halve(curve, P: Point) -> HalvingResult:
 
 @dataclass(frozen=True)
 class RootTriple(_Record):
-    """r_i with r_i^2 = x0 - alpha_i and r1*r2*r3 = -y0, over K or K_g."""
+    """A root triple (r1, r2 + r3, r2*r3) over alpha, held in K as ``_halves`` takes it.
 
-    __slots__ = ("alphas", "roots")
-    alphas: Tuple
-    roots: Tuple
+    r1^2 = x0 - alpha, and r2, r3 (in K or in K_g) are the roots over g's
+    two roots, with r1*r2*r3 = -y0; ``s`` = r2 + r3 and ``n`` = r2*r3.
+    """
+
+    __slots__ = ("alpha", "r1", "s", "n")
+    alpha: FieldElement
+    r1: FieldElement
+    s: FieldElement
+    n: FieldElement
 
     def doubled(self) -> Point:
-        """The point P = 2Q this triple divides: (r1^2 + alpha_1, -r1*r2*r3)."""
-        x0 = self.roots[0] * self.roots[0] + self.alphas[0]
-        y0 = -(self.roots[0] * self.roots[1] * self.roots[2])
-        return Point(_to_base(x0), _to_base(y0))
+        """The point P = 2Q this triple divides: (r1^2 + alpha, -r1*r2*r3)."""
+        return Point(self.r1 * self.r1 + self.alpha, -(self.r1 * self.n))
 
     def rebuild_half(self) -> Tuple[Point, FieldElement]:
-        """Invert back to (Q, slope) through ``_halves``, each value taken back to K."""
-        P = self.doubled()
-        r1, r2, r3 = self.roots
-        ((x1, y1), slope), = _halves(_to_base, P.x, P.y, [(r1, r2 + r3, r2 * r3)])
-        return Point(x1, y1), slope
-
-
-def _to_base(v) -> FieldElement:
-    if isinstance(v, QuadExtElement):
-        if not v.in_base_field():
-            raise VerificationError(f"{v!r} should lie in the base field")
-        return v.c0
-    return v
+        """Invert back to (Q, slope) through ``_halves``."""
+        F, P = self.alpha.field, self.doubled()
+        triple = (self.r1.value, self.s.value, self.n.value)
+        ((q, slope),) = _halves(F._red, P.x.value, P.y.value, [triple])
+        return _pt_from_ints(F, q), FieldElement(F, slope)
 
 
 def half_to_roots(curve: CubicCurve, Q: Point) -> RootTriple:
-    """The unique root triple mapping Q back onto the halves of P = 2Q.
+    """The unique root triple mapping Q = (x1, y1) back onto the halves of P = 2Q.
 
-    Each r_i = -(y1/2) * (-1/(x1 - alpha_i) + 1/(x1 - alpha_j) + 1/(x1 - alpha_k)),
-    computed in K when g splits, in K_g otherwise.  Raises TwoTorsionHalf for
-    y(Q) = 0 (then 2Q is the point at infinity and no triple exists).
+    With d_i = 1/(x1 - alpha_i) and S = d1 + d2 + d3, each r_i = -(y1/2)*(S - 2*d_i).
+    So r1 = (y1/2)*(d1 - sigma), r2 + r3 = -y1*d1 and r2*r3 = (y1/2)^2*(S^2 -
+    2*S*sigma + 4*gamma), where sigma = d2 + d3 = (2*x1 + p)/g(x1) and gamma =
+    d2*d3 = 1/g(x1): all in K, whether g splits or not.  The triple is replayed
+    against P before it is returned.  Raises TwoTorsionHalf for y(Q) = 0 (then
+    2Q is the point at infinity and no triple exists).
     """
-    _affine(curve, CubicCurve, Q)
-    if not Q.y:
+    x1, y1 = _affine(curve, CubicCurve, Q)
+    if not y1:
         raise TwoTorsionHalf("y(Q) = 0: Q is 2-torsion and 2Q is infinity")
-    P = curve._add(Q, Q)
-    g = curve.g
-    groots = g.roots()
-    if groots is not None:
-        alphas = (curve.alpha, groots[0], groots[1])
-
-        def lift(e):
-            return e
-
-    else:
-        X = QuadExtElement(g, 0, 1)
-        alphas = (QuadExtElement(g, curve.alpha), X, X.conj())
-
-        def lift(e):
-            return QuadExtElement(g, e)
-
-    x1, y1 = lift(Q.x), lift(Q.y)
-    rs = []
-    for i in range(3):
-        j, k = {0, 1, 2} - {i}
-        ri = -(y1 / 2) * (
-            -(1 / (x1 - alphas[i])) + 1 / (x1 - alphas[j]) + 1 / (x1 - alphas[k])
-        )
-        rs.append(ri)
-    triple = RootTriple(alphas, tuple(rs))
-    # Replay the defining identities before handing the triple back.
-    x0, y0 = lift(P.x), lift(P.y)
-    for a, r in zip(triple.alphas, triple.roots):
-        if r * r != x0 - a:
-            raise VerificationError("r_i^2 != x0 - alpha_i")
-    if rs[0] * rs[1] * rs[2] != -y0:
+    F = curve.field
+    red, inv = F._red, F._inv
+    alpha, gp, gq = curve.alpha.value, curve.g.p.value, curve.g.q.value
+    # y1 != 0, so x1 - alpha and g(x1) are nonzero.
+    d1, gamma = inv(red(x1 - alpha)), inv(red(x1 * x1 + gp * x1 + gq))
+    sigma = (2 * x1 + gp) * gamma
+    S, h = d1 + sigma, y1 * inv(F._from_int(2))
+    r1, s = red(h * (d1 - sigma)), red(-y1 * d1)
+    n = red(h * h * (S * S - 2 * S * sigma + 4 * gamma))
+    # Replay the defining identities against P = 2Q before handing the triple back.
+    x0, y0 = curve._k.add(curve._kp, (x1, y1), (x1, y1))
+    if red(r1 * r1 - x0 + alpha):
+        raise VerificationError("r1^2 != x0 - alpha")
+    if red(s * s - 2 * n - 2 * x0 - gp):
+        raise VerificationError("r2^2 + r3^2 != 2*x0 + p")
+    if red(n * n - x0 * x0 - gp * x0 - gq):
+        raise VerificationError("(r2*r3)^2 != g(x0)")
+    if red(r1 * n + y0):
         raise VerificationError("r1*r2*r3 != -y0")
-    rebuilt, _ = triple.rebuild_half()
-    if rebuilt != Q:
+    triple = RootTriple(curve.alpha, *(FieldElement(F, v) for v in (r1, s, n)))
+    if triple.rebuild_half()[0] != Q:
         raise VerificationError("triple does not rebuild Q")
     return triple

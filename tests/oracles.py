@@ -9,6 +9,7 @@ no shared code and no shortcuts.  Slow is fine; wrong is not.
 
 from fractions import Fraction
 from itertools import product
+from math import isqrt
 
 INF = None  # point at infinity marker
 
@@ -131,6 +132,31 @@ def qq_cubic_roots(A, B, C):
                 if x ** 3 + A * x * x + B * x + C == 0:
                     roots.add(x)
     return sorted(roots)
+
+
+def qq_quadratic_roots(b, c):
+    """Rational roots of z^2 + b z + c, ascending: the discriminant must be the
+    square of a Fraction, its numerator and denominator perfect squares."""
+    d = Fraction(b) ** 2 - 4 * Fraction(c)
+    if d < 0:
+        return []
+    num, den = isqrt(d.numerator), isqrt(d.denominator)
+    if num * num != d.numerator or den * den != d.denominator:
+        return []
+    return sorted({(-Fraction(b) + sg * Fraction(num, den)) / 2 for sg in (1, -1)})
+
+
+# ---------------------------------------------------------------------------
+# K[x]/(x^2 + pp x + qq) on coordinate pairs (c0, c1) for c0 + c1 X
+# ---------------------------------------------------------------------------
+
+def quadext_mul(field, pp, qq, z, w):
+    """z * w in K[x]/(x^2 + pp x + qq), where X^2 = -pp X - qq: pairs of plain
+    ints reduced mod the prime ``field``, or of Fractions when ``field`` is None."""
+    (a, b), (c, d) = z, w
+    bd = b * d
+    out = (a * c - bd * qq, a * d + b * c - bd * pp)
+    return out if field is None else (out[0] % field, out[1] % field)
 
 
 # ---------------------------------------------------------------------------

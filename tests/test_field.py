@@ -11,8 +11,6 @@ from ectorsion import (
     FieldTooLarge,
     InvalidParams,
     PrimeField,
-    QuadExtElement,
-    QuadraticPoly,
     Rationals,
     field_from_descriptor,
 )
@@ -216,11 +214,9 @@ def test_every_field_refuses_bools(field):
 
 
 def test_no_element_equals_a_bool():
-    """Arithmetic and powers refuse bools, and so does ==: F(1) == True is False in every field and in K_g."""
+    """Arithmetic and powers refuse bools, and so does ==: F(1) == True is False in every field."""
     F = PrimeField(7)
-    g = QuadraticPoly(F, 0, 1)  # x^2 + 1 is irreducible mod 7
-    for one, zero in [(field(1), field(0)) for field in (F, Rationals(), BinaryField(3))] + [
-            (QuadExtElement(g, 1), QuadExtElement(g, 0))]:
+    for one, zero in [(field(1), field(0)) for field in (F, Rationals(), BinaryField(3))]:
         assert one == 1 and zero == 0
         assert one != True and zero != False  # noqa: E712
         assert not (True == one) and not (False == zero)  # noqa: E712
@@ -228,12 +224,16 @@ def test_no_element_equals_a_bool():
             one + True
         with pytest.raises(TypeError):
             one ** True
-    # K_g reads a scalar as K does: a Fraction is a scalar over Q, and no scalar over F_p
-    Qi = QuadraticPoly(Rationals(), 0, 1)
-    assert QuadExtElement(Qi, 1) + Fraction(1, 2) == QuadExtElement(Qi, Fraction(3, 2))
+    # == reads a Fraction as the arithmetic does: a scalar over Q, and no scalar over F_p
+    half = Rationals()(Fraction(1, 2))
     assert Rationals()(1) + Fraction(1, 2) == Rationals()(Fraction(3, 2))
+    assert half - Fraction(1, 2) == 0
+    assert half == Fraction(1, 2) and Fraction(1, 2) == half and half != Fraction(1, 3)
     with pytest.raises(TypeError):
-        QuadExtElement(g, 1) + Fraction(1, 2)
+        F(1) + Fraction(1, 2)
+    assert F(4) != Fraction(1, 2) and not (Fraction(1, 2) == F(4))  # 4 = 1/2 mod 7
+    # An element of another field compares unequal rather than raising.
+    assert F(1) != PrimeField(5)(1) and F(1) != Rationals()(1)
 
 
 def test_prime_field_literal_with_a_zero_denominator_mod_p_is_invalid():

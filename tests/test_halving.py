@@ -14,7 +14,6 @@ from ectorsion import (
     Point,
     PointIsW3,
     PrimeField,
-    QuadExtElement,
     QuadraticPoly,
     Rationals,
     SingularCurve,
@@ -370,7 +369,7 @@ def test_half_to_roots_specialization_at_x1_zero():
     assert E.contains(Q)
     triple = half_to_roots(E, Q)
     pp, qq = E.g.p, E.g.q
-    r_alpha = triple.roots[0]
+    r_alpha = triple.r1
     assert r_alpha * r_alpha == (pp - qq) ** 2 / (4 * qq)
 
 
@@ -388,21 +387,85 @@ def test_half_to_roots_rational_case():
     assert half_to_roots(E4, Q4).doubled() == Point(Q_(0), Q_(0))
 
 
+def _check_triple_by_the_oracle(E, Q, P, red, g_roots, quad_roots):
+    """half_to_roots(E, Q) against the oracle's P = 2Q, in plain values reduced by
+    ``red``: r1^2 = x0 - alpha, s^2 - 2n = 2x0 + p, n^2 = g(x0) and r1*n = -y0, and
+    the triple gives Q back as (x0 + s2, -y0 - s1*s2), not another half of P.  When
+    g splits, its roots ``g_roots`` and the roots of z^2 - s z + n, ``quad_roots(s, n)``,
+    are r2, r3 with r_i^2 = x0 - alpha_i.  Returns whether g splits."""
+    x0, y0 = P
+    t = half_to_roots(E, Q)
+    assert t.alpha == E.alpha
+    al, gp, gq = E.alpha.value, E.g.p.value, E.g.q.value
+    r1, s, n = t.r1.value, t.s.value, t.n.value
+    assert red(r1 * r1 - (x0 - al)) == 0
+    assert red(s * s - 2 * n - (2 * x0 + gp)) == 0
+    assert red(n * n - (x0 * x0 + gp * x0 + gq)) == 0
+    assert red(r1 * n + y0) == 0
+    s1, s2 = r1 + s, r1 * s + n
+    assert (red(x0 + s2), red(-y0 - s1 * s2)) == (Q.x.value, Q.y.value)
+    if g_roots:
+        assert len(g_roots) == 2
+        squares = sorted(red(z * z) for z in quad_roots(s, n))
+        assert squares == sorted(red(x0 - a) for a in g_roots)
+    return bool(g_roots)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_half_to_roots_checked_by_the_oracle(p):
+    F = PrimeField(p)
+    shapes = set()
+    for E in small_cubic_curves([p]):
+        A, B, C = (c.value for c in E.coefficients())
+        gp, gq = E.g.p.value, E.g.q.value
+        g_roots = [a for a in range(p) if (a * a + gp * a + gq) % p == 0]
+        for x1, y1 in oracles.fp_cubic_points(p, A, B, C):
+            if y1:
+                shapes.add(_check_triple_by_the_oracle(
+                    E, Point(F(x1), F(y1)), oracles.fp_cubic_add(p, A, B, C, (x1, y1), (x1, y1)),
+                    lambda v: v % p, g_roots,
+                    lambda s, n: [z for z in range(p) if (z * z - s * z + n) % p == 0]))
+    assert shapes == {True, False}
+
+
+def test_half_to_roots_over_q_checked_by_the_oracle():
+    Q = Rationals()
+    insts = [e4_new(Q, Q(a), Q(b)) for a, b in ((-6, -6), (1, 1))]
+    for ctor in (e6_new, e8_new, e12_new):
+        insts += [ctor(Q, Q(t)) for t in (Fraction(-3), Fraction(5, 2))]
+    insts.append(e6_new(Q, Q(Fraction(4, 3))))  # g splits: Z/2 x Z/6
+    shapes, checked = set(), 0
+    for inst in insts:
+        E = inst.curve
+        A, B, C = (c.value for c in E.coefficients())
+        g_roots = oracles.qq_quadratic_roots(E.g.p.value, E.g.q.value)
+        for w in inst.witnesses:
+            x1, y1 = w.point.x.value, w.point.y.value
+            if y1:
+                shapes.add(_check_triple_by_the_oracle(
+                    E, w.point, oracles.qq_cubic_add(A, B, C, (x1, y1), (x1, y1)),
+                    lambda v: v, g_roots, lambda s, n: oracles.qq_quadratic_roots(-s, n)))
+                checked += 1
+    assert shapes == {True, False} and checked > 20
+
+
 def _check_quadext_witness(E, P):
     """halve_quadext's witness is ext_sqrt(x0 - X) and the r it derives; True if halvable."""
     res = halve_quadext(E, P)
-    z = QuadExtElement(E.g, P.x, -1)  # x0 - X
-    root = ext_sqrt(z)
+    root = ext_sqrt(E.g, P.x, -1)  # x0 - X
     if not res.halvable:
         assert root is None and res.witness == {}
         return False
-    F = E.field
+    F, g = E.field, E.g
     w = res.witness
-    rho = QuadExtElement(E.g, F.parse_element(w["rho"]["c0"]), F.parse_element(w["rho"]["c1"]))
+    c0, c1 = F.parse_element(w["rho"]["c0"]), F.parse_element(w["rho"]["c1"])
     r = F.parse_element(w["r"])
-    assert rho == root and rho * rho == z
+    assert (c0, c1) == root
+    rho = (c0.value, c1.value)
+    assert oracles.quadext_mul(F.characteristic or None, g.p.value, g.q.value, rho, rho) == (
+        P.x.value, F(-1).value)
     assert r * r == P.x - E.alpha
-    assert r * rho.norm() == -P.y
+    assert r * (c0 * c0 - c0 * c1 * g.p + c1 * c1 * g.q) == -P.y  # r * norm(rho)
     return True
 
 
@@ -510,7 +573,7 @@ def test_a_square_root_slip_never_returns_a_half(monkeypatch):
     F = PrimeField(13)
     g = QuadraticPoly(F, 0, 2)  # x^2 + 2 is irreducible mod 13
     g.roots()
-    squares = [z * z for z in (QuadExtElement(g, F(c0), F(c1)) for c0 in range(3) for c1 in (1, 5))]
+    squares = [oracles.quadext_mul(13, 0, 2, (c0, c1), (c0, c1)) for c0 in range(3) for c1 in (1, 5)]
     real = PrimeField._sqrt
 
     def slipped(self, a):
@@ -525,7 +588,7 @@ def test_a_square_root_slip_never_returns_a_half(monkeypatch):
                 criterion(E, P)
     for z in squares:
         with pytest.raises(VerificationError):
-            ext_sqrt(z)
+            ext_sqrt(g, *z)
 
 
 def test_a_doubling_slip_never_returns_a_half(monkeypatch):
@@ -606,7 +669,7 @@ def test_collector_refuses_a_partial_coset():
 # ---------------------------------------------------------------------------
 
 def test_a_builder_slip_never_returns_a_half(monkeypatch):
-    """A slip in ``_halves`` reaches split, quadext and rT, over F_p and over Q."""
+    """A slip in ``_halves`` reaches split, quadext, rT and half_to_roots, over F_p and over Q."""
     cases = _halvable_doubles(13) + [(E, P) for E, P, _ in _q_cases() if halve(E, P).halvable]
     real = halving._halves
 
@@ -623,8 +686,12 @@ def test_a_builder_slip_never_returns_a_half(monkeypatch):
             with pytest.raises(VerificationError):
                 criterion(E, P)
             refused.add((E.field.characteristic == 0, criterion.__name__))
+        if P.y:  # P as a half of 2P
+            with pytest.raises(VerificationError):
+                half_to_roots(E, P)
+            refused.add((E.field.characteristic == 0, "half_to_roots"))
     assert refused == {(over_q, name) for over_q in (False, True)
-                       for name in ("halve_split", "halve_quadext", "halve_rT")}
+                       for name in ("halve_split", "halve_quadext", "halve_rT", "half_to_roots")}
 
 
 def test_criterion_origin_refuses_a_missing_half(monkeypatch):
@@ -647,7 +714,7 @@ def test_criterion_origin_refuses_a_missing_half(monkeypatch):
 
 def test_rT_branches_are_root_triples():
     """Each (r, T) branch gives the triples (r, +-T, -y0/r): ``half_to_roots``
-    of the half of slope -(r +- T) finds r1 = r, r2 + r3 = +-T, r2*r3 = -y0/r."""
+    of the half of slope -(r +- T) finds r1 = r, s = r2 + r3 = +-T, n = r2*r3 = -y0/r."""
     shapes = set()
     for p in (5, 7, 11, 13, 17, 19, 23):
         F = PrimeField(p)
@@ -658,7 +725,7 @@ def test_rT_branches_are_root_triples():
                 for branch in res.witness.get("branches", ()):
                     r, T = F.parse_element(branch["r"]), F.parse_element(branch["T"])
                     for t in (T, -T):
-                        r1, r2, r3 = half_to_roots(E, slopes[-(r + t)]).roots
-                        assert r1 == r and r2 + r3 == t and r2 * r3 == -P.y / r
+                        triple = half_to_roots(E, slopes[-(r + t)])
+                        assert triple.r1 == r and triple.s == t and triple.n == -P.y / r
                         shapes.add(E.g.roots() is None)
     assert shapes == {True, False}

@@ -139,3 +139,22 @@ def test_family_constructors_have_one_home():
                 continue
             misplaced += [f"{base}:{node.lineno} {n}" for n in names if n.endswith("_new")]
     assert misplaced == []
+
+
+def test_one_element_class():
+    """``field.FieldElement`` is the package's one element class: no other class
+    defines arithmetic operators.  A value of K_g is a coordinate pair, and a
+    root triple is three elements of K."""
+    operators = {"__add__", "__mul__", "__truediv__", "__pow__"}
+    defining = []
+    for path in MODULES:
+        with open(path) as fh:
+            tree = ast.parse(fh.read(), path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                names = {n.name for n in node.body if isinstance(n, ast.FunctionDef)}
+                names |= {t.id for n in node.body if isinstance(n, ast.Assign)
+                          for t in n.targets if isinstance(t, ast.Name)}
+                if names & operators:
+                    defining.append(f"{os.path.basename(path)} {node.name}")
+    assert defining == ["field.py FieldElement"]
