@@ -106,6 +106,38 @@ def test_ext_sqrt_requires_irreducible_modulus():
     assert _raw(ext_sqrt(g, F(0), 2)) == _raw(ext_sqrt(g, "0", "2"))
 
 
+def test_mixed_extension_arithmetic_rejected():
+    """A root of one extension is refused by another extension, and its
+    coordinates do not mix with a scalar of another base field."""
+    F = PrimeField(7)
+    g1 = QuadraticPoly(F, 0, 1)
+    g2 = QuadraticPoly(PrimeField(5), 0, 2)
+    assert g2.irreducible()
+    r = ext_sqrt(g1, 0, 2)
+    assert r is not None
+    with pytest.raises(InvalidParams):
+        ext_sqrt(g2, *r)
+    with pytest.raises(InvalidParams):
+        r[0] * PrimeField(5)(2)
+    with pytest.raises(InvalidParams):
+        r[1] + PrimeField(5)(1)
+
+
+def test_equality_with_a_scalar_of_another_field_is_false():
+    """A coordinate of a root never equals a scalar of another field."""
+    F = PrimeField(7)
+    one = ext_sqrt(QuadraticPoly(F, 0, 1), 1, 0)[0]
+    assert one == F(1) or one == F(-1)
+    one = one * one  # 1 in F_7 whichever root was returned
+    foreign = PrimeField(5)(1)
+    assert not one == foreign and one != foreign
+    assert not foreign == one
+    assert one not in [foreign] and foreign not in [one]
+    assert one == F(1) and one == 1  # a scalar of its own field still compares by value
+    with pytest.raises(InvalidParams):
+        one + foreign
+
+
 @pytest.mark.parametrize("p,pp,qq", [(3, 0, 1), (5, 0, 2), (7, 0, 1), (7, 2, 3), (11, 1, 1), (13, 0, 2)])
 def test_ext_sqrt_exhaustive(p, pp, qq):
     """Over fields with at most 169 extension elements, check every element."""
