@@ -136,7 +136,7 @@ def point_from_json(field: Field, obj) -> Point:
 
 
 # One kernel model's functions (``points`` is None over Q), built by tuple.__new__ as _make does.
-_Model = namedtuple("_Model", "contains add neg smul order points")
+_Model = namedtuple("_Model", "contains add neg tangent smul order points")
 
 
 class _CurveBase:
@@ -220,12 +220,14 @@ class CubicCurve(_CurveBase):
         if isinstance(field, PrimeField):
             self._kp = (field.p, A, B, C)
             self._k = tuple.__new__(_Model, (kernel.cubic_contains, kernel.cubic_add,
-                                             kernel.cubic_neg, kernel.cubic_smul,
-                                             kernel.cubic_order, kernel.cubic_points))
+                                             kernel.cubic_neg, kernel.cubic_tangent,
+                                             kernel.cubic_smul, kernel.cubic_order,
+                                             kernel.cubic_points))
         else:
             self._kp = (A, B, C)
             self._k = tuple.__new__(_Model, (kernel.qq_contains, kernel.qq_add, kernel.qq_neg,
-                                             kernel.qq_smul, kernel.qq_order, None))
+                                             kernel.qq_tangent, kernel.qq_smul, kernel.qq_order,
+                                             None))
 
     @classmethod
     def from_weierstrass(cls, field: Field, A, B, C) -> "CubicCurve":
@@ -394,7 +396,8 @@ class Char2Curve(_CurveBase):
             raise SingularCurve("a6 = 0 is not an ordinary curve (j would be 0)")
         self._kp = (field._kernel(), self.a2.value, self.a6.value)
         self._k = tuple.__new__(_Model, (kernel.c2_contains, kernel.c2_add, kernel.c2_neg,
-                                         kernel.c2_smul, kernel.c2_order, kernel.c2_points))
+                                         kernel.c2_tangent, kernel.c2_smul, kernel.c2_order,
+                                         kernel.c2_points))
 
     @property
     def w3(self) -> Point:

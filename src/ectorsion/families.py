@@ -6,9 +6,10 @@ TorsionWitness records for the distinguished points.  Every claimed order
 is replayed through the group law before the instance is returned; a
 mismatch raises VerificationError rather than producing a bad certificate.
 One order search does it: the witness G of largest claimed order N is
-checked on the kernel's multiples of G, and every other witness equal to
-some jG has order N / gcd(j, N).  A witness outside them gets its own
-``order_of``, so nothing assumes the group is cyclic.
+checked on the kernel's multiples of G, which stop at ceil(N/2)G, and every
+other witness equal to some jG or -jG = (N - j)G has order N / gcd(j, N).
+A witness outside them gets its own ``order_of``, so nothing assumes the
+group is cyclic.
 
 Like the halving criteria, a constructor checks its parameters once, at
 the boundary, and then computes on raw values: the curve's constants and
@@ -118,12 +119,13 @@ def _witnesses(curve, specs) -> Tuple[TorsionWitness, ...]:
     Each (x, y) is a pair of raw, canonical values of ``curve.field``, and
     the witnesses' points are built here, for the answer, the one place a
     constructor makes them.  The point G of largest claimed order N is
-    checked on the curve, and ``kernel._multiples`` gives G, 2G, ..., NG:
-    when NG is the first to be O, a witness equal to jG has order
-    N / gcd(j, N).  A witness found among none of them, or every witness
-    when G's order is not N, is checked on the curve and has its order
-    checked on its own by ``curve.order_of``.  The first witness off the
-    curve or with a wrong claim raises VerificationError.
+    checked on the curve, and ``kernel._multiples`` gives G, 2G, ...,
+    ceil(N/2)G and G's exact order.  When that is N, the multiples jG and
+    their negations (N - j)G are all of G's nonzero multiples, and a witness
+    equal to jG has order N / gcd(j, N).  A witness found among none of
+    them, or every witness when G's order is not N, is checked on the curve
+    and has its order checked on its own by ``curve.order_of``.  The first
+    witness off the curve or with a wrong claim raises VerificationError.
     """
     F, k, kp = curve.field, curve._k, curve._kp
 
@@ -133,10 +135,12 @@ def _witnesses(curve, specs) -> Tuple[TorsionWitness, ...]:
         return xy
 
     G, N = max(specs, key=itemgetter(1))[:2]
-    mults = kernel._multiples(k.add, kp, on_curve(G), N)
+    mults, n = kernel._multiples(k.add, k.neg, kp, on_curve(G), (N + 1) // 2)
     index = {}
-    if len(mults) == N and mults[-1] is None:  # G has order N
-        index = {pt: j for j, pt in enumerate(mults[:-1], 1)}
+    if n == N:
+        for j, pt in enumerate(mults, 1):
+            index[pt] = j
+            index[k.neg(kp, pt)] = N - j
     out = []
     for xy, order, *note in specs:
         j = index.get(xy)
@@ -372,10 +376,10 @@ def e8char2_new(field: Field, t) -> FamilyInstance:
     sq, mul, div = gf.sq, gf.mul, gf.div
     t2 = sq(t)
     t3 = mul(t2, t)
-    s4 = sq(t2 ^ 1)  # (t + 1)^4 in characteristic 2
-    curve, specs = _e4char2(field, div(t2, s4))
+    i4 = div(1, sq(t2 ^ 1))  # 1/(t + 1)^4 in characteristic 2, inverted once
+    curve, specs = _e4char2(field, mul(t2, i4))
     witnesses = _witnesses(curve, specs + (
-        ((div(t3, s4), div(mul(t3, t3 ^ t2 ^ 1), sq(s4))), 8),  # (t^6 + t^5 + t^3)/(t + 1)^8
+        ((mul(t3, i4), mul(mul(t3, t3 ^ t2 ^ 1), sq(i4))), 8),  # (t^6 + t^5 + t^3)/(t + 1)^8
     ))
     return FamilyInstance("e8char2", {"t": FieldElement(field, t)}, curve, witnesses)
 

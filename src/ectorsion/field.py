@@ -526,9 +526,17 @@ class Rationals(Field):
         return a  # a Fraction is always in lowest terms
 
     def _inv(self, a):
-        if a == 0:
+        """1/a from a's parts, which are coprime already: no gcd, as in
+        ``Fraction``'s own constructor for coprime parts; the sign goes on
+        the numerator."""
+        n, d = a.numerator, a.denominator
+        if not n:
             raise ZeroDivisionError("division by zero in Q")
-        return Fraction(a.denominator, a.numerator)
+        if n < 0:
+            n, d = -n, -d
+        out = object.__new__(Fraction)
+        out._numerator, out._denominator = d, n
+        return out
 
     def _sqrt(self, a):
         if a < 0:

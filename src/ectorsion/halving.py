@@ -24,9 +24,10 @@ Each criterion checks the curve model and the point once, at its boundary
 halves, each with the tangent slope of the line y = slope*(x - x0) - y0
 through -P that touches the curve there, to one collector, ``_answer``,
 which checks what they share: the halves of P are a coset of E(K)[2], each
-on the curve and doubling to P.  A formula slip therefore raises
-VerificationError instead of propagating silently.  Only the answer's
-points, slopes and witness strings are built as field elements.
+on the curve, and the reported slope is that of the tangent there, which
+meets the curve again at -P.  A formula slip in a point or in a slope
+therefore raises VerificationError instead of propagating silently.  Only
+the answer's points, slopes and witness strings are built as field elements.
 
 ``half_to_roots`` goes the other way: from a half Q it computes the triple,
 in K and in the same (r1, r2 + r3, r2*r3) form, as a ``RootTriple``.
@@ -107,28 +108,35 @@ def _affine(curve, model: type, P: Point) -> tuple:
     return P.x.value, P.y.value
 
 
-def _verify_half(curve, pt: tuple, q: tuple) -> None:
-    """Replay a half q of pt, both raw (x, y), through the curve's kernel model."""
-    if not curve._k.contains(curve._kp, q):
+def _verify_half(curve, pt: tuple, q: tuple, slope) -> None:
+    """Replay a half q of pt with its reported tangent slope, all raw, through
+    the curve's kernel model: q is on the curve, and ``tangent`` checks with
+    no division that the tangent at q has this slope and meets the curve
+    again at -pt, so that 2q = pt."""
+    k, kp = curve._k, curve._kp
+    if not k.contains(kp, q):
         raise VerificationError(f"computed half {_pt_from_ints(curve.field, q)!r} is not on the curve")
-    if curve._k.add(curve._kp, q, q) != pt:
-        raise VerificationError(f"computed half {_pt_from_ints(curve.field, q)!r} does not double "
-                                f"to {_pt_from_ints(curve.field, pt)!r}")
+    if not k.tangent(kp, q, slope, pt):
+        F = curve.field
+        raise VerificationError(
+            f"computed half {_pt_from_ints(F, q)!r} with slope {_to_json(F, slope)} is not a "
+            f"tangent point doubling to {_pt_from_ints(F, pt)!r}")
 
 
 def _answer(curve, criterion: str, pt: tuple, candidates: list, witness: dict) -> HalvingResult:
     """The halves of a halvable pt among raw, reduced ((x, y), slope) candidates.
 
-    The halves form a coset of E(K)[2]: each distinct one is replayed through
-    ``_verify_half``, a repeated one must repeat its slope, and there must be
-    #E(K)[2] of them (4 when g splits, else 2; 2 over GF(2^k)).  They are
+    The halves form a coset of E(K)[2]: each distinct one is replayed with
+    its slope through ``_verify_half``, so that every point and slope of the
+    answer is checked; a repeated one must repeat its slope; and there must
+    be #E(K)[2] of them (4 when g splits, else 2; 2 over GF(2^k)).  They are
     returned as points and elements in the order first seen.
     """
     F = curve.field
     halves = {}
     for q, slope in candidates:
         if q not in halves:
-            _verify_half(curve, pt, q)
+            _verify_half(curve, pt, q, slope)
             halves[q] = slope
         elif halves[q] != slope:
             raise VerificationError(
@@ -303,11 +311,12 @@ def halve_char2(curve: Char2Curve, P: Point) -> HalvingResult:
     l = l.value
     beta, r = gf.sqrt(a6), gf.sqrt(x0)
     mul = gf.mul
+    ir = gf.div(1, r) if x0 else 0  # one inverse for both candidates
     candidates = []
     for li in (l, l ^ 1):
         m = y0 ^ mul(li ^ 1, x0)
         # x0 = 0 makes P = W3 and m = y0 = beta: x1 is then the fourth root of a6.
-        x1 = gf.div(beta ^ m, r) if x0 else gf.sqrt(beta)
+        x1 = mul(beta ^ m, ir) if x0 else gf.sqrt(beta)
         candidates.append(((x1, mul(li, x1) ^ m), li))
     witness = {"l": _to_json(F, l), "r": _to_json(F, r)}
     return _answer(curve, "char2", (x0, y0), candidates, witness)
@@ -357,8 +366,9 @@ def half_to_roots(curve: CubicCurve, Q: Point) -> RootTriple:
     So r1 = (y1/2)*(d1 - sigma), r2 + r3 = -y1*d1 and r2*r3 = (y1/2)^2*(S^2 -
     2*S*sigma + 4*gamma), where sigma = d2 + d3 = (2*x1 + p)/g(x1) and gamma =
     d2*d3 = 1/g(x1): all in K, whether g splits or not.  The triple is replayed
-    against P before it is returned.  Raises TwoTorsionHalf for y(Q) = 0 (then
-    2Q is the point at infinity and no triple exists).
+    against P before it is returned, and must rebuild Q with its tangent
+    slope.  Raises TwoTorsionHalf for y(Q) = 0 (then 2Q is the point at
+    infinity and no triple exists).
     """
     x1, y1 = _affine(curve, CubicCurve, Q)
     if not y1:
@@ -383,6 +393,7 @@ def half_to_roots(curve: CubicCurve, Q: Point) -> RootTriple:
     if red(r1 * n + y0):
         raise VerificationError("r1*r2*r3 != -y0")
     triple = RootTriple(curve.alpha, *(FieldElement(F, v) for v in (r1, s, n)))
-    if triple.rebuild_half()[0] != Q:
-        raise VerificationError("triple does not rebuild Q")
+    rebuilt, slope = triple.rebuild_half()
+    if rebuilt != Q or not curve._k.tangent(curve._kp, (x1, y1), slope.value, (x0, y0)):
+        raise VerificationError("triple does not rebuild Q with its tangent slope")
     return triple

@@ -8,14 +8,17 @@ An affine point is an ``(x, y)`` tuple and the point at infinity is
   on bit-vectors below 2^k, with ``F`` the ``_GF2k`` context of the field.
 * ``qq_*``: the cubic over Q, ``c = (A, B, C)``, on ``Fraction``s.
 
-A model codes only ``contains``, ``add`` and ``neg``; its ``*_smul`` and
-``*_order`` pass the last two, read from this module when called, to the
-loops all models share; ``qq_order`` alone runs its own, which stops at
-Mazur's bound or at the first multiple that Nagell-Lutz rules out of the
-torsion.
-``_multiples``, the shared iterated addition, is both the order search's
-first stage and its baby steps, and hands a witness's multiples to
-``families``.
+A model codes only ``contains``, ``add``, ``neg`` and ``tangent``, which
+checks with no division that a slope is the tangent's at a half of a point;
+its ``*_smul`` and ``*_order`` pass ``add`` and ``neg``, read from this
+module when called, to the loops all models share; ``qq_order`` alone runs
+its own, which stops at Mazur's bound or at the first multiple that
+Nagell-Lutz rules out of the torsion.
+``_multiples``, the shared iterated addition, compares each multiple with
+the negations of itself and of the one before, so that an order n shows
+after ceil(n/2) multiples.  It is both the order search's first stage and
+its baby steps, and hands a witness's multiples to ``families``.
+``_smul`` stops at the first doubling that gives the point at infinity.
 F_p inverts by Euclid (``pow(v, -1, p)``); ``fp_sqrt`` keeps each prime's
 Tonelli-Shanks constants.  ``*_contains`` is the package's one point
 check, which callers run at their boundary; nothing else here re-checks it.
@@ -103,7 +106,8 @@ _MAZUR_BOUND = 12
 
 
 def _smul(add, neg, c, n, pt):
-    """n * pt by double-and-add (n may be negative)."""
+    """n * pt by double-and-add (n may be negative).  Once a doubling of pt
+    gives None, every later term would add None: the loop stops there."""
     if n < 0:
         n, pt = -n, neg(c, pt)
     acc = None
@@ -113,20 +117,34 @@ def _smul(add, neg, c, n, pt):
         n >>= 1
         if n:
             pt = add(c, pt, pt)
+            if pt is None:
+                break
     return acc
 
 
-def _multiples(add, c, pt, length) -> list:
-    """[pt, 2pt, ..., j*pt] by iterated addition: up to the first multiple
-    that is None, j then the exact order of ``pt``, or the ``length``-th
-    (length - 1 additions).  The list ends in None iff the order is at most
-    ``length``."""
+def _multiples(add, neg, c, pt, length) -> tuple:
+    """(mults, n): mults = [pt, 2pt, ..., j*pt] by iterated addition, and n
+    the exact order of ``pt`` once it shows, else 0.
+
+    Each multiple is compared with the negations of itself and of the one
+    before: j*pt = -(j - 1)*pt gives order 2j - 1, and j*pt = -j*pt order
+    2j.  The first j that can match is ceil(n/2), and no earlier j matches,
+    as both sums are then nonzero multiples below n.  So the loop stops
+    after ceil(n/2) multiples (ceil(n/2) - 1 additions), or at the
+    ``length``-th with n = 0: the order then exceeds 2 * length.
+    """
     out = [pt]
-    acc = pt
-    while acc is not None and len(out) < length:
-        acc = add(c, acc, pt)
+    prev, acc = None, pt
+    while True:
+        j = len(out)
+        if acc == neg(c, prev):  # checked first: pt = None matches both, and has order 1
+            return out, 2 * j - 1
+        if acc == neg(c, acc):
+            return out, 2 * j
+        if j == length:
+            return out, 0
+        prev, acc = acc, add(c, acc, pt)
         out.append(acc)
-    return out
 
 
 def _hasse_interval(q: int) -> tuple:
@@ -153,22 +171,20 @@ def _prime_factors(n: int) -> list:
 def _order(add, neg, c, pt, q) -> int:
     """Exact order of ``pt`` on a curve over a field of q elements.
 
-    Orders up to m = max(isqrt((hi - lo) // 4) + 1, _MAZUR_BOUND) come from
-    iterated addition, and a larger one from ``_order_bsgs`` in O(q^(1/4))
-    additions, with the same m multiples as its baby steps.  A giant step
-    covers 2m + 1 of the Hasse interval, so about m giant steps are
-    expected: the two stages balance.
+    Orders up to 2m, m = max(isqrt((hi - lo) // 4) + 1, _MAZUR_BOUND), come
+    from the m multiples of ``_multiples``, and a larger one from
+    ``_order_bsgs`` in O(q^(1/4)) additions, with the same m multiples as
+    its baby steps.  A giant step covers 2m + 1 of the Hasse interval, so
+    about m giant steps are expected: the two stages balance.
     """
     lo, hi = _hasse_interval(q)
-    mults = _multiples(add, c, pt, max(isqrt((hi - lo) // 4) + 1, _MAZUR_BOUND))
-    if mults[-1] is None:
-        return len(mults)
-    return _order_bsgs(add, neg, c, mults, lo, hi)
+    mults, n = _multiples(add, neg, c, pt, max(isqrt((hi - lo) // 4) + 1, _MAZUR_BOUND))
+    return n or _order_bsgs(add, neg, c, mults, lo, hi)
 
 
 def _order_bsgs(add, neg, c, mults, lo, hi) -> int:
     """Order of pt on a curve with #E in [lo, hi], given its m multiples
-    ``mults`` = [pt, ..., m*pt], none of them None (the order exceeds m).
+    ``mults`` = [pt, ..., m*pt], none of them None (the order exceeds 2m).
 
     Shanks-Mestre baby-step giant-step: #E kills pt, so some giant step
     e*pt, e = lo + m + i(2m + 1), equals +-j*pt with 0 <= j <= m, and
@@ -240,6 +256,19 @@ def cubic_add(c, pt1, pt2):
     x3 = (lam * lam - A - x1 - x2) % p
     y3 = (lam * (x1 - x3) - y1) % p
     return (x3, y3)
+
+
+def cubic_tangent(c, q, lam, pt) -> bool:
+    """Whether the tangent at the affine point q has slope lam and meets the
+    curve again at -pt, i.e. 2q = pt, with no division: 2*y1*lam = 3*x1^2 +
+    2*A*x1 + B, x0 = lam^2 - A - 2*x1 and y0 = lam*(x1 - x0) - y1.  The first
+    fails at y1 = 0, where the curve is smooth and 3*x1^2 + 2*A*x1 + B != 0."""
+    p, A, B, _ = c
+    x1, y1 = q
+    x0, y0 = pt
+    return (not (2 * y1 * lam - (3 * x1 + 2 * A) * x1 - B) % p
+            and not (lam * lam - A - 2 * x1 - x0) % p
+            and not (lam * (x1 - x0) - y1 - y0) % p)
 
 
 def cubic_smul(c, n, pt):
@@ -314,6 +343,16 @@ def qq_add(c, pt1, pt2):
     return (x3, lam * (x1 - x3) - y1)
 
 
+def qq_tangent(c, q, lam, pt) -> bool:
+    """``cubic_tangent`` on Fractions."""
+    A, B, _ = c
+    x1, y1 = q
+    x0, y0 = pt
+    return (2 * y1 * lam == (3 * x1 + 2 * A) * x1 + B
+            and lam * lam - A - 2 * x1 == x0
+            and lam * (x1 - x0) - y1 == y0)
+
+
 def qq_smul(c, n, pt):
     return _smul(qq_add, qq_neg, c, n, pt)
 
@@ -321,8 +360,10 @@ def qq_smul(c, n, pt):
 def qq_order(c, pt) -> int:
     """Exact order of ``pt`` by iterated addition; 0 if it is infinite.
 
-    Two rules stop the loop.  A point not killed by its 12th multiple has
-    infinite order (Mazur).  And (x, y) -> (u^2 x, u^3 y), u the lcm of the
+    The order shows as in ``_multiples``: j*pt = -(j - 1)*pt gives 2j - 1,
+    and y(j*pt) = 0 gives 2j.  Two rules stop the loop before that.  A point
+    not killed by its 12th multiple has infinite order (Mazur), so none
+    needs a j above 6.  And (x, y) -> (u^2 x, u^3 y), u the lcm of the
     denominators of A, B and C, maps the curve onto y^2 = x^3 + a x^2 + b x
     + c with integer a, b, c and discriminant D.  There a point of finite
     order has integer coordinates, and y = 0 or y | D (Nagell-Lutz;
@@ -336,16 +377,19 @@ def qq_order(c, pt) -> int:
     u3 = u2 * u
     a, b, c0 = int(A * u2), int(B * u2 * u2), int(C * u2 * u2 * u2)
     D = a * a * b * b - 4 * b**3 - 4 * a**3 * c0 - 27 * c0 * c0 + 18 * a * b * c0
-    n, acc = 1, pt
-    while acc is not None:
+    j, prev, acc = 1, None, pt
+    while True:
+        if acc == qq_neg(c, prev):
+            return 2 * j - 1
         x, y = acc
-        if n >= _MAZUR_BOUND or u2 % x.denominator or u3 % y.denominator:
+        if not y:
+            return 2 * j
+        if 2 * j >= _MAZUR_BOUND or u2 % x.denominator or u3 % y.denominator:
             return 0
-        if y and D % (y.numerator * (u3 // y.denominator)):
+        if D % (y.numerator * (u3 // y.denominator)):
             return 0
-        acc = qq_add(c, acc, pt)
-        n += 1
-    return n
+        prev, acc = acc, qq_add(c, acc, pt)
+        j += 1
 
 
 # ---------------------------------------------------------------------------
@@ -377,22 +421,29 @@ def gf2_polymod(a: int, m: int) -> int:
 def gf2_inv(a: int, modulus: int) -> int:
     """Inverse of a nonzero bit-vector by the extended Euclid algorithm in GF(2)[x].
 
-    t0*r1 + t1*r0 = modulus holds throughout.  With k = deg(modulus), of the
-    sums deg(t0) + deg(r1) and deg(t1) + deg(r0) one is k and the other
-    below k, and r0 has the higher degree whenever the second is k.  So t1,
-    at the step that zeroes r0 and makes it the answer, already has
-    degree < k: no final reduction.
+    The one-branch loop of Hankerson, Menezes and Vanstone, Guide to
+    Elliptic Curve Cryptography, Alg. 2.48: g1*a = u and g2*a = v mod the
+    modulus.  g1*v + g2*u = modulus holds throughout, and with k =
+    deg(modulus), at the top of the loop deg(g1) + deg(v) = k > deg(g2) +
+    deg(u).  (A swap makes it deg(g2) + deg(u) = k > deg(g1) + deg(v); the
+    step then gives g1 the degree of x^j*g2, k - deg(v), and lowers deg(u).
+    Without a swap, x^j*g2 has degree below deg(g1), which the step keeps.)
+    v is the modulus or an earlier u, never 0 (u and v stay coprime, so u = 0
+    would need v = 1) and never 1 (u = 1 ends the loop).  So deg(v) >= 1, and
+    at u = 1 the answer g1 has degree k - deg(v) < k: no final reduction.
+    The modulus must be irreducible, as every field's is, or a u sharing a
+    factor with it would never reach 1.
     """
-    r0, r1 = modulus, a
-    t0, t1 = 0, 1
-    while r1:
-        d = r0.bit_length() - r1.bit_length()
-        if d < 0:
-            r0, r1, t0, t1 = r1, r0, t1, t0
-            continue
-        r0 ^= r1 << d
-        t0 ^= t1 << d
-    return t0
+    u, v, g1, g2 = a, modulus, 1, 0
+    while u != 1:
+        j = u.bit_length() - v.bit_length()
+        if j < 0:
+            u, v = v, u
+            g1, g2 = g2, g1
+            j = -j
+        u ^= v << j
+        g1 ^= g2 << j
+    return g1
 
 
 # Log/antilog tables up to GF(2^10), limb-table products above: the log
@@ -567,6 +618,21 @@ def c2_add(c, pt1, pt2):
         lam = div(y1 ^ y2, x1 ^ x2)
         x3 = F.sq(lam) ^ lam ^ x1 ^ x2 ^ a2
     return (x3, F.mul(lam, x1 ^ x3) ^ x3 ^ y1)
+
+
+def c2_tangent(c, q, lam, pt) -> bool:
+    """Whether the tangent at the affine point q has slope lam and meets the
+    curve again at -pt, i.e. 2q = pt, with no division: x1*lam = x1^2 + y1,
+    x0 = lam^2 + lam + a2 and y0 = x1^2 + (lam + 1)*x0 (the doubling of
+    ``c2_add`` multiplied out).  The first fails at x1 = 0, where y1^2 = a6
+    is nonzero."""
+    F, a2, _ = c
+    x1, y1 = q
+    x0, y0 = pt
+    s = F.sq(x1)
+    return (F.mul(x1, lam) == s ^ y1
+            and F.sq(lam) ^ lam ^ a2 == x0
+            and s ^ F.mul(lam ^ 1, x0) == y0)
 
 
 def c2_smul(c, n, pt):

@@ -86,8 +86,9 @@ def test_sigma_char2_class_disagreement_is_a_verification_error(monkeypatch):
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("N", [4, 8])
 def test_sigma_char2_checks_the_family_witnesses(monkeypatch, k, N):
-    """The family side runs the witness check, whose order search adds points;
-    the brute side adds none (it doubles x-coordinates)."""
+    """The family side runs the witness check, whose order search adds points,
+    N/2 - 1 per instance (its multiples stop at (N/2)G = -(N/2)G); the brute
+    side adds none (it doubles x-coordinates)."""
     calls = []
 
     def counting(*args, fn=kernel.c2_add):
@@ -97,7 +98,7 @@ def test_sigma_char2_checks_the_family_witnesses(monkeypatch, k, N):
     monkeypatch.setattr(kernel, "c2_add", counting)  # before any curve is built
     rep = sigma_char2(BinaryField(k), N)
     assert rep.agree
-    assert len(calls) == (N - 1) * rep.family_count > 0
+    assert len(calls) == (N // 2 - 1) * rep.family_count > 0
 
 
 @pytest.mark.parametrize("k", [2, 3])

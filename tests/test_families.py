@@ -1,5 +1,7 @@
 """Torsion families: validity predicates, witnesses, isomorphism tests."""
 
+import math
+import random
 import re
 from collections import Counter
 from fractions import Fraction
@@ -383,10 +385,10 @@ def test_family_instance_json_shape():
 # witness checks from one order search
 # ---------------------------------------------------------------------------
 
-# Kernel additions per instance: N - 1 for the order-N witness G, whose
-# multiples settle every other witness, plus the one curve.add that e10 and
-# e12 make for their sum point.
-_ADDS = {"e4": 3, "e6": 5, "e8": 7, "e10": 10, "e12": 12, "e4char2": 3, "e8char2": 7}
+# Kernel additions per instance: ceil(N/2) - 1 for the order-N witness G,
+# whose multiples and their negations settle every other witness, plus the
+# one curve.add that e10 and e12 make for their sum point.
+_ADDS = {"e4": 1, "e6": 2, "e8": 3, "e10": 5, "e12": 6, "e4char2": 1, "e8char2": 3}
 _CTORS = {"e4": e4_new, "e6": e6_new, "e8": e8_new, "e10": e10_new, "e12": e12_new,
           "e4char2": e4char2_new, "e8char2": e8char2_new}
 
@@ -412,6 +414,45 @@ def _instances_to_count():
         for v in range(2, 1 << k):
             yield "e4char2", F, (v,)
             yield "e8char2", F, (v,)
+
+
+def _oracle_smul(k, m, a2, a6, n, P):
+    """n * P by double-and-add on the oracle's own char-2 group law."""
+    acc = oracles.INF
+    while n:
+        if n & 1:
+            acc = oracles.char2_add(k, m, a2, a6, acc, P)
+        P = oracles.char2_add(k, m, a2, a6, P, P)
+        n >>= 1
+    return acc
+
+
+@pytest.mark.parametrize("k", [8, 13, 20])
+def test_e8char2_witnesses_and_their_scalar_multiples_match_the_oracle(monkeypatch, k):
+    """Every witness order is the oracle's own, and a 64-bit multiple of the
+    order-8 witness is the oracle's double-and-add, from at most 6 kernel
+    additions: 3 doublings reach O, and only n's 3 lowest bits add a term."""
+    calls = []
+
+    def counting(*args, fn=kernel.c2_add):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(kernel, "c2_add", counting)  # before any curve is built
+    F = BinaryField(k)
+    rng = random.Random(k)
+    for t in rng.sample(range(2, 1 << k), 4):
+        inst = e8char2_new(F, F(t))
+        a2, a6 = inst.curve.a2.value, inst.curve.a6.value
+        for w in inst.witnesses:
+            assert oracles.char2_order(k, F.modulus, a2, a6, _raw(w.point)) == w.claimed_order
+        P = inst.witness_of_order(8).point
+        for n in (rng.getrandbits(64), rng.getrandbits(64) | 7, -rng.getrandbits(64)):
+            del calls[:]
+            got = inst.curve.scalar_mul(n, P)
+            want = _oracle_smul(k, F.modulus, a2, a6, n % 8, _raw(P))
+            assert (None if got.is_infinity else _raw(got)) == want
+            assert len(calls) <= 6
 
 
 def test_witness_checks_add_only_in_the_one_order_search(monkeypatch):
@@ -450,9 +491,36 @@ def test_a_witness_of_largest_order_that_has_another_order_is_refused():
     w2, w4 = specs[0][0], specs[1][0]
     with pytest.raises(VerificationError, match=re.escape(f"witness {pts[1]!r} claims order 8 but has order 4")):
         _witnesses(E, [(w2, 2), (w4, 8)])
-    w8 = specs[3][0]  # its order exceeds the claim: none of its first 4 multiples is O
+    w8 = specs[3][0]  # its order exceeds the claim: its first 2 multiples show none up to 4
     with pytest.raises(VerificationError, match=re.escape(f"witness {pts[3]!r} claims order 4 but has order 8")):
         _witnesses(E, [(w2, 2), (w8, 4)])
+
+
+@pytest.mark.parametrize("ctor,param,N", [(e12_new, 2, 12), (e10_new, 2, 5)])
+def test_a_witness_given_as_a_negated_multiple_has_its_order_from_them(monkeypatch, ctor, param, N):
+    """For G of order N and every j, a witness -jG = (N - j)G, which the
+    multiples up to ceil(N/2)G reach only through their negations when
+    j < N/2, is credited with order N / gcd(j, N), with no order search of
+    its own, and a wrong claim for it is refused.  N = 5 (e10's order-5 point)
+    covers an odd order, whose ceil(N/2)G is itself the negation of the
+    multiple before."""
+    F = PrimeField(97)
+    inst = ctor(F, param)
+    E = inst.curve
+    A, B, C = (v.value for v in E.coefficients())
+    G = _raw(inst.witness_of_order(N).point)
+    calls = []
+    monkeypatch.setattr(CubicCurve, "order_of", lambda self, P: calls.append(P))
+    jG = G
+    for j in range(1, N):
+        neg = oracles.fp_cubic_neg(97, jG)
+        order = N // math.gcd(j, N)
+        got = _witnesses(E, [(G, N), (neg, order)])
+        assert [(_raw(w.point), w.claimed_order) for w in got] == [(G, N), (neg, order)]
+        with pytest.raises(VerificationError, match=f"claims order 1 but has order {order}"):
+            _witnesses(E, [(G, N), (neg, 1)])
+        jG = oracles.fp_cubic_add(97, A, B, C, jG, G)
+    assert jG is oracles.INF and calls == []
 
 
 def test_a_multiple_with_a_wrong_claim_is_refused():

@@ -561,6 +561,22 @@ def test_rational_axioms(ns, ds):
     assert a + Fraction(1, 2) == a + Q(Fraction(1, 2))
 
 
+def test_rational_inverse_is_the_fraction_in_lowest_terms():
+    """``_inv`` builds 1/a from a's coprime parts with no gcd: the result is
+    the very Fraction 1/a, sign on the numerator, equal and of equal hash,
+    at one digit and at 300."""
+    Q = Rationals()
+    big = 10**299 + 7
+    for a in (Fraction(3, 7), Fraction(-3, 7), Fraction(-1), Fraction(5), Fraction(-big, 3 * big + 1)):
+        inv = Q._inv(a)
+        want = 1 / a
+        assert (inv.numerator, inv.denominator) == (want.numerator, want.denominator)
+        assert inv.denominator > 0 and inv == want and hash(inv) == hash(want)
+        assert type(inv) is Fraction and inv * a == 1
+    with pytest.raises(ZeroDivisionError):
+        Q._inv(Fraction(0))
+
+
 def test_characteristic_and_order():
     assert PrimeField(13).characteristic == 13
     assert PrimeField(13).order == 13

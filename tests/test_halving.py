@@ -592,14 +592,15 @@ def test_a_square_root_slip_never_returns_a_half(monkeypatch):
 
 
 def test_a_doubling_slip_never_returns_a_half(monkeypatch):
+    """The replay doubles a half in ``kernel.cubic_tangent``: a slip there,
+    y0 = lam*(x1 - x0) - y1 + 1, refuses every half."""
     cases = _halvable_doubles(11)
-    real = kernel.cubic_add
+    real = kernel.cubic_tangent
 
-    def slipped(c, pt1, pt2):
-        out = real(c, pt1, pt2)
-        return out if pt1 != pt2 or out is None else (out[0], (out[1] + 1) % c[0])
+    def slipped(c, q, lam, pt):
+        return real(c, q, lam, (pt[0], (pt[1] - 1) % c[0]))
 
-    monkeypatch.setattr(kernel, "cubic_add", slipped)
+    monkeypatch.setattr(kernel, "cubic_tangent", slipped)
     for E, P in cases:
         E = CubicCurve(E.field, E.alpha, E.g.p, E.g.q)  # built now, so it reads the slip
         for criterion in (halve, halve_rT):
@@ -614,17 +615,93 @@ def test_a_char2_doubling_slip_never_returns_a_half(monkeypatch):
         doubles = {E.double(Q) for Q in E.full_group()}
         cases += [(E, P) for P in doubles if not P.is_infinity]
     assert len(cases) > 6 and any(not P.x for _, P in cases)  # W3 = (0, sqrt(a6)) among them
-    real = kernel.c2_add
+    real = kernel.c2_tangent
 
-    def slipped(c, pt1, pt2):
-        out = real(c, pt1, pt2)
-        return out if pt1 != pt2 or out is None else (out[0], out[1] ^ 1)
+    def slipped(c, q, lam, pt):
+        """The replay's doubling, y0 = x1^2 + (lam + 1)*x0, with a slip of 1."""
+        return real(c, q, lam, (pt[0], pt[1] ^ 1))
 
-    monkeypatch.setattr(kernel, "c2_add", slipped)
+    monkeypatch.setattr(kernel, "c2_tangent", slipped)
     for E, P in cases:
         E = Char2Curve(E.field, E.a2, E.a6)  # built now, so it reads the slip
         with pytest.raises(VerificationError):
             halve_char2(E, P)
+
+
+P31 = 2**31 - 1
+
+
+def _large_halvable_doubles():
+    """(curve, P = 2Q) where no test scans the group: at p = 2^31 - 1 and over
+    Q with parts of about 300 digits, with g irreducible and split, and over
+    GF(2^20)."""
+    out = []
+    F = PrimeField(P31)
+    for g0 in (4, 3):  # y^2 = x(x^2 + x + g0): x^2 + x + 4 is irreducible mod P31, x^2 + x + 3 splits
+        x = 2
+        while pow(rhs := oracles.fp_cubic_rhs(P31, 1, g0, 0, x), (P31 - 1) // 2, P31) != 1:
+            x += 1
+        Q = (x, pow(rhs, (P31 + 1) // 4, P31))  # a root of rhs, as P31 = 3 mod 4
+        P = oracles.fp_cubic_add(P31, 1, g0, 0, Q, Q)
+        out.append((CubicCurve(F, 0, 1, g0), Point(F(P[0]), F(P[1]))))
+    Qf = Rationals()
+    for g1, g0, G, n in ((-5, 5, (1, 1), 20), (0, -36, (-3, 9), 12)):  # G of infinite order
+        G = Q = tuple(map(Fraction, G))
+        for _ in range(n - 1):
+            Q = oracles.qq_cubic_add(g1, g0, 0, Q, G)
+        P = oracles.qq_cubic_add(g1, g0, 0, Q, Q)
+        assert 250 < max(len(str(abs(v))) for c in P for v in (c.numerator, c.denominator)) < 400
+        out.append((CubicCurve(Qf, 0, g1, g0), Point(Qf(P[0]), Qf(P[1]))))
+    assert [E.g.roots() is None for E, _ in out] == [True, False, True, False]
+    F20 = BinaryField(20)
+    x = 3
+    # y = x*z turns y^2 + xy = x^3 + x^2 + 7 into z^2 + z = x + 1 + 7/x^2
+    while (z := F20.solve_artin_schreier(F20(x) + 1 + F20(7) / F20(x) ** 2)) is None:
+        x += 1
+    Q = (x, oracles.gf2_mul(x, z.value, F20.modulus, 20))
+    P = oracles.char2_add(20, F20.modulus, 1, 7, Q, Q)
+    out.append((Char2Curve(F20, 1, 7), Point(F20(P[0]), F20(P[1]))))
+    return out
+
+
+def test_a_slope_slip_in_the_builder_never_returns_a_half(monkeypatch):
+    """``_halves`` with every slope one off, its points right: split, quadext,
+    rT and half_to_roots (P as a half of 2P) refuse it at p = 2^31 - 1 and
+    over Q at 300 digits."""
+    cases = _large_halvable_doubles()[:4]
+    for E, P in cases:
+        assert halve(E, P).halvable and halve_rT(E, P).halvable
+    real = halving._halves
+
+    def slipped(red, x0, y0, triples):
+        return [(q, red(slope + 1)) for q, slope in real(red, x0, y0, triples)]
+
+    monkeypatch.setattr(halving, "_halves", slipped)
+    refused = set()
+    for E, P in cases:
+        for criterion in (halve, halve_rT):
+            with pytest.raises(VerificationError, match="is not a tangent point"):
+                criterion(E, P)
+            refused.add((E.field.characteristic == 0, "rT" if criterion is halve_rT
+                         else "split" if E.g.roots() else "quadext"))
+        with pytest.raises(VerificationError, match="tangent slope"):
+            half_to_roots(E, P)
+    assert refused == {(q, c) for q in (False, True) for c in ("split", "quadext", "rT")}
+
+
+def test_a_slope_slip_in_halve_char2_never_returns_a_half(monkeypatch):
+    """``halve_char2`` handing each half the slope l + 1 of the other one, its
+    points right, is refused over GF(2^20)."""
+    ((E, P),) = _large_halvable_doubles()[4:]
+    assert halve_char2(E, P).halvable
+    real = halving._answer
+
+    def slipped(curve, criterion, pt, candidates, witness):
+        return real(curve, criterion, pt, [(q, l ^ 1) for q, l in candidates], witness)
+
+    monkeypatch.setattr(halving, "_answer", slipped)
+    with pytest.raises(VerificationError, match="is not a tangent point"):
+        halve_char2(E, P)
 
 
 # ---------------------------------------------------------------------------

@@ -205,8 +205,9 @@ def test_qq_order_adds_no_multiple_that_nagell_lutz_rules_out(monkeypatch):
         # (-2, 3) on the model x -> x / 9, y -> y / 27: integral on the integral
         # model (u = 3^6) and y | D there, but 2P is not integral
         _scaled(c17, (Fraction(-2), Fraction(3)), 3) + (0, 1),
-        ((Fraction(0), Fraction(0), Fraction(1)), (2, 3), 6, 5),  # y = 3 divides D = -27
-        ((Fraction(46, 9), Fraction(1), Fraction(0)), (-3, -4), 8, 7),  # e8 at t = 2: u = 9
+        # orders 6 and 8 show at 3P (y = 0) and 4P (4P = -4P): 2 and 3 additions
+        ((Fraction(0), Fraction(0), Fraction(1)), (2, 3), 6, 2),  # y = 3 divides D = -27
+        ((Fraction(46, 9), Fraction(1), Fraction(0)), (-3, -4), 8, 3),  # e8 at t = 2: u = 9
     ]
     for c, pt, n, additions in cases:
         pt = tuple(map(Fraction, pt))
@@ -230,17 +231,42 @@ def test_kernel_edge_cases():
 
 @pytest.mark.parametrize("p,A,B,C", CURVES)
 def test_multiples_are_the_iterated_sums_up_to_the_order(p, A, B, C):
+    """The multiples stop at ceil(n/2)P, n the order, which they return; one
+    multiple short of that they return the rest and no order."""
     c = (p, A, B, C)
     for P in [None] + kernel.cubic_points(c)[:12]:
         n = oracles.fp_cubic_order(p, A, B, C, P)
         want, R = [P], P
-        while R is not None:
+        while len(want) < (n + 1) // 2:
             R = oracles.fp_cubic_add(p, A, B, C, R, P)
             want.append(R)
-        assert kernel._multiples(kernel.cubic_add, c, P, n) == want
-        assert len(want) == n and want[-1] is None
-        if n > 1:  # one short of the order: the first n - 1 multiples, none of them None
-            assert kernel._multiples(kernel.cubic_add, c, P, n - 1) == want[:-1]
+        for length in ((n + 1) // 2, n, n + 5):
+            assert kernel._multiples(kernel.cubic_add, kernel.cubic_neg, c, P, length) == (want, n)
+        if n > 2:  # one short: the first ceil(n/2) - 1 multiples, and the order unknown
+            got = kernel._multiples(kernel.cubic_add, kernel.cubic_neg, c, P, len(want) - 1)
+            assert got == (want[:-1], 0)
+
+
+_C2_CURVES = [(3, 0b1011, 1, 5), (4, 0b10011, 0, 3), (4, 0b10011, 6, 11), (5, 0b100101, 3, 7)]
+
+
+def test_multiples_give_the_order_of_every_point():
+    """Every point of the F_p curves and of four char-2 curves, O included:
+    orders 1, 2, 3, odd orders above 3 and even ones among them."""
+    seen = set()
+    for p, A, B, C in CURVES:
+        c = (p, A, B, C)
+        for P in [None] + kernel.cubic_points(c):
+            n = oracles.fp_cubic_order(p, A, B, C, P)
+            assert kernel._multiples(kernel.cubic_add, kernel.cubic_neg, c, P, n)[1] == n
+            seen.add(n)
+    for k, m, a2, a6 in _C2_CURVES:
+        c = (kernel._gf2k(k, m), a2, a6)
+        for P in [None] + kernel.c2_points(c):
+            n = oracles.char2_order(k, m, a2, a6, P)
+            assert kernel._multiples(kernel.c2_add, kernel.c2_neg, c, P, n)[1] == n
+            seen.add(n)
+    assert {1, 2, 3, 4} <= seen and any(n % 2 and n > 3 for n in seen), sorted(seen)
 
 
 @pytest.mark.parametrize("p", [4099, 65521])
@@ -296,6 +322,19 @@ def test_gf2_bit_vector_arithmetic_matches_oracle():
             if a:
                 # already reduced, with no final polynomial remainder
                 assert kernel.gf2_inv(a, m) == oracles.gf2_inv(a, m, k)
+
+
+@pytest.mark.parametrize("k", [*range(2, 14), 20])
+def test_gf2_inv_inverts_every_element(k):
+    """a * a^-1 = 1 by the oracle's product, for every nonzero a up to k = 12
+    and 10,000 random ones at k = 13 and 20, on the first irreducible
+    modulus; each inverse is reduced already."""
+    m = next(m for m in range(1 << k, 1 << (k + 1)) if oracles.gf2_poly_irreducible(m, k))
+    rng = random.Random(k)
+    elements = range(1, 1 << k) if k <= 12 else [rng.randrange(1, 1 << k) for _ in range(10_000)]
+    for a in elements:
+        inv = kernel.gf2_inv(a, m)
+        assert inv >> k == 0 and oracles.gf2_mul(a, inv, m, k) == 1
 
 
 def test_limb_product_table_matches_oracle():
