@@ -177,10 +177,11 @@ def _parse(argv: Sequence[str]) -> argparse.Namespace:
     return args
 
 
-def _load_curve_and_field(args) -> Tuple[object, Field]:
+def _curve_and_point(args) -> tuple:
+    """The ``--curve`` and ``--point`` of ``halve`` and ``order``, over ``--field`` if given."""
     field = field_from_descriptor(args.field) if args.field else None
     curve = curve_from_json(json.loads(args.curve), field)
-    return curve, curve.field
+    return curve, point_from_json(curve.field, json.loads(args.point))
 
 
 def _params(field: Field, what: str, wanted: Tuple[str, ...], flags: Tuple[str, ...], args) -> list:
@@ -206,14 +207,12 @@ def _cmd_family(args) -> dict:
 
 
 def _cmd_halve(args) -> dict:
-    curve, field = _load_curve_and_field(args)
-    P = point_from_json(field, json.loads(args.point))
+    curve, P = _curve_and_point(args)
     return _HALVERS[args.method](curve, P).to_json_dict()
 
 
 def _cmd_order(args) -> dict:
-    curve, field = _load_curve_and_field(args)
-    P = point_from_json(field, json.loads(args.point))
+    curve, P = _curve_and_point(args)
     return {"point": point_to_json(P), "order": curve.order_of(P)}
 
 

@@ -286,14 +286,11 @@ class CubicCurve(_CurveBase):
         return shifted, fwd
 
     def j_invariant(self) -> FieldElement:
-        A, B, C = self.coefficients()
-        b2 = 4 * A
-        b4 = 2 * B
-        b6 = 4 * C
-        b8 = 4 * A * C - B * B
-        c4 = b2 * b2 - 24 * b4
-        disc = -b2 * b2 * b8 - 8 * b4 * b4 * b4 - 27 * b6 * b6 + 9 * b2 * b4 * b6
-        return c4 * c4 * c4 / disc
+        """j = c4^3 / Delta = 256 (A^2 - 3B)^3 / disc, with c4 = 16 (A^2 - 3B)
+        and Delta = 16 disc, disc the cubic's ``kernel.cubic_disc``."""
+        F, (A, B, C) = self.field, self._kp[-3:]
+        num = 256 * (A * A - 3 * B) ** 3
+        return FieldElement(F, F._red(num * F._inv(kernel.cubic_disc(A, B, C))))
 
     def to_json_dict(self) -> dict:
         return {

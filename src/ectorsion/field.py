@@ -27,9 +27,11 @@ that would need the three refuses characteristic 2 first.
 
 A field instance doubles as an element factory: ``F = PrimeField(7); F(3)``.
 Every field's elements are ``FieldElement``s, one class whose operators
-defer to the field's raw arithmetic.  The hot paths (the group law, the
-halving criteria, the family constructors and curve set-up) compute on raw
-values and build elements only for their answers.
+read their operand by one rule and defer to the field's raw arithmetic; an
+element hashes as its canonical raw value, so it meets the equal int (or,
+over Q, the equal ``Fraction``) in sets and dicts.  The hot paths (the
+group law, the halving criteria, the family constructors and curve set-up)
+compute on raw values and build elements only for their answers.
 """
 
 from __future__ import annotations
@@ -84,9 +86,12 @@ class FieldElement:
     """One element of a :class:`Field`.
 
     Supports the usual operators and ``==`` against elements of the same
-    field, plain ints, bools excepted, and over Q ``Fraction``s; ``==`` reads
-    its operand as the operators do (ints enter through the ring homomorphism
-    from Z, i.e. ``2 * x`` means ``x + x`` even in characteristic 2).
+    field, plain ints, bools excepted, and over Q ``Fraction``s; ``_rhs``
+    reads the operand of ``==`` and of ``_op``, which every binary operator
+    calls (ints enter through the ring homomorphism from Z, i.e. ``2 * x``
+    means ``x + x`` even in characteristic 2).  The hash is the canonical raw
+    value's, so F_7's 3 meets the int 3 in a set, but not 10, which also
+    compares equal to it; elements of two fields are never equal.
     """
 
     __slots__ = ("field", "value")
@@ -108,45 +113,34 @@ class FieldElement:
             return other
         return None
 
-    def __add__(self, other):
+    def _op(self, other, op, swap=False):
+        """The element op(self, other) on raw values (swapped if ``swap``), or NotImplemented."""
         v = self._rhs(other)
         if v is None:
             return NotImplemented
-        return self.__class__(self.field, self.field._add(self.value, v))
+        return self.__class__(self.field, op(v, self.value) if swap else op(self.value, v))
+
+    def __add__(self, other):
+        return self._op(other, self.field._add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return self.__class__(self.field, self.field._sub(self.value, v))
+        return self._op(other, self.field._sub)
 
     def __rsub__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return self.__class__(self.field, self.field._sub(v, self.value))
+        return self._op(other, self.field._sub, True)
 
     def __mul__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return self.__class__(self.field, self.field._mul(self.value, v))
+        return self._op(other, self.field._mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return self.__class__(self.field, self.field._div(self.value, v))
+        return self._op(other, self.field._div)
 
     def __rtruediv__(self, other):
-        v = self._rhs(other)
-        if v is None:
-            return NotImplemented
-        return self.__class__(self.field, self.field._div(v, self.value))
+        return self._op(other, self.field._div, True)
 
     def __pow__(self, n):
         if not isinstance(n, int) or isinstance(n, bool):
@@ -164,7 +158,7 @@ class FieldElement:
         return NotImplemented if v is None else self.value == v
 
     def __hash__(self):
-        return hash((self.field, self.value))
+        return hash(self.value)
 
     def __bool__(self):
         return bool(self.value)

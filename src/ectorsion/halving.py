@@ -392,8 +392,7 @@ def half_to_roots(curve: CubicCurve, Q: Point) -> RootTriple:
         raise VerificationError("(r2*r3)^2 != g(x0)")
     if red(r1 * n + y0):
         raise VerificationError("r1*r2*r3 != -y0")
-    triple = RootTriple(curve.alpha, *(FieldElement(F, v) for v in (r1, s, n)))
-    rebuilt, slope = triple.rebuild_half()
-    if rebuilt != Q or not curve._k.tangent(curve._kp, (x1, y1), slope.value, (x0, y0)):
+    ((q, slope),) = _halves(red, x0, y0, [(r1, s, n)])
+    if q != (x1, y1) or not curve._k.tangent(curve._kp, q, slope, (x0, y0)):
         raise VerificationError("triple does not rebuild Q with its tangent slope")
-    return triple
+    return RootTriple(curve.alpha, *(FieldElement(F, v) for v in (r1, s, n)))

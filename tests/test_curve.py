@@ -561,6 +561,9 @@ def test_j_invariant_matches_long_form_formula():
         (PrimeField(11), -1, 2, 3),
         (PrimeField(13), 0, 1, 5),
         (Rationals(), 2, 0, 1),
+        (PrimeField(3), 1, 0, 1),  # c4 = 16A^2 - 48B loses its B term mod 3
+        (PrimeField(5), 1, 1, 1),
+        (Rationals(), Fraction(3 * 10**299 + 1, 7), 2 * 10**300 + 9, -(10**300) + 17),
     ]:
         E = CubicCurve(field, alpha, pp, qq)
         A, B, C = E.coefficients()

@@ -345,6 +345,20 @@ def test_prime_field_elements_hash_by_value():
     assert G(5) not in table and len({F(v) for v in range(20)}) == 7
 
 
+def test_elements_meet_their_canonical_values_in_sets_and_dicts():
+    """An element hashes as its canonical raw value, so a set or dict finds it
+    by the equal int, and over Q by the equal Fraction; elements of two fields
+    with one value hash alike but stay two members."""
+    F7, F11, Q, B = PrimeField(7), PrimeField(11), Rationals(), BinaryField(3)
+    assert 3 in {F7(3)} and {F7(3): 1}[3] == 1
+    assert Fraction(1, 2) in {Q(Fraction(1, 2))} and Q(3) in {3}
+    assert {Q(Fraction(-4, 6)): "x"}[Fraction(-2, 3)] == "x"
+    assert B(1) in {1} and 0 in {B(0)}
+    assert len({F7(3), F11(3)}) == 2 and F7(3) in {F11(3), F7(10)}
+    # A non-canonical int compares equal but hashes apart: the documented limit.
+    assert F7(3) == 10 and 10 not in {F7(3)}
+
+
 @pytest.mark.parametrize("p", [2, 7, 97])
 def test_prime_field_division_by_any_multiple_of_p_is_zero_division(p):
     """One zero rule: every raw value = 0 mod p, and every operator that

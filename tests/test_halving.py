@@ -360,6 +360,27 @@ def test_half_to_roots_roundtrip(p):
             assert slope == tangent_slope(E, Q)
 
 
+def test_half_to_roots_doubles_q_once(monkeypatch):
+    """P = 2Q is one kernel addition, and Q is rebuilt from that P, not from a
+    second P built by ``RootTriple.doubled``."""
+    calls, cubic_add = [], kernel.cubic_add
+
+    def counted(c, pt1, pt2):
+        calls.append(pt1)
+        return cubic_add(c, pt1, pt2)
+
+    monkeypatch.setattr(kernel, "cubic_add", counted)
+    monkeypatch.setattr(halving.RootTriple, "doubled", lambda self: calls.append("doubled"))
+    F = PrimeField(11)
+    E = e6_new(F, F(3)).curve  # built after the patch: its model reads kernel.cubic_add
+    calls.clear()
+    Q = Point(F(0), F(3))
+    triple = half_to_roots(E, Q)
+    assert calls == [(0, 3)]
+    monkeypatch.undo()
+    assert triple.rebuild_half()[0] == Q and triple.doubled() == E.double(Q)
+
+
 def test_half_to_roots_specialization_at_x1_zero():
     """For Q = (0, y1) the root over alpha squares to (p-q)^2 / 4q."""
     F = PrimeField(11)
