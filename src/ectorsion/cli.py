@@ -13,7 +13,8 @@ and null only for a point of infinite order over Q.
 Time budgets, for the slowest accepted input of each kind, in-process: ``census``
 at k = 6 (``--field F2k:6:43``) answers within 5 s per order; ``family``
 (e10, e12, e8char2), ``halve`` (auto, rT) and ``iso`` (e4, e8, e8char2) at
-p = 2^31 - 1 and over GF(2^20), ``halve`` (auto, rT) over Q at a point with
+p = 2^31 - 1 and over GF(2^20), ``family`` (e4, e6, e8, e10) over Q at a
+4,300-digit integer parameter, ``halve`` (auto, rT) over Q at a point with
 parts of about 3,700 digits, and ``order`` over Q at a point of infinite
 order with parts of about 300 digits, within 1 s a call
 (``tests/test_budgets.py``); ``order`` at p = 2^31 - 1 and over GF(2^20)

@@ -9,9 +9,9 @@ K_g, and one builder, ``_halves``, turns each into its half and tangent slope:
 * ``halve_split``    — every root of the cubic is in K; the triples are the
   sign choices of sqrt(x0 - alpha_i) whose product is -y0.
 * ``halve_quadext``  — g irreducible; decide by whether x0 - X is a square
-  in K_g = K[x]/(g): ``ext_sqrt(g, x0, -1)`` gives its root rho as a
-  coordinate pair, and r2 + r3 = +-trace(rho), r2*r3 = norm(rho), with
-  r1 = r in K.
+  in K_g = K[x]/(g), after x0 - alpha in K, which must be one as well:
+  ``ext_sqrt(g, x0, -1)`` gives its root rho as a coordinate pair, and
+  r2 + r3 = +-trace(rho), r2*r3 = norm(rho), with r1 = r in K.
 * ``halve_rT``       — uniform two-parameter criterion (works either way):
   r^2 = x0 - alpha and T^2 = ((2*x0 + p)*(x0 - alpha) - 2*y0*r) / r^2; the
   triples are (r, +-T, -y0/r).
@@ -205,25 +205,32 @@ def halve_split(curve: CubicCurve, P: Point) -> HalvingResult:
 def halve_quadext(curve: CubicCurve, P: Point) -> HalvingResult:
     """The two halves when g is irreducible, via the square root of x0 - X.
 
-    With rho^2 = x0 - X in K_g and the unique r in K satisfying
-    r^2 = x0 - alpha, r*norm(rho) = -y0, the root triples are
-    (r, +-rho, +-conj(rho)): r2 + r3 = +-trace(rho) and r2*r3 = norm(rho).
+    x0 - X has norm g(x0) = y0^2 / (x0 - alpha), so it is a non-square in K_g
+    whenever x0 - alpha is one in K: that case answers empty before any
+    arithmetic in K_g.  Otherwise, with r^2 = x0 - alpha in K and rho^2 =
+    x0 - X in K_g, the sign of r is the one with r*norm(rho) = -y0, and the
+    root triples are (r, +-rho, +-conj(rho)): r2 + r3 = +-trace(rho) and
+    r2*r3 = norm(rho).
     """
     x0, y0 = _affine(curve, CubicCurve, P)
     g = curve.g
     if g.roots() is not None:
         raise WrongCase("g splits over K; use halve_split")
     F = curve.field
+    r = F._sqrt(x0 - curve.alpha.value)
+    if r is None:
+        return HalvingResult("quadext", (), {})
     rho = ext_sqrt(g, P.x, -1)  # x0 - X
     if rho is None:
         return HalvingResult("quadext", (), {})
     red = F._red
-    alpha, gp, gq = curve.alpha.value, g.p.value, g.q.value
+    gp, gq = g.p.value, g.q.value
     c0, c1 = rho[0].value, rho[1].value
     nrho = c0 * c0 - c0 * c1 * gp + c1 * c1 * gq  # nonzero: rho != 0 as x0 - X != 0
-    r = red(-y0 * F._inv(nrho))
-    if red(r * r - x0 + alpha):
-        raise VerificationError("r^2 != x0 - alpha")
+    if red(r * nrho + y0):
+        r = red(-r)
+        if red(r * nrho + y0):
+            raise VerificationError("r*norm(rho) != -y0 for both square roots r of x0 - alpha")
     tr = 2 * c0 - c1 * gp
     triples = [(r, tr, nrho), (r, -tr, nrho)]
     witness = {

@@ -6,7 +6,9 @@ An affine point is an ``(x, y)`` tuple and the point at infinity is
 * ``cubic_*``: y^2 = x^3 + A*x^2 + B*x + C over F_p, ``c = (p, A, B, C)``.
 * ``c2_*``: y^2 + x*y = x^3 + a2*x^2 + a6 over GF(2^k), ``c = (F, a2, a6)``,
   on bit-vectors below 2^k, with ``F`` the ``_GF2k`` context of the field.
-* ``qq_*``: the cubic over Q, ``c = (A, B, C)``, on ``Fraction``s.
+* ``qq_*``: the cubic over Q, ``c = (A, B, C)``, on ``Fraction``s;
+  ``qq_contains`` and ``qq_tangent`` compare cross-multiplied integers
+  on the Fractions' parts, with no gcd and no Fraction built.
 
 A model codes only ``contains``, ``add``, ``neg`` and ``tangent``, which
 checks with no division that a slope is the tangent's at a half of a point;
@@ -312,12 +314,25 @@ def cubic_double_all(c, pts):
 
 
 def qq_contains(c, pt) -> bool:
-    """Whether ``pt`` satisfies y^2 = x^3 + A x^2 + B x + C, on Fractions."""
+    """Whether ``pt`` satisfies y^2 = x^3 + A x^2 + B x + C, on the parts of
+    its Fractions: no gcd, no Fraction built.
+
+    With L the lcm of the denominators of A, B and C, and a = A*L, b = B*L,
+    c0 = C*L integers, x = xn/xd and y = yn/yd lie on the curve iff
+    yn^2 * xd^3 * L = yd^2 * (((xn*L + a*xd)*xn + b*xd^2)*xn + c0*xd^3),
+    the equation times yd^2 * xd^3 * L > 0.
+    """
     if pt is None:
         return True
     A, B, C = c
     x, y = pt
-    return y * y == ((x + A) * x + B) * x + C
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    Ad, Bd, Cd = A.denominator, B.denominator, C.denominator
+    L = lcm(Ad, Bd, Cd)
+    a, b, c0 = A.numerator * (L // Ad), B.numerator * (L // Bd), C.numerator * (L // Cd)
+    xd2 = xd * xd
+    xd3 = xd2 * xd
+    return yn * yn * xd3 * L == yd * yd * (((xn * L + a * xd) * xn + b * xd2) * xn + c0 * xd3)
 
 
 def qq_neg(c, pt):
@@ -344,13 +359,26 @@ def qq_add(c, pt1, pt2):
 
 
 def qq_tangent(c, q, lam, pt) -> bool:
-    """``cubic_tangent`` on Fractions."""
+    """``cubic_tangent``'s three identities on the parts of the Fractions:
+    no gcd, no Fraction built.  Each, with its terms moved across as in the
+    comments, is compared as n1*d2 == n2*d1 on unreduced pairs; A and B
+    enter as a/L and b/L, L the lcm of their denominators."""
     A, B, _ = c
-    x1, y1 = q
-    x0, y0 = pt
-    return (2 * y1 * lam == (3 * x1 + 2 * A) * x1 + B
-            and lam * lam - A - 2 * x1 == x0
-            and lam * (x1 - x0) - y1 == y0)
+    xn, xd, yn, yd = q[0].numerator, q[0].denominator, q[1].numerator, q[1].denominator
+    ln, ld = lam.numerator, lam.denominator
+    un, ud, vn, vd = pt[0].numerator, pt[0].denominator, pt[1].numerator, pt[1].denominator
+    Ad, Bd = A.denominator, B.denominator
+    L = lcm(Ad, Bd)
+    a, b = A.numerator * (L // Ad), B.numerator * (L // Bd)
+    xd2, ld2, xu = xd * xd, ld * ld, xd * ud
+    # 2*y1*lam = (3*x1 + 2*A)*x1 + B
+    if 2 * yn * ln * (xd2 * L) != ((3 * L * xn + 2 * a * xd) * xn + b * xd2) * (yd * ld):
+        return False
+    # lam^2 - 2*x1 - x0 = A
+    if (ln * ln * xu - (2 * xn * ud + un * xd) * ld2) * L != a * (ld2 * xu):
+        return False
+    # lam*(x1 - x0) = y1 + y0
+    return ln * (xn * ud - un * xd) * (yd * vd) == (yn * vd + vn * yd) * (ld * xu)
 
 
 def qq_smul(c, n, pt):

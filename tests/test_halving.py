@@ -1,5 +1,6 @@
 """Division by 2 on the curve, checked against exhaustive doubling."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -629,6 +630,60 @@ def test_a_doubling_slip_never_returns_a_half(monkeypatch):
                 criterion(E, P)
 
 
+def _q_halvable_doubles():
+    """(curve, P = 2Q) over Q with g irreducible and split: P = 2G at small
+    height, then the pairs of ``_large_halvable_doubles`` with parts of about
+    300 digits."""
+    Qf = Rationals()
+    out = []
+    for g1, g0, G in ((-5, 5, (1, 1)), (0, -36, (-3, 9))):  # G of infinite order
+        E = CubicCurve(Qf, 0, g1, g0)
+        G = Point(Qf(G[0]), Qf(G[1]))
+        out.append((E, E.double(G)))
+    out += _large_halvable_doubles()[2:4]
+    assert [E.g.roots() is None for E, _ in out] == [True, False, True, False]
+    for E, P in out:
+        assert E.field.characteristic == 0 and halve(E, P).halvable and halve_rT(E, P).halvable
+    return out
+
+
+def test_a_q_doubling_slip_never_returns_a_half(monkeypatch):
+    """Over Q the replay doubles a half in ``kernel.qq_tangent``: a slip there,
+    y0 = lam*(x1 - x0) - y1 + 1, refuses every half, at small height and at
+    about 300 digits."""
+    cases = _q_halvable_doubles()
+    real = kernel.qq_tangent
+
+    def slipped(c, q, lam, pt):
+        return real(c, q, lam, (pt[0], pt[1] - 1))
+
+    monkeypatch.setattr(kernel, "qq_tangent", slipped)
+    for E, P in cases:
+        E = CubicCurve(E.field, E.alpha, E.g.p, E.g.q)  # built now, so it reads the slip
+        for criterion in (halve, halve_rT):
+            with pytest.raises(VerificationError, match="is not a tangent point"):
+                criterion(E, P)
+
+
+def test_a_q_point_check_that_refuses_a_half_never_returns_it(monkeypatch):
+    """A ``kernel.qq_contains`` that refuses one true half of P, and no other
+    point, makes ``halve`` and ``halve_rT`` raise, at small height and at
+    about 300 digits."""
+    cases = [(E, P, halve(E, P).points()[0]) for E, P in _q_halvable_doubles()]
+    refused = {(H.x.value, H.y.value) for _, _, H in cases}
+    real = kernel.qq_contains
+
+    def refusing(c, pt):
+        return pt not in refused and real(c, pt)
+
+    monkeypatch.setattr(kernel, "qq_contains", refusing)
+    for E, P, _ in cases:
+        E = CubicCurve(E.field, E.alpha, E.g.p, E.g.q)
+        for criterion in (halve, halve_rT):
+            with pytest.raises(VerificationError, match="is not on the curve"):
+                criterion(E, P)
+
+
 def test_a_char2_doubling_slip_never_returns_a_half(monkeypatch):
     cases = []
     for k, a2, a6 in ((3, 1, 5), (4, 0, 3), (4, 6, 11)):
@@ -723,6 +778,128 @@ def test_a_slope_slip_in_halve_char2_never_returns_a_half(monkeypatch):
     monkeypatch.setattr(halving, "_answer", slipped)
     with pytest.raises(VerificationError, match="is not a tangent point"):
         halve_char2(E, P)
+
+
+# ---------------------------------------------------------------------------
+# quadext decides x0 - alpha in K first
+# ---------------------------------------------------------------------------
+
+def _qq_is_square(v):
+    """The sign, then isqrt of the reduced numerator and denominator."""
+    n, d = v.numerator, v.denominator
+    return n >= 0 and math.isqrt(n) ** 2 == n and math.isqrt(d) ** 2 == d
+
+
+def _shifted(Qf, s, g1, g0, G):
+    """y^2 = x(x^2 + g1*x + g0) moved by x -> x + s, so that alpha = s, and G on it."""
+    E = CubicCurve(Qf, s, g1 - 2 * s, s * s - g1 * s + g0)
+    return E, Point(Qf(G[0] + s), Qf(G[1]))
+
+
+def _x0_minus_alpha_cases():
+    """(curve, P, whether x0 - alpha is a square by the test's own check), g
+    irreducible: points at p = 2^31 - 1, on y^2 = (x - 5)(x^2 + x + 4), by
+    Euler's criterion; multiples with parts of about 300 digits over Q, on
+    moved models of y^2 = x(x^2 - 5x + 5) and of e4 at (2/3, 3/5), by the sign
+    and isqrt: squares, negative values and positive non-squares."""
+    out = []
+    F = PrimeField(P31)
+    E = CubicCurve(F, 5, 1, 4)
+    x = 6
+    while len(out) < 12:
+        rhs = oracles.fp_cubic_rhs(P31, -4, -1, -20, x)  # (x - 5)(x^2 + x + 4)
+        if pow(rhs, (P31 - 1) // 2, P31) == 1:
+            y = pow(rhs, (P31 + 1) // 4, P31)
+            out.append((E, Point(F(x), F(y)), pow(x - 5, (P31 - 1) // 2, P31) == 1))
+        x += 1
+    Qf = Rationals()
+    e4 = (Fraction(-2, 3), Fraction(74, 45), Fraction(9, 25))
+    # x(nG) lies in the square class of x(G)^n: 1, then -1 and 15 for odd n
+    for s, g1, g0, G in ((Fraction(1, 7), -5, 5, (1, 1)), e4 + ((-1, Fraction(8, 15)),),
+                         e4 + ((Fraction(27, 5), Fraction(72, 5)),)):
+        E, G = _shifted(Qf, s, g1, g0, tuple(map(Fraction, G)))
+        P = G
+        while max(abs(v) for v in (P.x.value.numerator, P.x.value.denominator)) < 10**250:
+            P = E.add(P, G)
+        for _ in range(4):
+            out.append((E, P, _qq_is_square(P.x.value - s)))
+            P = E.add(P, G)
+    assert all(E.g.irreducible() for E, _, _ in out)
+    return out
+
+
+def test_quadext_answers_a_non_square_x0_minus_alpha_before_k_g(monkeypatch):
+    """Where x0 - alpha is not a square in K, x0 - X is none in K_g (its norm
+    g(x0) = y0^2 / (x0 - alpha) is none in K): ``halve_quadext`` answers empty
+    without calling ``ext_sqrt``, and ``halve_rT`` answers empty too, at
+    p = 2^31 - 1 and over Q at about 300 digits.  Elsewhere ``ext_sqrt`` runs."""
+    cases = _x0_minus_alpha_cases()
+    calls = []
+
+    def counted(g, c0, c1):
+        calls.append(c0)
+        return ext_sqrt(g, c0, c1)
+
+    monkeypatch.setattr(halving, "ext_sqrt", counted)
+    seen = set()
+    for E, P, square in cases:
+        del calls[:]
+        res = halve_quadext(E, P)
+        assert calls == ([P.x] if square else [])
+        if not square:
+            assert res.halves == () and res.witness == {}
+            assert halve_rT(E, P) == HalvingResult("rT", (), {})
+        assert res.halvable == halve_rT(E, P).halvable
+        negative = E.field.characteristic == 0 and P.x.value < E.alpha.value
+        seen.add((E.field.characteristic, square, negative))
+    assert seen == {(0, True, False), (0, False, False), (0, False, True),
+                    (P31, True, False), (P31, False, False)}
+
+
+def test_a_wrong_extension_root_never_returns_a_half(monkeypatch):
+    """An ``ext_sqrt`` root of x0 - X one off in c0 is refused, over F_13 and
+    over Q: mostly because neither sign of r gives r*norm(rho) = -y0, else by
+    the replay of the halves."""
+    cases = [(E, P) for E, P in _halvable_doubles(13) if E.g.roots() is None]
+    cases += [(E, P) for E, P in _q_halvable_doubles() if E.g.roots() is None]
+
+    def off(g, c0, c1):
+        rho = ext_sqrt(g, c0, c1)
+        return None if rho is None else (rho[0] + 1, rho[1])
+
+    monkeypatch.setattr(halving, "ext_sqrt", off)
+    messages = []
+    for E, P in cases:
+        with pytest.raises(VerificationError) as err:
+            halve_quadext(E, P)
+        messages.append(str(err.value))
+    assert {E.field.characteristic for E, _ in cases} == {0, 13}
+    assert sum("r*norm(rho) != -y0" in m for m in messages) > len(messages) // 2
+
+
+@pytest.mark.parametrize("p", oracles.small_primes(3, 31))
+def test_quadext_and_rT_agree_on_emptiness(p):
+    """Every affine point but W3 of every curve with g irreducible: every
+    alpha at p <= 11, and alpha = 0 above, which up to the move x -> x +
+    alpha is every curve too."""
+    F = PrimeField(p)
+    squares = oracles.fp_squares(p)
+    seen = set()
+    for alpha in range(p) if p <= 11 else (0,):
+        for g1 in range(p):
+            for g0 in range(p):
+                if (g1 * g1 - 4 * g0) % p in squares:
+                    continue
+                try:
+                    E = CubicCurve(F, alpha, g1, g0)
+                except SingularCurve:
+                    continue
+                for P in E.full_group()[1:]:
+                    if P != E.w3:
+                        empty = not halve_quadext(E, P).halvable
+                        assert empty is (not halve_rT(E, P).halvable), (E, P)
+                        seen.add(empty)
+    assert seen == {True, False}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from ectorsion import (
+    CubicCurve,
+    Point,
     Rationals,
     VerificationError,
     e4_new,
@@ -14,6 +16,7 @@ from ectorsion import (
     e8_new,
     e10_new,
     e12_new,
+    halve,
     kernel,
 )
 from ectorsion.field import default_modulus
@@ -215,6 +218,125 @@ def test_qq_order_adds_no_multiple_that_nagell_lutz_rules_out(monkeypatch):
         del calls[:]
         assert kernel.qq_order(c, pt) == n
         assert len(calls) == additions
+
+
+# Curves over Q of positive rank, y^2 = (x - alpha)(x^2 + g1*x + g0), each
+# with a point G of infinite order: e4 at (a, b) = (2/3, 3/5), whose
+# coefficients A, B, C have the distinct denominators 45, 25 and 1; the same
+# curve moved by x -> x - 2/3, with denominators 45, 675 and 2025; then an
+# integral one with g irreducible and one with g split.
+QQ_RANK_CURVES = [
+    ((0, Fraction(74, 45), Fraction(9, 25)), (1, Fraction(26, 15))),
+    ((Fraction(-2, 3), Fraction(134, 45), Fraction(1283, 675)),
+     (Fraction(1, 3), Fraction(26, 15))),
+    ((0, -5, 5), (1, 1)),
+    ((0, 0, -36), (-3, 9)),
+]
+QQ_DIGITS = (1, 300, 4300)
+
+
+def _height(pt):
+    """The largest absolute value among the parts of pt's coordinates."""
+    return max(abs(v) for c in pt for v in (c.numerator, c.denominator))
+
+
+def _tall_halves(curve, G, digits):
+    """(c, P, [(half, slope), ...]) on the curve (alpha, g1, g0): P = 2nG, and
+    its halves by ``halve``.  At 1 digit n = 1, and the half G has parts of
+    one or two digits; otherwise n is the largest that keeps P's parts below
+    ``digits`` digits."""
+    Q = Rationals()
+    E = CubicCurve(Q, *curve)
+    c = tuple(v.value for v in E.coefficients())
+    G = H = tuple(map(Fraction, G))
+    P = oracles.qq_cubic_add(*c, G, G)
+    while digits > 1:
+        H2 = oracles.qq_cubic_add(*c, H, G)
+        P2 = oracles.qq_cubic_add(*c, H2, H2)
+        if _height(P2) >= 10**digits:
+            break
+        H, P = H2, P2
+    assert digits == 1 or 10 ** (digits * 3 // 4) <= _height(P) < 10**digits
+    res = halve(E, Point(Q(P[0]), Q(P[1])))
+    assert H in {(h.x.value, h.y.value) for h in res.points()}
+    return c, P, [((h.x.value, h.y.value), s.value) for h, s in res.halves]
+
+
+def _one_off(values):
+    """Each tuple of Fractions with one numerator or one denominator one unit up."""
+    out = []
+    for i, v in enumerate(values):
+        n, d = v.numerator, v.denominator
+        out += [values[:i] + (w,) + values[i + 1:] for w in (Fraction(n + 1, d), Fraction(n, d + 1))]
+    return out
+
+
+def _one_identity_off(c, q, lam, pt):
+    """Tangent inputs on which exactly one identity fails: x0 moved along the
+    line through q (the second), then the slope moved, with x0 and y0 taken
+    from it (the first).  A moved y0 alone fails the third."""
+    A = c[0]
+    x1, y1 = q
+    x0 = pt[0] + 1
+    out = [(q, lam, (x0, lam * (x1 - x0) - y1))]
+    lam += 1
+    x0 = lam * lam - A - 2 * x1
+    return out + [(q, lam, (x0, lam * (x1 - x0) - y1))]
+
+
+def _tangent_identities(c, q, lam, pt):
+    """``kernel.qq_tangent``'s three identities, written out on Fractions."""
+    A, B, _ = c
+    (x1, y1), (x0, y0) = q, pt
+    return (2 * y1 * lam == 3 * x1 * x1 + 2 * A * x1 + B
+            and lam * lam - A - 2 * x1 == x0
+            and lam * (x1 - x0) - y1 == y0)
+
+
+@pytest.mark.parametrize("digits", QQ_DIGITS)
+@pytest.mark.parametrize("curve,G", QQ_RANK_CURVES)
+def test_qq_checks_on_parts_match_fraction_arithmetic(curve, G, digits):
+    """``qq_contains`` against ``oracles.qq_cubic_on`` and ``qq_tangent``
+    against its identities on Fractions, at each half of P = 2nG, at P, at
+    every copy with one part one unit off, and at inputs that fail one
+    tangent identity alone."""
+    c, P, halves = _tall_halves(curve, G, digits)
+    A, B, C = c
+    seen = set()
+    for pt in [P] + [h for h, _ in halves]:
+        for v in [pt] + _one_off(pt):
+            got = kernel.qq_contains(c, v)
+            assert got == oracles.qq_cubic_on(A, B, C, v), v
+            seen.add(("contains", got))
+    for q, lam in halves:
+        for v in [q + (lam,) + P] + _one_off(q + (lam,) + P):
+            got = kernel.qq_tangent(c, v[:2], v[2], v[3:])
+            assert got == _tangent_identities(c, v[:2], v[2], v[3:]), v
+            seen.add(("tangent", got))
+        for v in _one_identity_off(c, q, lam, P):
+            assert kernel.qq_tangent(c, *v) is _tangent_identities(c, *v) is False
+    assert seen == {(check, b) for check in ("contains", "tangent") for b in (True, False)}
+
+
+def test_qq_checks_run_no_gcd(monkeypatch):
+    """At 300 digits neither check reduces a Fraction: ``math.gcd``, which
+    every Fraction operation calls, is never called."""
+    cases = []
+    for curve, G in QQ_RANK_CURVES:
+        c, P, halves = _tall_halves(curve, G, 300)
+        cases += [(c, P, q, lam, lam + 1) for q, lam in halves]
+    calls = []
+    real = math.gcd
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(math, "gcd", counted)
+    for c, P, q, lam, wrong in cases:
+        assert kernel.qq_contains(c, P) and kernel.qq_contains(c, q)
+        assert kernel.qq_tangent(c, q, lam, P) and not kernel.qq_tangent(c, q, wrong, P)
+    assert calls == []
 
 
 def test_kernel_edge_cases():
