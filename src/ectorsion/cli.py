@@ -26,12 +26,12 @@ signatures.  ``--field`` and a curve JSON's own ``"field"`` must agree.
 
 An option value may be a negative literal: ``--T -3/4`` reads as ``--T=-3/4``.
 
-The parser is built once a process.  A call whose first argument names a
-command is parsed by that command's parser alone; any other call (no
-argument, ``-h``, an unknown command, a leading option) by the top-level one.
-Both give what the top-level parser alone would.  JSON output is
-``json.dumps(..., indent=2)`` byte for byte, written through json's C string
-encoder.
+The parser is built once a process, each command's flags with it: the
+``Action`` objects ``add_argument`` returned.  A well-formed call of a command
+is read from these (``_read``) to the namespace the top-level parser gives;
+argparse reads any other, so it alone writes help and refusals.
+JSON output is ``json.dumps(..., indent=2)`` byte for byte, written through
+json's C string encoder.
 """
 
 from __future__ import annotations
@@ -101,81 +101,118 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> Tuple[_Parser, Dict[str, _Parser]]:
-    """The one parser of the process and its subparsers by command, built on
-    first use and shared by every ``main`` call: parsing leaves them unchanged,
-    ``prog`` is fixed, every default is immutable and each help formatter reads
-    the terminal width anew."""
+def _build_parser() -> Tuple[_Parser, Dict[str, Dict[str, argparse.Action]]]:
+    """The one parser of the process and each command's flags, the ``Action``
+    objects its ``add_argument`` returned, built on first use and shared by
+    every ``main`` call: parsing leaves them unchanged, ``prog`` is fixed, every
+    default is immutable and each help formatter reads the terminal width anew."""
     p = _Parser(
         prog="ectorsion",
         description="Command-line front-end: construction, halving, orders, isomorphism, census.",
     )
     sub = p.add_subparsers(dest="command", required=True)
-    commands: Dict[str, _Parser] = {}
+    tables: Dict[str, Dict[str, argparse.Action]] = {}
 
-    def add(name, **kwargs):
-        commands[name] = sub.add_parser(name, **kwargs)
-        return commands[name]
+    def add(name, **kwargs):  # the new subparser's add_argument, which also fills its table
+        sp = sub.add_parser(name, **kwargs)
+        table = tables[name] = {}
 
-    def common(sp):
-        sp.add_argument("--output", choices=("json", "text"), default="json")
+        def flag(option, **kw):
+            table[option] = sp.add_argument(option, **kw)
+        return flag
+
+    def common(flag):
+        flag("--output", choices=("json", "text"), default="json")
 
     fam = add("family", help="construct a family instance with witnesses")
-    fam.add_argument("--field", required=True)
-    fam.add_argument("--family", required=True, choices=FAMILY_NAMES)
-    for flag in _FAMILY_FLAGS:
-        fam.add_argument(f"--{flag}")
+    fam("--field", required=True)
+    fam("--family", required=True, choices=FAMILY_NAMES)
+    for name in _FAMILY_FLAGS:
+        fam(f"--{name}")
     common(fam)
 
     hal = add("halve", help="compute all rational halves of a point")
-    hal.add_argument("--field")
-    hal.add_argument("--curve", required=True, help="curve JSON")
-    hal.add_argument("--point", required=True, help="point JSON")
-    hal.add_argument("--method", choices=tuple(_HALVERS), default="auto")
+    hal("--field")
+    hal("--curve", required=True, help="curve JSON")
+    hal("--point", required=True, help="point JSON")
+    hal("--method", choices=tuple(_HALVERS), default="auto")
     common(hal)
 
     order = add(
         "order", help="exact order of a point (null only for infinite order over Q)")
-    order.add_argument("--field")
-    order.add_argument("--curve", required=True)
-    order.add_argument("--point", required=True)
+    order("--field")
+    order("--curve", required=True)
+    order("--point", required=True)
     common(order)
 
     iso = add("iso", help="test family parameters for isomorphism")
-    iso.add_argument("--field", required=True)
-    iso.add_argument("--kind", required=True, choices=tuple(_ISO_PARAMS))
-    for flag in _ISO_FLAGS:
-        iso.add_argument(f"--{flag}")
+    iso("--field", required=True)
+    iso("--kind", required=True, choices=tuple(_ISO_PARAMS))
+    for name in _ISO_FLAGS:
+        iso(f"--{name}")
     common(iso)
 
     cen = add("census", help="count iso classes with an order-N point")
-    cen.add_argument("--field", required=True)
-    cen.add_argument("--order", required=True, type=int, choices=(4, 8))
-    cen.add_argument("--table", action="store_true", help="render as an aligned table")
+    cen("--field", required=True)
+    cen("--order", required=True, type=int, choices=(4, 8))
+    cen("--table", action="store_true", help="render as an aligned table")
     common(cen)
 
-    ver = add("verify-examples", help="replay the F_3 and F_4 worked examples")
-    common(ver)
-    return p, commands
+    common(add("verify-examples", help="replay the F_3 and F_4 worked examples"))
+    return p, tables
+
+
+def _read(table: Dict[str, argparse.Action], argv: Sequence[str]) -> Optional[argparse.Namespace]:
+    """The values of ``argv[1:]``, a call of command ``argv[0]`` whose flags are
+    ``table``, or None unless each token is one of them exactly, as ``--flag
+    value``, ``--flag=value`` or a bare flag that takes no value, each value is
+    one its flag's ``type`` and ``choices`` accept, and every required flag is
+    given.  A value is the next token unless that starts with ``-`` and is no
+    negative literal; ``--`` is never one."""
+    values = {}
+    i, n = 1, len(argv)
+    while i < n:
+        option, eq, value = argv[i].partition("=")
+        action = table.get(option)
+        i += 1
+        if action is None:
+            return None
+        if action.nargs == 0:  # store_true
+            if eq:
+                return None
+            values[action.dest] = action.const
+            continue
+        if not eq:
+            if i == n or (argv[i].startswith("-") and not _NEGATIVE_LITERAL.match(argv[i])):
+                return None
+            value = argv[i]
+            i += 1
+        elif value == "--":  # argparse drops it and stores []
+            return None
+        if action.type is not None:
+            try:
+                value = action.type(value)
+            except (TypeError, ValueError):
+                return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        values[action.dest] = value
+    for action in table.values():
+        if action.dest not in values:
+            if action.required:
+                return None
+            values[action.dest] = action.default
+    return argparse.Namespace(command=argv[0], **values)
 
 
 def _parse(argv: Sequence[str]) -> argparse.Namespace:
-    """``argv`` as the top-level parser reads it, SystemExit included.
-
-    When ``argv[0]`` names a command, only that command's parser scans the
-    rest, and what it leaves over is refused as argparse's subparsers action
-    would have it refused.
-    """
-    parser, commands = _build_parser()
-    argv = _join_negative_values(argv)
-    sub = commands.get(argv[0]) if argv else None
-    if sub is None:
-        return parser.parse_args(argv)
-    args, extra = sub.parse_known_args(argv[1:])
-    if extra:
-        parser.error(f"unrecognized arguments: {' '.join(extra)}")
-    args.command = argv[0]
-    return args
+    """``argv`` as the top-level parser reads it, SystemExit included: a
+    well-formed call of a command from its flags (``_read``), any other argv
+    by the top-level parser itself."""
+    parser, tables = _build_parser()
+    table = tables.get(argv[0]) if argv else None
+    args = None if table is None else _read(table, argv)
+    return parser.parse_args(_join_negative_values(argv)) if args is None else args
 
 
 def _curve_and_point(args) -> tuple:

@@ -56,7 +56,9 @@ class _Record:
     name its fields: no instance dict, FrozenInstanceError for any assignment or
     deletion (a class rebuilt by the dataclass slots option answers a name that
     is no field with TypeError on Python 3.11), copies and pickles through the
-    constructor."""
+    constructor.  ``Point`` and ``TorsionWitness``, built in every group-law
+    step, have their own ``__init__``, which dataclass keeps: it sets each slot
+    through its member descriptor, not through ``object.__setattr__``."""
 
     __slots__ = ()
 
@@ -72,9 +74,11 @@ class Point(_Record):
     x: Optional[FieldElement]
     y: Optional[FieldElement]
 
-    def __post_init__(self):
-        if (self.x is None) != (self.y is None):
+    def __init__(self, x: Optional[FieldElement], y: Optional[FieldElement]):
+        if (x is None) != (y is None):
             raise InvalidParams("affine points need both coordinates")
+        _set_x(self, x)
+        _set_y(self, y)
 
     @property
     def is_infinity(self) -> bool:
@@ -100,6 +104,11 @@ class TorsionWitness(_Record):
     note: str
     verified: ClassVar[bool] = True
 
+    def __init__(self, point: Point, claimed_order: int, note: str):
+        _set_point(self, point)
+        _set_claimed_order(self, claimed_order)
+        _set_note(self, note)
+
     def to_json_dict(self) -> dict:
         d = {
             "point": point_to_json(self.point),
@@ -109,6 +118,10 @@ class TorsionWitness(_Record):
         if self.note:
             d["note"] = self.note
         return d
+
+
+_set_x, _set_y, _set_point, _set_claimed_order, _set_note = (
+    cls.__dict__[name].__set__ for cls in (Point, TorsionWitness) for name in cls.__slots__)
 
 
 def element_to_json(e: FieldElement) -> str:

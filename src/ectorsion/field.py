@@ -58,8 +58,9 @@ _MR_WITNESSES = (2, 3, 5, 7)
 
 
 def _is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin to the bases 2, 3, 5, 7: exact below
-    3,215,031,751 (Jaeschke, Math. Comp. 61 (1993)), so for every p < 2^31."""
+    """Deterministic Miller-Rabin: the bases 2, 3 are exact below 1,373,653,
+    2, 3, 5 below 25,326,001 and 2, 3, 5, 7 below 3,215,031,751 (Jaeschke,
+    Math. Comp. 61 (1993)), so for every p < 2^31."""
     if n < 2:
         return False
     for w in _MR_WITNESSES:
@@ -69,7 +70,8 @@ def _is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for w in _MR_WITNESSES:
+    n_bases = 2 if n < 1_373_653 else 3 if n < 25_326_001 else 4
+    for w in _MR_WITNESSES[:n_bases]:
         x = pow(w, d, n)
         if x == 1 or x == n - 1:
             continue

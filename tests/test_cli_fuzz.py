@@ -4,8 +4,8 @@ Fields are Q, F_p with p <= 101 and GF(2^k) with k <= 3, and literals are
 short, so every call has a stated bound: it finishes in under two seconds
 (the slowest, a census over GF(8), takes about 0.02 s).  Each call must exit
 with a documented code (0, 1, 2 or 3) and write no traceback.  The same
-argvs check that a command's own parser reads each argv as the top-level
-parser does.
+argvs check that ``cli._parse``, which reads a well-formed call from its
+command's flag table, reads each argv as the top-level parser does.
 """
 
 import contextlib
@@ -183,6 +183,25 @@ def top_level_parse(argv):
 @example(argv=["halve", "--curve", "{}", "--point", "{}", "--what", "x", "-y", "--"])
 @example(argv=["verify-examples", "--output=text", "extra"])
 @example(argv=["census", "--field", "F2k:2:7", "--order", "8", "--table", "--bogus=1"])
+@example(argv=["family", "--field", "Q", "--family", "e6", "--t="])  # an empty explicit value
+@example(argv=["family", "--field", "Q", "--family", "e6", "--t=--"])  # argparse reads []
+@example(argv=["census", "--field", "F2k:2:7", "--order", "4", "--table=1"])  # store_true given one
+@example(argv=["census", "--field", "F2k:2:7", "--order", "08"])  # type, then choices
+@example(argv=["census", "--field", "F2k:2:7", "--order=8"])
+@example(argv=["family", "--field", "Q", "--family", "e6", "--t", "1", "--t", "2"])  # last wins
+@example(argv=["family", "--field", "Q", "--family", "e6", "--t", "-"])
+@example(argv=["family", "--field", "Q", "--family", "e6", "--t", "--x"])
+@example(argv=["family", "--field", "Q", "--family", "e6", "--t", "-x"])
+@example(argv=["family", "--field", "Q", "--family", "e6", "--t", "-3/4"])  # negative literals
+@example(argv=["family", "--field", "Q", "--family", "e12", "--T=-3"])
+@example(argv=["halve", "--curve", '{"a=b": 1}', "--point={\"x\": \"=\"}"])  # JSON with =
+# Each command with every required flag and nothing else.
+@example(argv=["family", "--field", "Q", "--family", "e8"])
+@example(argv=["halve", "--curve", "{}", "--point", "{}"])
+@example(argv=["order", "--curve", "{}", "--point", "{}"])
+@example(argv=["iso", "--field", "Q", "--kind", "e4"])
+@example(argv=["census", "--field", "F2k:2:7", "--order", "4"])
+@example(argv=["verify-examples"])
 def test_a_commands_parser_reads_argv_as_the_top_level_parser(monkeypatch, argv):
     monkeypatch.setenv("COLUMNS", "80")
     assert parse_outcome(cli._parse, argv) == parse_outcome(top_level_parse, argv), argv

@@ -1,5 +1,6 @@
 """Field arithmetic: prime fields, GF(2^k), and exact rationals."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -39,16 +40,24 @@ def test_prime_field_accepts_large_prime_below_cap():
 
 
 def test_primality_is_exact_on_the_moduli_prime_fields_take():
-    """Miller-Rabin to the bases 2, 3, 5, 7 against a sieve below 10^5; the
-    least strong pseudoprimes to base 2, to 2 and 3, and to 2, 3 and 5, and
-    the Carmichael numbers 561, 1105, 1729, are refused; the two largest
-    primes below 2^31 are accepted."""
+    """Miller-Rabin against a sieve below 10^5 and against trial division
+    within 10^4 of 1,373,653 and of 25,326,001, where the bases grow from 2, 3
+    to 2, 3, 5 and to 2, 3, 5, 7; the least strong pseudoprimes to base 2, to
+    2 and 3, and to 2, 3 and 5, and the Carmichael numbers 561, 1105, 1729,
+    are refused; the two largest primes below 2^31 are accepted."""
     n = 10**5
     sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
     for i in range(2, 317):
         if sieve[i]:
             sieve[i * i::i] = bytes(len(range(i * i, n, i)))
-    assert [i for i in range(n) if _is_prime(i)] == [i for i in range(n) if sieve[i]]
+    primes = [i for i in range(n) if sieve[i]]
+    assert [i for i in range(n) if _is_prime(i)] == primes
+    for bound in (1373653, 25326001):
+        window = range(bound - 10**4, bound + 10**4)
+        by_trial = [m for m in window
+                    if all(m % q for q in itertools.takewhile(lambda q: q * q <= m, primes))]
+        assert [m for m in window if _is_prime(m)] == by_trial
+    assert 1373653 == 829 * 1657 and 25326001 == 2251 * 11251
     assert not any(_is_prime(c) for c in (2047, 1373653, 25326001, 561, 1105, 1729))
     assert _is_prime(2**31 - 1) and _is_prime(2147483629)
 

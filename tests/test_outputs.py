@@ -11,6 +11,7 @@ and says which group changed and why; any other digest change is a
 regression in what users see.
 """
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -40,11 +41,23 @@ DIGESTS = {
 }
 
 
+class _Group:
+    """One group's sha256 and the CLI argvs hashed into it."""
+
+    def __init__(self):
+        self.sha = hashlib.sha256()
+        self.argvs = []
+
+    def update(self, data: bytes):
+        self.sha.update(data)
+
+
 def _cli(h, argv, with_stderr=False):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     record = [argv, code, out.getvalue()] + ([err.getvalue()] if with_stderr else [])
+    h.argvs.append(argv)
     h.update(json.dumps(record).encode())
     return code, out.getvalue()
 
@@ -193,11 +206,11 @@ def _cli_input_errors(h):
 
 
 @pytest.fixture(scope="module")
-def digests():
-    """Every group's digest, computed once for the module."""
+def groups():
+    """Every group, computed once for the module."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("COLUMNS", "80")  # --help wraps to the terminal's width
-        hs = {name: hashlib.sha256() for name in DIGESTS}
+        hs = {name: _Group() for name in DIGESTS}
         _fp_queries(hs["fp_queries"])
         _family_sweep(hs["family_sweep"])
         points = _family_calls(hs["family"])
@@ -207,9 +220,26 @@ def digests():
         _census_examples_help(hs["census_examples_help"])
         _cli_errors(hs["cli_errors"])
         _cli_input_errors(hs["cli_input_errors"])
-    return {name: h.hexdigest() for name, h in hs.items()}
+    return hs
 
 
 @pytest.mark.parametrize("group", DIGESTS)
-def test_outputs_are_byte_identical(digests, group):
-    assert digests[group] == DIGESTS[group]
+def test_outputs_are_byte_identical(groups, group):
+    assert groups[group].sha.hexdigest() == DIGESTS[group]
+
+
+@pytest.mark.parametrize("group", ["fp_queries", "family", "halve", "order", "iso",
+                                   "census_examples_help"])
+def test_well_formed_argvs_never_reach_argparse(groups, group, monkeypatch):
+    """Every argv of these groups but a ``--help`` is well formed, so
+    ``cli._parse`` reads it from its command's flag table, to the top-level
+    parser's namespace."""
+    argvs = [argv for argv in groups[group].argvs if "--help" not in argv]
+    parser, _ = cli._build_parser()
+    expected = [parser.parse_args(cli._join_negative_values(argv)) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse reached")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [cli._parse(argv) for argv in argvs] == expected
